@@ -78,7 +78,7 @@ fn main() {
          stage ({:.2}x)",
         two.report.samples_per_s, one.report.samples_per_s, pipeline_speedup,
     );
-    let pareto = results.pareto();
+    let pareto = serve::pareto(&results.records);
     println!("\npareto frontier:");
     for record in &pareto {
         println!("  {}", record.report.summary());
@@ -109,13 +109,6 @@ fn main() {
     };
     append_bench_record("BENCH_serve.json", &record);
 
-    if let Some(path) = &cli.json {
-        results.write_json(path).expect("write JSON output");
-        eprintln!(
-            "wrote {} fleet records to {} (schema: BENCH_schema.md)",
-            results.records.len(),
-            path.display()
-        );
-    }
+    cli.write_results(&results);
     cli.finish();
 }

@@ -71,13 +71,6 @@ fn main() {
         single.report.latency.p99_ms(),
     );
 
-    if let Some(path) = &cli.json {
-        results.write_json(path).expect("write JSON output");
-        eprintln!(
-            "wrote {} serve records to {} (schema: BENCH_schema.md)",
-            results.records.len(),
-            path.display()
-        );
-    }
+    cli.write_results(&results);
     cli.finish();
 }

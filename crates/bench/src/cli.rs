@@ -3,8 +3,8 @@
 //! Every `src/bin/` binary accepts the same two flags, parsed once through
 //! [`BenchCli`] instead of twelve hand-rolled copies of the argument loop:
 //!
-//! * `--json <path>` — dump the run's `ResultSet` as JSON lines (schema:
-//!   `BENCH_schema.md`);
+//! * `--json <path>` — dump the run's result set (model, serving or fleet
+//!   records) as JSON lines (schema: `BENCH_schema.md`);
 //! * `--metrics <path>` — turn the [`telemetry`] recorder on for the run and
 //!   write a `metrics_snapshot_v1` JSON document (counters, gauges,
 //!   histograms, span aggregates) when the binary finishes.
@@ -17,14 +17,14 @@
 //! assert!(cli.json.is_some() && cli.metrics.is_some());
 //! ```
 
-use camdnn::experiment::ResultSet;
+use camdnn::experiment::{ResultSet, SweepRecord};
 use camdnn::telemetry;
 use std::path::PathBuf;
 
 /// The parsed bench command line (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 pub struct BenchCli {
-    /// `--json <path>`: where to dump the run's `ResultSet`, if requested.
+    /// `--json <path>`: where to dump the run's result set, if requested.
     pub json: Option<PathBuf>,
     /// `--metrics <path>`: where to write the telemetry snapshot, if
     /// requested.
@@ -84,7 +84,7 @@ impl BenchCli {
     ///
     /// Panics when the round-trip check fails or the file cannot be
     /// written; the bench binaries treat both as fatal.
-    pub fn write_results(&self, results: &ResultSet) {
+    pub fn write_results<R: SweepRecord>(&self, results: &ResultSet<R>) {
         let Some(path) = &self.json else {
             return;
         };

@@ -39,31 +39,6 @@ pub fn scenario_views(results: &ResultSet) -> Vec<(&ScenarioRecord, PipelineRepo
         .collect()
 }
 
-/// Parses a `--json <path>` argument from the process command line.
-///
-/// Thin wrapper over [`cli::BenchCli`] kept for callers that only need the
-/// path; the binaries themselves parse once via [`BenchCli::from_env`].
-///
-/// # Panics
-///
-/// Panics when `--json` is passed without a path, so a forgotten argument
-/// fails loudly instead of silently skipping the output file.
-pub fn json_path_from_args() -> Option<PathBuf> {
-    BenchCli::from_env().json
-}
-
-/// If `--json <path>` was passed, writes `results` as JSON lines to the path
-/// via [`ResultSet::write_json`] (which proves the document parses back into
-/// an identical set before touching the file).
-///
-/// # Panics
-///
-/// Panics when the round-trip check fails or the file cannot be written; the
-/// benchmark binaries treat both as fatal.
-pub fn maybe_write_json(results: &ResultSet) {
-    BenchCli::from_env().write_results(results);
-}
-
 /// True when `BENCH_SMOKE` is set (non-empty, not `0`): the speedup benches
 /// shrink their iteration counts so CI can smoke the full measurement and
 /// record-emission path in seconds instead of minutes.

@@ -9,36 +9,32 @@
 //! accelerator models) without touching this crate; [`BackendKind`] survives
 //! only as the set of well-known identifiers the bundled pipeline registers.
 //!
-//! A [`BackendRegistry`] fans its backends out over a model in parallel (one
-//! rayon job per backend) and returns results in registration order. For
-//! sweeps, [`InferenceBackend::evaluate_cached`] lets backends that compile
-//! the model share an [`apc::CompileCache`] across scenarios — see the
-//! [`experiment`](crate::experiment) module.
+//! Sweeps evaluate backends through the [`experiment`](crate::experiment)
+//! module: a [`BackendPlan`](crate::experiment::BackendPlan) builds a backend
+//! per scenario, and [`InferenceBackend::evaluate_cached`] lets backends that
+//! compile the model share an [`apc::CompileCache`] across scenarios.
 //!
 //! # Example
 //!
 //! ```
-//! use camdnn::{BackendKind, BackendRegistry, InferenceBackend};
+//! use camdnn::{BackendKind, BackendReport, InferenceBackend};
 //! use accel::{ArchConfig, NetworkSimulator};
 //! use apc::CompilerOptions;
 //! use tnn::model::vgg9;
 //!
-//! let mut registry = BackendRegistry::new();
-//! registry.register(
-//!     BackendKind::RtmAp,
-//!     Box::new(NetworkSimulator::new(ArchConfig::default(), CompilerOptions::default())),
-//! );
-//! let results = registry.evaluate_all(&vgg9(0.9, 1)).expect("evaluate");
-//! assert_eq!(results.len(), 1);
-//! assert_eq!(results[0].0.as_str(), "rtm-ap");
-//! assert!(results[0].1.energy_uj() > 0.0);
+//! let backend: Box<dyn InferenceBackend> =
+//!     Box::new(NetworkSimulator::new(ArchConfig::default(), CompilerOptions::default()));
+//! let report = backend.evaluate(&vgg9(0.9, 1)).expect("evaluate");
+//! assert_eq!(backend.name(), "rtm-ap[4b,unroll+cse]");
+//! assert_eq!(BackendKind::RtmAp.id().as_str(), "rtm-ap");
+//! assert!(matches!(report, BackendReport::RtmAp(_)));
+//! assert!(report.energy_uj() > 0.0);
 //! ```
 
 use crate::functional::{BatchReport, FunctionalReport};
 use accel::{NetworkReport, NetworkSimulator};
 use apc::{CompileCache, LayerCompiler};
 use baseline::{CrossbarModel, CrossbarReport, DeepCamModel, DeepCamReport};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 use tnn::model::ModelGraph;
@@ -49,8 +45,8 @@ use tnn::Tensor;
 /// str`.
 static INTERNED_IDS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
-/// An interned backend identifier — the key of a [`BackendRegistry`] slot and
-/// of a result row in a sweep.
+/// An interned backend identifier — the key of a backend plan and of a result
+/// row in a sweep.
 ///
 /// `BackendId` is an *open* key space: any crate can mint new identifiers with
 /// [`BackendId::new`] (or `From<&str>`), so registering a custom backend does
@@ -122,9 +118,9 @@ impl Deserialize for BackendId {
 
 /// The well-known backends of the bundled evaluation pipeline.
 ///
-/// Since the registry is keyed by [`BackendId`], this enum is no longer the
-/// extension point — it survives as the canonical set of identifiers the
-/// [`FullStackPipeline`](crate::FullStackPipeline) registers, converting via
+/// Since sweeps are keyed by [`BackendId`], this enum is no longer the
+/// extension point — it survives as the canonical set of identifiers of the
+/// standard [`BackendPlan`](crate::experiment::BackendPlan)s, converting via
 /// `From<BackendKind> for BackendId`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -365,7 +361,7 @@ impl ModelProfile {
 
 /// A way of executing (or analytically modelling) DNN inference.
 ///
-/// Implementations must be thread-safe: the registry evaluates backends as
+/// Implementations must be thread-safe: a sweep evaluates backends as
 /// parallel jobs.
 pub trait InferenceBackend: Send + Sync {
     /// A short human-readable identifier (configuration included).
@@ -536,146 +532,12 @@ impl InferenceBackend for DeepCamModel {
     }
 }
 
-/// An ordered collection of backends evaluated together on one model.
-///
-/// Evaluation fans out with rayon — one job per backend — and returns results
-/// in registration order, so the output is deterministic regardless of the
-/// worker count.
-#[derive(Default)]
-pub struct BackendRegistry {
-    entries: Vec<(BackendId, Box<dyn InferenceBackend>)>,
-}
-
-impl std::fmt::Debug for BackendRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list()
-            .entries(self.entries.iter().map(|(id, b)| (id, b.name())))
-            .finish()
-    }
-}
-
-impl BackendRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers `backend` under `id`, appending to the evaluation order.
-    ///
-    /// The id space is open: pass a [`BackendKind`], a string, or a
-    /// [`BackendId`] minted elsewhere.
-    pub fn register(
-        &mut self,
-        id: impl Into<BackendId>,
-        backend: Box<dyn InferenceBackend>,
-    ) -> &mut Self {
-        self.entries.push((id.into(), backend));
-        self
-    }
-
-    /// Builder-style [`register`](Self::register).
-    #[must_use]
-    pub fn with(mut self, id: impl Into<BackendId>, backend: Box<dyn InferenceBackend>) -> Self {
-        self.entries.push((id.into(), backend));
-        self
-    }
-
-    /// Number of registered backends.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The registered ids and backend names, in evaluation order.
-    pub fn names(&self) -> Vec<(BackendId, String)> {
-        self.entries.iter().map(|(id, b)| (*id, b.name())).collect()
-    }
-
-    /// Evaluates every registered backend on `model` as parallel jobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (in registration order) backend error: all jobs run
-    /// to completion and the error of the lowest-index failing backend is
-    /// reported, independent of which job failed first on the wall clock.
-    pub fn evaluate_all(&self, model: &ModelGraph) -> apc::Result<Vec<(BackendId, BackendReport)>> {
-        self.evaluate_with(|backend| backend.evaluate(model))
-    }
-
-    /// Like [`evaluate_all`](Self::evaluate_all), but backends that compile
-    /// the model reuse `cache` (see [`InferenceBackend::evaluate_cached`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (in registration order) backend error.
-    pub fn evaluate_all_cached(
-        &self,
-        model: &ModelGraph,
-        cache: &CompileCache,
-    ) -> apc::Result<Vec<(BackendId, BackendReport)>> {
-        self.evaluate_with(|backend| backend.evaluate_cached(model, cache))
-    }
-
-    /// Runs `eval` over every backend as parallel jobs, collecting **all**
-    /// outcomes before reporting the lowest-index error so the failure mode is
-    /// deterministic.
-    fn evaluate_with(
-        &self,
-        eval: impl Fn(&dyn InferenceBackend) -> apc::Result<BackendReport> + Sync,
-    ) -> apc::Result<Vec<(BackendId, BackendReport)>> {
-        let results: Vec<apc::Result<(BackendId, BackendReport)>> = self
-            .entries
-            .par_iter()
-            .map(|(id, backend)| eval(backend.as_ref()).map(|report| (*id, report)))
-            .collect();
-        results.into_iter().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use accel::ArchConfig;
     use apc::CompilerOptions;
     use tnn::model::vgg9;
-
-    fn registry() -> BackendRegistry {
-        let arch = ArchConfig::default();
-        BackendRegistry::new()
-            .with(
-                BackendKind::RtmAp,
-                Box::new(NetworkSimulator::new(arch, CompilerOptions::default())),
-            )
-            .with(
-                BackendKind::Crossbar,
-                Box::new(CrossbarModel::default().with_act_bits(4)),
-            )
-            .with(BackendKind::DeepCam, Box::new(DeepCamModel::default()))
-    }
-
-    #[test]
-    fn registry_preserves_registration_order() {
-        let registry = registry();
-        let results = registry.evaluate_all(&vgg9(0.9, 1)).expect("evaluate");
-        let ids: Vec<BackendId> = results.iter().map(|(id, _)| *id).collect();
-        assert_eq!(
-            ids,
-            vec![
-                BackendKind::RtmAp.id(),
-                BackendKind::Crossbar.id(),
-                BackendKind::DeepCam.id()
-            ]
-        );
-        for (_, report) in &results {
-            assert!(report.energy_uj() > 0.0);
-            assert!(report.latency_ms() > 0.0);
-            assert_eq!(report.network(), "vgg9");
-        }
-    }
 
     #[test]
     fn trait_dispatch_matches_direct_calls() {
@@ -704,7 +566,15 @@ mod tests {
 
     #[test]
     fn backend_names_describe_the_configuration() {
-        let names: Vec<String> = registry().names().into_iter().map(|(_, n)| n).collect();
+        let backends: [Box<dyn InferenceBackend>; 3] = [
+            Box::new(NetworkSimulator::new(
+                ArchConfig::default(),
+                CompilerOptions::default(),
+            )),
+            Box::new(CrossbarModel::default().with_act_bits(4)),
+            Box::new(DeepCamModel::default()),
+        ];
+        let names: Vec<String> = backends.iter().map(|b| b.name()).collect();
         assert_eq!(
             names,
             vec!["rtm-ap[4b,unroll+cse]", "crossbar[4b]", "deepcam[h16]"]

@@ -1,5 +1,5 @@
-//! Declarative experiment API: scenario sweeps over an open backend registry
-//! with shared compilation and structured results.
+//! Declarative experiment API: scenario sweeps over open backend plans with
+//! shared compilation and structured results.
 //!
 //! The paper's evaluation is a *grid* — networks × sparsities × activation
 //! bits × CAM geometries × backends (Table II, Fig. 4, the ablations). This
@@ -19,6 +19,12 @@
 //!   ([`ScenarioRecord`]) with JSON-lines serialization
 //!   ([`ResultSet::to_json`]), table rendering, and a
 //!   [`PipelineReport`](crate::PipelineReport) compatibility view.
+//!
+//! The result set and the runner are shared one layer up the stack: the
+//! serving and fleet sweeps of `camdnn-serve` collect their own
+//! [`SweepRecord`] types into the same [`ResultSet`] (so all three sweep
+//! kinds share one JSON-lines format and round-trip proof) and run through
+//! the same [`run_ordered`] pool.
 //!
 //! # Example: a three-axis sweep
 //!
@@ -457,6 +463,17 @@ impl SweepGrid {
     }
 }
 
+/// A row of a [`ResultSet`]: one serializable sweep outcome, keyed by the
+/// label of the scenario it belongs to. Model sweeps ([`ScenarioRecord`]),
+/// serving sweeps and fleet sweeps (`camdnn-serve`) each supply one.
+pub trait SweepRecord: Serialize + Deserialize + PartialEq + Sized {
+    /// The label of the scenario this record belongs to.
+    fn scenario(&self) -> &str;
+
+    /// Renders `records` as a fixed-width table, header line first.
+    fn to_table(records: &[Self]) -> String;
+}
+
 /// One row of a [`ResultSet`]: the outcome of one backend on one scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioRecord {
@@ -501,18 +518,44 @@ pub struct ScenarioRecord {
     pub report: BackendReport,
 }
 
-/// The deterministic, registration-ordered outcome of a sweep: one
-/// [`ScenarioRecord`] per *scenario × backend*, in scenario-expansion ×
-/// backend-registration order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ResultSet {
-    /// The result records, in deterministic order.
-    pub records: Vec<ScenarioRecord>,
+impl SweepRecord for ScenarioRecord {
+    fn scenario(&self) -> &str {
+        &self.scenario
+    }
+
+    fn to_table(records: &[Self]) -> String {
+        let mut out = format!(
+            "{:<32} {:<22} {:>5} {:>6} {:>12} {:>10} {:>7} {:>12}\n",
+            "scenario", "backend", "act", "batch", "energy[uJ]", "lat[ms]", "arrays", "smp/s"
+        );
+        for r in records {
+            out.push_str(&format!(
+                "{:<32} {:<22} {:>4}b {:>6} {:>12.2} {:>10.3} {:>7} {:>12.1}\n",
+                r.scenario,
+                r.backend_name,
+                r.act_bits,
+                r.batch_size,
+                r.energy_uj,
+                r.latency_ms,
+                r.arrays,
+                r.samples_per_s
+            ));
+        }
+        out
+    }
 }
 
-impl ResultSet {
-    /// Serializes the records as JSON lines (one record object per line) —
-    /// the format documented in `BENCH_schema.md`.
+/// The deterministic outcome of a sweep: records in scenario-expansion order
+/// (and, for model sweeps, backend-registration order within a scenario),
+/// with the JSON-lines format documented in `BENCH_schema.md`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ResultSet<R = ScenarioRecord> {
+    /// The result records, in deterministic order.
+    pub records: Vec<R>,
+}
+
+impl<R: SweepRecord> ResultSet<R> {
+    /// Serializes the records as JSON lines (one record object per line).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         for record in &self.records {
@@ -533,7 +576,7 @@ impl ResultSet {
     /// file cannot be written.
     pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         let text = self.to_json();
-        let lossless = ResultSet::from_json(&text)
+        let lossless = Self::from_json(&text)
             .map(|parsed| &parsed == self)
             .unwrap_or(false);
         if !lossless {
@@ -555,38 +598,14 @@ impl ResultSet {
             .lines()
             .filter(|line| !line.trim().is_empty())
             .map(serde_json::from_str)
-            .collect::<Result<Vec<ScenarioRecord>, serde::Error>>()?;
+            .collect::<Result<Vec<R>, serde::Error>>()?;
         Ok(ResultSet { records })
     }
 
-    /// Renders the shared metrics as a fixed-width table.
+    /// Renders the records as a fixed-width table (see
+    /// [`SweepRecord::to_table`]).
     pub fn to_table(&self) -> String {
-        let mut out = format!(
-            "{:<32} {:<22} {:>5} {:>6} {:>12} {:>10} {:>7} {:>12}\n",
-            "scenario", "backend", "act", "batch", "energy[uJ]", "lat[ms]", "arrays", "smp/s"
-        );
-        for r in &self.records {
-            out.push_str(&format!(
-                "{:<32} {:<22} {:>4}b {:>6} {:>12.2} {:>10.3} {:>7} {:>12.1}\n",
-                r.scenario,
-                r.backend_name,
-                r.act_bits,
-                r.batch_size,
-                r.energy_uj,
-                r.latency_ms,
-                r.arrays,
-                r.samples_per_s
-            ));
-        }
-        out
-    }
-
-    /// The record of `backend` on the scenario labelled `scenario`, if any.
-    pub fn get(&self, scenario: &str, backend: impl Into<BackendId>) -> Option<&ScenarioRecord> {
-        let backend = backend.into();
-        self.records
-            .iter()
-            .find(|r| r.scenario == scenario && r.backend == backend)
+        R::to_table(&self.records)
     }
 
     /// The distinct scenario labels, in first-appearance order (robust to
@@ -595,9 +614,19 @@ impl ResultSet {
         let mut seen = HashSet::new();
         self.records
             .iter()
-            .map(|r| r.scenario.as_str())
+            .map(SweepRecord::scenario)
             .filter(|label| seen.insert(*label))
             .collect()
+    }
+}
+
+impl ResultSet {
+    /// The record of `backend` on the scenario labelled `scenario`, if any.
+    pub fn get(&self, scenario: &str, backend: impl Into<BackendId>) -> Option<&ScenarioRecord> {
+        let backend = backend.into();
+        self.records
+            .iter()
+            .find(|r| r.scenario == scenario && r.backend == backend)
     }
 
     /// All records of one backend, in result order.
@@ -674,92 +703,94 @@ impl Session {
     /// and the error of the lowest-index failing job (in scenario × backend
     /// order) is returned, independent of wall-clock completion order.
     pub fn run_scenarios(&self, scenarios: &[ScenarioSpec]) -> apc::Result<ResultSet> {
-        let mut labels = HashSet::new();
-        for spec in scenarios {
-            if !labels.insert(spec.label.as_str()) {
-                return Err(apc::ApcError::InvalidArgument {
-                    reason: format!(
-                        "duplicate scenario label `{}` — give colliding workloads distinct labels",
-                        spec.label
-                    ),
-                });
-            }
-        }
-
-        struct Job<'a> {
-            scenario_index: usize,
-            scenario: &'a ScenarioSpec,
-            id: BackendId,
-            backend: Box<dyn InferenceBackend>,
-        }
-
-        let jobs: Vec<Job> = scenarios
-            .iter()
-            .enumerate()
-            .flat_map(|(scenario_index, scenario)| {
-                scenario.backends.iter().map(move |plan| Job {
-                    scenario_index,
-                    scenario,
-                    id: plan.id(),
-                    backend: plan.build(scenario),
-                })
-            })
-            .collect();
-
-        let outcomes: Vec<apc::Result<BackendReport>> = jobs
-            .par_iter()
-            .map(|job| {
-                let model = &job.scenario.workload.model;
-                // Batch size 1 keeps the classic single-sample evaluation
-                // (and its report shape) byte-identical; larger batches go
-                // through the batch-aware hook.
-                if job.scenario.batch_size == 1 {
-                    job.backend.evaluate_cached(model, &self.cache)
-                } else {
-                    job.backend
-                        .evaluate_batch_cached(model, job.scenario.batch_size, &self.cache)
-                }
-            })
-            .collect();
-
         // Sparsity scans every weight value — compute it once per scenario,
         // not once per record.
         let sparsities: Vec<f64> = scenarios
             .iter()
             .map(|spec| spec.workload.model.overall_sparsity())
             .collect();
-
-        let mut records = Vec::with_capacity(jobs.len());
-        for (job, outcome) in jobs.iter().zip(outcomes) {
-            let report = outcome?;
-            let (samples_per_s, joules_per_sample) = match report.as_functional_batch() {
-                Some(batch) => (batch.samples_per_s, batch.joules_per_sample),
-                // Analytic reports price one inference: the sample rate is
-                // the reciprocal latency and nothing amortizes.
-                None => (1e3 / report.latency_ms(), report.energy_uj() * 1e-6),
-            };
-            records.push(ScenarioRecord {
-                scenario: job.scenario.label.clone(),
-                workload: job.scenario.workload.label.clone(),
-                network: job.scenario.workload.model.name().to_string(),
-                sparsity: sparsities[job.scenario_index],
-                act_bits: job.scenario.act_bits,
-                geometry: job.scenario.geometry,
-                backend: job.id,
-                backend_name: job.backend.name(),
-                energy_uj: report.energy_uj(),
-                latency_ms: report.latency_ms(),
-                arrays: report.arrays(),
-                batch_size: job.scenario.batch_size,
-                tile_grid: job.scenario.tile_grid,
-                samples_per_s,
-                joules_per_sample,
-                partition: report.partition_quality().cloned(),
-                report,
-            });
-        }
+        let jobs: Vec<(usize, &BackendPlan)> = scenarios
+            .iter()
+            .enumerate()
+            .flat_map(|(index, spec)| spec.backends.iter().map(move |plan| (index, plan)))
+            .collect();
+        let records = run_ordered(
+            scenarios.iter().map(|spec| spec.label.as_str()),
+            |label| apc::ApcError::InvalidArgument {
+                reason: format!(
+                    "duplicate scenario label `{label}` — give colliding workloads distinct labels"
+                ),
+            },
+            &jobs,
+            |&(index, plan)| {
+                let spec = &scenarios[index];
+                let backend = plan.build(spec);
+                let model = &spec.workload.model;
+                // Batch size 1 keeps the classic single-sample evaluation
+                // (and its report shape) byte-identical; larger batches go
+                // through the batch-aware hook.
+                let report = if spec.batch_size == 1 {
+                    backend.evaluate_cached(model, &self.cache)
+                } else {
+                    backend.evaluate_batch_cached(model, spec.batch_size, &self.cache)
+                }?;
+                let (samples_per_s, joules_per_sample) = match report.as_functional_batch() {
+                    Some(batch) => (batch.samples_per_s, batch.joules_per_sample),
+                    // Analytic reports price one inference: the sample rate
+                    // is the reciprocal latency and nothing amortizes.
+                    None => (1e3 / report.latency_ms(), report.energy_uj() * 1e-6),
+                };
+                Ok(ScenarioRecord {
+                    scenario: spec.label.clone(),
+                    workload: spec.workload.label.clone(),
+                    network: model.name().to_string(),
+                    sparsity: sparsities[index],
+                    act_bits: spec.act_bits,
+                    geometry: spec.geometry,
+                    backend: plan.id(),
+                    backend_name: backend.name(),
+                    energy_uj: report.energy_uj(),
+                    latency_ms: report.latency_ms(),
+                    arrays: report.arrays(),
+                    batch_size: spec.batch_size,
+                    tile_grid: spec.tile_grid,
+                    samples_per_s,
+                    joules_per_sample,
+                    partition: report.partition_quality().cloned(),
+                    report,
+                })
+            },
+        )?;
         Ok(ResultSet { records })
     }
+}
+
+/// The one sweep runner behind [`Session`] and the serving and fleet
+/// sessions of `camdnn-serve`: rejects duplicate scenario `labels` (the
+/// label is the lookup key of a [`ResultSet`], so a collision would silently
+/// shadow records), then runs every job as one flat parallel pool and
+/// returns the outputs in job order.
+///
+/// # Errors
+///
+/// Returns `duplicate(label)` for the first repeated label, before any job
+/// runs. Otherwise all jobs run to completion and the error of the
+/// lowest-index failing job is returned, independent of wall-clock
+/// completion order.
+pub fn run_ordered<'a, J: Sync, T: Send, E: Send>(
+    labels: impl IntoIterator<Item = &'a str>,
+    duplicate: impl FnOnce(&str) -> E,
+    jobs: &[J],
+    run: impl Fn(&J) -> Result<T, E> + Sync + Send,
+) -> Result<Vec<T>, E> {
+    let mut seen = HashSet::new();
+    for label in labels {
+        if !seen.insert(label) {
+            return Err(duplicate(label));
+        }
+    }
+    let outcomes: Vec<Result<T, E>> = jobs.par_iter().map(run).collect();
+    outcomes.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -912,6 +943,13 @@ mod tests {
         assert_eq!(text.lines().count(), results.records.len());
         let back = ResultSet::from_json(&text).expect("parse");
         assert_eq!(back, results);
+        assert_eq!(back.to_json(), text);
+        // The file writer proves the same round trip before writing.
+        let path = std::env::temp_dir().join("camdnn_experiment_results_test.json");
+        results.write_json(&path).expect("write");
+        let written = std::fs::read_to_string(&path).expect("read");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(written, text);
     }
 
     #[test]

@@ -415,7 +415,7 @@ pub struct FunctionalBackend {
     arch: ArchConfig,
     options: CompilerOptions,
     input_seed: u64,
-    engine_mode: Option<EngineMode>,
+    engine_mode: EngineMode,
     tile_grid: TileGrid,
 }
 
@@ -434,11 +434,6 @@ pub enum EngineMode {
     Interpreter,
 }
 
-/// Environment variable overriding the executor selection when no explicit
-/// [`EngineMode`] is configured: set to `"interpreter"` to force the
-/// reference interpreter, anything else (or unset) selects the plan path.
-pub const ENGINE_PATH_ENV: &str = "CAMDNN_ENGINE_PATH";
-
 impl Default for FunctionalBackend {
     fn default() -> Self {
         FunctionalBackend::new(ArchConfig::default(), CompilerOptions::default())
@@ -453,7 +448,7 @@ impl FunctionalBackend {
             arch,
             options: options.with_programs(),
             input_seed: 0,
-            engine_mode: None,
+            engine_mode: EngineMode::Plan,
             tile_grid: TileGrid::default(),
         }
     }
@@ -474,24 +469,12 @@ impl FunctionalBackend {
         self.tile_grid
     }
 
-    /// Returns a copy pinned to an explicit executor, overriding the
-    /// [`ENGINE_PATH_ENV`] environment selection.
+    /// Returns a copy executing unit programs with `mode` (compiled plans by
+    /// default).
     #[must_use]
     pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = Some(mode);
+        self.engine_mode = mode;
         self
-    }
-
-    /// Whether unit programs execute through compiled pass plans (`true`) or
-    /// the reference interpreter (`false`): the explicit
-    /// [`with_engine_mode`](Self::with_engine_mode) choice if one was made,
-    /// otherwise the [`ENGINE_PATH_ENV`] environment selection.
-    pub fn plan_execution(&self) -> bool {
-        match self.engine_mode {
-            Some(EngineMode::Plan) => true,
-            Some(EngineMode::Interpreter) => false,
-            None => !matches!(std::env::var(ENGINE_PATH_ENV).as_deref(), Ok("interpreter")),
-        }
     }
 
     /// Returns a copy using a different base seed for the synthetic inputs.
@@ -716,7 +699,7 @@ impl FunctionalBackend {
         // shared cache and re-executes the specialized form, while the
         // interpreter path re-derives every pass list per run (retained as
         // the differential reference).
-        let use_plans = self.plan_execution();
+        let use_plans = self.engine_mode == EngineMode::Plan;
         let geometry = PlanGeometry::of(engine.array());
         // With a trace context attached, every program executes one
         // instruction at a time through `trace::trace_program` (per-pass

@@ -15,9 +15,10 @@
 //!
 //! Evaluation is organised around the [`InferenceBackend`] trait (module
 //! [`backend`]): the RTM-AP simulator and both baselines implement
-//! `evaluate(&ModelGraph) -> BackendReport`, keyed in a [`BackendRegistry`]
-//! by open, interned [`BackendId`]s so new comparison points register without
-//! touching this crate. The [`experiment`] module turns the paper's grid of
+//! `evaluate(&ModelGraph) -> BackendReport`, keyed by open, interned
+//! [`BackendId`]s so new comparison points plug in through
+//! [`BackendPlan::custom`](experiment::BackendPlan::custom) without touching
+//! this crate. The [`experiment`] module turns the paper's grid of
 //! configurations into a first-class object: declare a
 //! [`SweepGrid`](experiment::SweepGrid) (workloads × activation bits ×
 //! geometries × architectures), run it through a
@@ -50,8 +51,7 @@ pub mod trace;
 pub mod verify;
 
 pub use backend::{
-    BackendId, BackendKind, BackendRegistry, BackendReport, InferenceBackend, LayerCost,
-    ModelProfile,
+    BackendId, BackendKind, BackendReport, InferenceBackend, LayerCost, ModelProfile,
 };
 pub use corpus::{CorpusSpec, SpecRun, SpecStatus};
 pub use experiment::{

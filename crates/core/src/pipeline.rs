@@ -1,8 +1,7 @@
-use crate::backend::{BackendKind, BackendRegistry};
 use crate::experiment::{ScenarioSpec, Session};
-use accel::{ArchConfig, NetworkReport, NetworkSimulator};
+use accel::{ArchConfig, NetworkReport};
 use apc::CompilerOptions;
-use baseline::{CrossbarModel, CrossbarReport, DeepCamModel, DeepCamReport};
+use baseline::{CrossbarReport, DeepCamReport};
 use serde::{Deserialize, Serialize};
 use tnn::model::ModelGraph;
 
@@ -93,8 +92,6 @@ pub struct FullStackPipeline {
     model: ModelGraph,
     arch: ArchConfig,
     options: CompilerOptions,
-    deepcam: DeepCamModel,
-    crossbar: CrossbarModel,
 }
 
 impl FullStackPipeline {
@@ -105,8 +102,6 @@ impl FullStackPipeline {
             model,
             arch: ArchConfig::default(),
             options: CompilerOptions::default(),
-            deepcam: DeepCamModel::default(),
-            crossbar: CrossbarModel::default(),
         }
     }
 
@@ -134,39 +129,6 @@ impl FullStackPipeline {
     /// The model being evaluated.
     pub fn model(&self) -> &ModelGraph {
         &self.model
-    }
-
-    /// Builds the backend registry this pipeline evaluates: the RTM-AP in both
-    /// compiler configurations (`unroll+CSE` and `unroll`) plus the crossbar
-    /// and DeepCAM baselines, all configured for the pipeline's activation
-    /// precision.
-    ///
-    /// The registry is the extension point for multi-backend sweeps: callers
-    /// can [`register`](BackendRegistry::register) additional backends and run
-    /// [`BackendRegistry::evaluate_all`] themselves.
-    pub fn registry(&self) -> BackendRegistry {
-        let with_cse = CompilerOptions {
-            enable_cse: true,
-            ..self.options
-        };
-        let unroll = CompilerOptions {
-            enable_cse: false,
-            ..self.options
-        };
-        BackendRegistry::new()
-            .with(
-                BackendKind::RtmAp,
-                Box::new(NetworkSimulator::new(self.arch, with_cse)),
-            )
-            .with(
-                BackendKind::RtmApUnroll,
-                Box::new(NetworkSimulator::new(self.arch, unroll)),
-            )
-            .with(
-                BackendKind::Crossbar,
-                Box::new(self.crossbar.with_act_bits(self.options.act_bits)),
-            )
-            .with(BackendKind::DeepCam, Box::new(self.deepcam))
     }
 
     /// The one-scenario [`ScenarioSpec`] this pipeline corresponds to: the

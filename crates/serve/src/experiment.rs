@@ -6,8 +6,9 @@
 //! expands it into [`ServeScenario`]s and runs every simulation as one flat
 //! rayon job pool (each simulation is internally sequential on the virtual
 //! clock, so the fan-out cannot perturb results), and a [`ServeResultSet`]
-//! collects one [`ServeRecord`] per scenario in expansion order with
-//! JSON-lines serialization — the serving counterpart of `ResultSet`.
+//! — the shared `camdnn::experiment::ResultSet` over [`ServeRecord`]s —
+//! collects one record per scenario in expansion order with JSON-lines
+//! serialization.
 //!
 //! All scenarios share one [`apc::CompileCache`] through the session, so a
 //! sweep compiles each distinct layer exactly once no matter how many traffic
@@ -21,11 +22,9 @@ use crate::sim::{simulate, SimOutcome};
 use crate::trace::{PayloadSpec, TraceSpec};
 use accel::ArchConfig;
 use apc::{CompileCache, CompilerOptions};
-use camdnn::experiment::Workload;
+use camdnn::experiment::{run_ordered, ResultSet, SweepRecord, Workload};
 use camdnn::{FunctionalBackend, InferenceBackend};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 type ServeBackendBuilder = dyn Fn(&ServeScenario) -> Box<dyn InferenceBackend> + Send + Sync;
@@ -301,72 +300,18 @@ pub struct ServeRecord {
     pub report: ServeReport,
 }
 
-/// Deterministic, expansion-ordered serving results with JSON-lines
-/// serialization (schema: `BENCH_schema.md`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServeResultSet {
-    /// The records, in grid-expansion order.
-    pub records: Vec<ServeRecord>,
-}
-
-impl ServeResultSet {
-    /// Serializes the records as JSON lines (one record object per line).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        for record in &self.records {
-            out.push_str(&serde_json::to_string(record).expect("record serialization cannot fail"));
-            out.push('\n');
-        }
-        out
+impl SweepRecord for ServeRecord {
+    fn scenario(&self) -> &str {
+        &self.scenario
     }
 
-    /// Parses a JSON-lines document produced by [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns a serde error when a line is not a valid record.
-    pub fn from_json(text: &str) -> std::result::Result<Self, serde::Error> {
-        let records = text
-            .lines()
-            .filter(|line| !line.trim().is_empty())
-            .map(serde_json::from_str)
-            .collect::<std::result::Result<Vec<ServeRecord>, serde::Error>>()?;
-        Ok(ServeResultSet { records })
-    }
-
-    /// Writes the records as JSON lines to `path`, proving the round-trip
-    /// first (so a file that exists is always consumable).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`std::io::Error`] when the round-trip check fails or the
-    /// file cannot be written.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let text = self.to_json();
-        let lossless = ServeResultSet::from_json(&text)
-            .map(|parsed| &parsed == self)
-            .unwrap_or(false);
-        if !lossless {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "serve result set did not survive a JSON round-trip",
-            ));
-        }
-        std::fs::write(path, text)
-    }
-
-    /// The record of the scenario labelled `scenario`, if any.
-    pub fn get(&self, scenario: &str) -> Option<&ServeRecord> {
-        self.records.iter().find(|r| r.scenario == scenario)
-    }
-
-    /// Renders the headline serving metrics as a fixed-width table.
-    pub fn to_table(&self) -> String {
+    /// The headline serving metrics as a fixed-width table.
+    fn to_table(records: &[Self]) -> String {
         let mut out = format!(
             "{:<44} {:>4} {:>9} {:>10} {:>10} {:>10} {:>7} {:>6}\n",
             "scenario", "rep", "served", "smp/s", "p50[ms]", "p99[ms]", "slo[%]", "batch"
         );
-        for record in &self.records {
+        for record in records {
             let report = &record.report;
             out.push_str(&format!(
                 "{:<44} {:>4} {:>4}/{:<4} {:>10.1} {:>10.3} {:>10.3} {:>7.1} {:>6.2}\n",
@@ -384,6 +329,10 @@ impl ServeResultSet {
         out
     }
 }
+
+/// Deterministic, expansion-ordered serving results with JSON-lines
+/// serialization (schema: `BENCH_schema.md`).
+pub type ServeResultSet = ResultSet<ServeRecord>;
 
 /// Executes serving sweeps with a shared compile cache.
 #[derive(Debug, Default)]
@@ -458,20 +407,16 @@ impl ServeSession {
     /// the lowest-index failing scenario is reported.
     pub fn run(&self, grid: &ServeGrid) -> Result<ServeResultSet> {
         let scenarios = grid.scenarios();
-        let mut labels = HashSet::new();
-        for scenario in &scenarios {
-            if !labels.insert(scenario.label.as_str()) {
-                return Err(ServeError::InvalidConfig {
-                    reason: format!(
-                        "duplicate serve scenario label `{}` — give colliding workloads distinct labels",
-                        scenario.label
-                    ),
-                });
-            }
-        }
-        let outcomes: Vec<Result<ServeRecord>> = scenarios
-            .par_iter()
-            .map(|scenario| {
+        let records = run_ordered(
+            scenarios.iter().map(|scenario| scenario.label.as_str()),
+            |label| ServeError::InvalidConfig {
+                reason: format!(
+                    "duplicate serve scenario label `{label}` — \
+                     give colliding workloads distinct labels"
+                ),
+            },
+            &scenarios,
+            |scenario| {
                 let outcome = self.run_scenario_with(scenario, |s| (grid.backend)(s))?;
                 Ok(ServeRecord {
                     scenario: scenario.label.clone(),
@@ -481,12 +426,8 @@ impl ServeSession {
                     payloads: scenario.payloads,
                     report: outcome.report,
                 })
-            })
-            .collect();
-        let mut records = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            records.push(outcome?);
-        }
-        Ok(ServeResultSet { records })
+            },
+        )?;
+        Ok(ResultSet { records })
     }
 }

@@ -4,10 +4,11 @@
 //! [`FleetGrid`] declares the cartesian product once, [`FleetSession`]
 //! expands it and runs every simulation as one flat rayon job pool (each
 //! simulation is internally sequential on the virtual clock, so the fan-out
-//! cannot perturb results), and [`FleetResultSet`] collects one
-//! [`FleetRecord`] per scenario in expansion order with JSON-lines
-//! serialization plus the [pareto](FleetResultSet::pareto) view over SLO
-//! attainment vs joules/sample — the capacity-planning deliverable.
+//! cannot perturb results), and [`FleetResultSet`] — the shared
+//! `camdnn::experiment::ResultSet` over [`FleetRecord`]s — collects one
+//! record per scenario in expansion order with JSON-lines serialization.
+//! [`pareto`] picks the frontier over SLO attainment vs joules/sample — the
+//! capacity-planning deliverable.
 //!
 //! A session profiles each distinct (workload, precision, grid) point exactly
 //! once: the per-layer cost profile a [`FunctionalBackend`] measures is
@@ -21,9 +22,8 @@ use crate::error::{Result, ServeError};
 use crate::trace::TraceSpec;
 use accel::ArchConfig;
 use apc::{CompileCache, CompilerOptions, TileGrid};
-use camdnn::experiment::Workload;
+use camdnn::experiment::{run_ordered, ResultSet, SweepRecord, Workload};
 use camdnn::FunctionalBackend;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -322,94 +322,46 @@ pub struct FleetRecord {
 }
 
 /// Deterministic, expansion-ordered fleet results with JSON-lines
-/// serialization (schema: `BENCH_schema.md`) and the pareto view.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FleetResultSet {
-    /// The records, in grid-expansion order.
-    pub records: Vec<FleetRecord>,
+/// serialization (schema: `BENCH_schema.md`).
+pub type FleetResultSet = ResultSet<FleetRecord>;
+
+/// The pareto-efficient records over (SLO attainment ↑, joules/sample ↓): a
+/// record survives unless another record attains at least as much SLO for at
+/// most as many joules with at least one strict improvement. Survivors keep
+/// their order in `records`, so the frontier is deterministic.
+pub fn pareto(records: &[FleetRecord]) -> Vec<&FleetRecord> {
+    records
+        .iter()
+        .filter(|candidate| {
+            !records.iter().any(|other| {
+                let a = &other.report;
+                let b = &candidate.report;
+                a.slo_attainment >= b.slo_attainment
+                    && a.joules_per_sample <= b.joules_per_sample
+                    && (a.slo_attainment > b.slo_attainment
+                        || a.joules_per_sample < b.joules_per_sample)
+            })
+        })
+        .collect()
 }
 
-impl FleetResultSet {
-    /// Serializes the records as JSON lines (one record object per line).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        for record in &self.records {
-            out.push_str(&serde_json::to_string(record).expect("record serialization cannot fail"));
-            out.push('\n');
-        }
-        out
+impl SweepRecord for FleetRecord {
+    fn scenario(&self) -> &str {
+        &self.scenario
     }
 
-    /// Parses a JSON-lines document produced by [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns a serde error when a line is not a valid record.
-    pub fn from_json(text: &str) -> std::result::Result<Self, serde::Error> {
-        let records = text
-            .lines()
-            .filter(|line| !line.trim().is_empty())
-            .map(serde_json::from_str)
-            .collect::<std::result::Result<Vec<FleetRecord>, serde::Error>>()?;
-        Ok(FleetResultSet { records })
-    }
-
-    /// Writes the records as JSON lines to `path`, proving the round-trip
-    /// first (so a file that exists is always consumable).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`std::io::Error`] when the round-trip check fails or the
-    /// file cannot be written.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let text = self.to_json();
-        let lossless = FleetResultSet::from_json(&text)
-            .map(|parsed| &parsed == self)
-            .unwrap_or(false);
-        if !lossless {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "fleet result set did not survive a JSON round-trip",
-            ));
-        }
-        std::fs::write(path, text)
-    }
-
-    /// The record of the scenario labelled `scenario`, if any.
-    pub fn get(&self, scenario: &str) -> Option<&FleetRecord> {
-        self.records.iter().find(|r| r.scenario == scenario)
-    }
-
-    /// The pareto-efficient records over (SLO attainment ↑, joules/sample ↓):
-    /// a record survives unless another record attains at least as much SLO
-    /// for at most as many joules with at least one strict improvement.
-    /// Survivors keep their expansion order, so the frontier is
-    /// deterministic.
-    pub fn pareto(&self) -> Vec<&FleetRecord> {
-        self.records
-            .iter()
-            .filter(|candidate| {
-                !self.records.iter().any(|other| {
-                    let a = &other.report;
-                    let b = &candidate.report;
-                    a.slo_attainment >= b.slo_attainment
-                        && a.joules_per_sample <= b.joules_per_sample
-                        && (a.slo_attainment > b.slo_attainment
-                            || a.joules_per_sample < b.joules_per_sample)
-                })
-            })
-            .collect()
-    }
-
-    /// Renders the headline fleet metrics as a fixed-width table; pareto
+    /// The headline fleet metrics as a fixed-width table; [`pareto`]
     /// frontier rows are marked with `*`.
-    pub fn to_table(&self) -> String {
-        let pareto: HashSet<&str> = self.pareto().iter().map(|r| r.scenario.as_str()).collect();
+    fn to_table(records: &[Self]) -> String {
+        let pareto: HashSet<&str> = pareto(records)
+            .iter()
+            .map(|r| r.scenario.as_str())
+            .collect();
         let mut out = format!(
             "{:<52} {:>9} {:>10} {:>10} {:>7} {:>9} {:>5} {:>12}\n",
             "scenario", "served", "smp/s", "p99[ms]", "slo[%]", "peak rep", "tiles", "uJ/sample"
         );
-        for record in &self.records {
+        for record in records {
             let report = &record.report;
             out.push_str(&format!(
                 "{:<50} {} {:>4}/{:<4} {:>10.1} {:>10.3} {:>7.1} {:>9} {:>5} {:>12.4}\n",
@@ -505,33 +457,24 @@ impl FleetSession {
     /// the lowest-index failing scenario is reported.
     pub fn run(&self, grid: &FleetGrid) -> Result<FleetResultSet> {
         let scenarios = grid.scenarios();
-        let mut labels = HashSet::new();
-        for scenario in &scenarios {
-            if !labels.insert(scenario.label.as_str()) {
-                return Err(ServeError::InvalidConfig {
-                    reason: format!(
-                        "duplicate fleet scenario label `{}` — give colliding workloads distinct labels",
-                        scenario.label
-                    ),
-                });
-            }
-        }
-        let outcomes: Vec<Result<FleetRecord>> = scenarios
-            .par_iter()
-            .map(|scenario| {
-                let report = self.run_scenario(scenario)?;
+        let records = run_ordered(
+            scenarios.iter().map(|scenario| scenario.label.as_str()),
+            |label| ServeError::InvalidConfig {
+                reason: format!(
+                    "duplicate fleet scenario label `{label}` — \
+                     give colliding workloads distinct labels"
+                ),
+            },
+            &scenarios,
+            |scenario| {
                 Ok(FleetRecord {
                     scenario: scenario.label.clone(),
                     workload: scenario.workload.label.clone(),
                     network: scenario.workload.model.name().to_string(),
-                    report,
+                    report: self.run_scenario(scenario)?,
                 })
-            })
-            .collect();
-        let mut records = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            records.push(outcome?);
-        }
-        Ok(FleetResultSet { records })
+            },
+        )?;
+        Ok(ResultSet { records })
     }
 }

@@ -34,7 +34,7 @@ mod experiment;
 mod report;
 mod sim;
 
-pub use experiment::{FleetGrid, FleetRecord, FleetResultSet, FleetScenario, FleetSession};
+pub use experiment::{pareto, FleetGrid, FleetRecord, FleetResultSet, FleetScenario, FleetSession};
 pub use report::{FleetReport, ScaleEvent};
 pub use sim::{simulate_fleet, FleetStageModel, StageCost};
 

@@ -55,7 +55,7 @@ pub use error::{Result, ServeError};
 pub use executor::{BackendExecutor, ExecutedBatch, RequestExecutor};
 pub use experiment::{ServeGrid, ServeRecord, ServeResultSet, ServeScenario, ServeSession};
 pub use fleet::{
-    simulate_fleet, AutoscalePolicy, FleetConfig, FleetGrid, FleetRecord, FleetReport,
+    pareto, simulate_fleet, AutoscalePolicy, FleetConfig, FleetGrid, FleetRecord, FleetReport,
     FleetResultSet, FleetScenario, FleetSession, FleetStageModel, ScaleEvent, StageCost,
 };
 pub use report::{LatencySummary, PhaseBreakdown, PhaseSample, ServeReport};

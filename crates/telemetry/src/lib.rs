@@ -216,8 +216,9 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Mutex;
 
-    /// Serialises tests that touch the global recorder.
-    fn with_recorder<T>(test: impl FnOnce() -> T) -> T {
+    /// Serialises tests that touch the global recorder (the unit tests of
+    /// every module share this one lock).
+    pub(crate) fn with_recorder<T>(test: impl FnOnce() -> T) -> T {
         static LOCK: Mutex<()> = Mutex::new(());
         let _guard = LOCK.lock().unwrap_or_else(|poison| poison.into_inner());
         reset();

@@ -214,18 +214,7 @@ impl Drop for ContextGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serialises tests that toggle the global recorder.
-    fn with_recorder<T>(test: impl FnOnce() -> T) -> T {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap_or_else(|poison| poison.into_inner());
-        crate::reset();
-        crate::set_enabled(true);
-        let out = test();
-        crate::set_enabled(false);
-        crate::reset();
-        out
-    }
+    use crate::tests::with_recorder;
 
     #[test]
     fn nested_spans_build_semicolon_paths() {

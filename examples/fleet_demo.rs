@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", results.to_table());
 
     println!("\npareto frontier (SLO attainment vs joules/sample):");
-    for record in results.pareto() {
+    for record in serve::pareto(&results.records) {
         println!("  {}", record.report.summary());
     }
 

@@ -1,15 +1,17 @@
 //! Integration test: the trait-based evaluation stack is a pure refactor.
 //!
-//! `FullStackPipeline::run` dispatches through the `InferenceBackend` registry
-//! and compiles layers in parallel; these tests pin down that the resulting
-//! `PipelineReport` is **bit-identical** to direct concrete-type evaluation,
-//! and that parallel layer compilation matches sequential compilation exactly.
-//! CI additionally runs this test file with `RAYON_NUM_THREADS=1` to prove the
-//! results are independent of the worker count.
+//! `FullStackPipeline::run` dispatches through `InferenceBackend` trait
+//! objects in a one-scenario `Session` and compiles layers in parallel; these
+//! tests pin down that the resulting `PipelineReport` is **bit-identical** to
+//! direct concrete-type evaluation, and that parallel layer compilation
+//! matches sequential compilation exactly. CI additionally runs this test
+//! file with `RAYON_NUM_THREADS=1` to prove the results are independent of
+//! the worker count.
 
 use accel::{ArchConfig, NetworkSimulator};
 use apc::{CompilerOptions, LayerCompiler};
 use baseline::{CrossbarModel, DeepCamModel};
+use camdnn::experiment::{BackendPlan, Session, SweepGrid};
 use camdnn::{BackendKind, BackendReport, FullStackPipeline, InferenceBackend};
 use tnn::model::{vgg11, vgg9};
 
@@ -106,17 +108,19 @@ fn registry_is_extensible_with_custom_backends() {
         }
     }
 
-    let model = vgg9(0.9, 2);
-    let pipeline = FullStackPipeline::new(model.clone());
-    let mut registry = pipeline.registry();
-    assert_eq!(registry.len(), 4);
+    let mut backends = BackendPlan::standard();
+    assert_eq!(backends.len(), 4);
     // The id space is open: downstream code mints its own key instead of
     // extending a closed enum.
-    registry.register("rtm-ap-sweep[8b]", Box::new(EightBit));
-    let results = registry.evaluate_all(&model).expect("evaluate");
-    assert_eq!(results.len(), 5);
-    assert_eq!(results[0].0, BackendKind::RtmAp.id());
-    assert_eq!(results[4].0.as_str(), "rtm-ap-sweep[8b]");
+    backends.push(BackendPlan::custom("rtm-ap-sweep[8b]", |_| {
+        Box::new(EightBit)
+    }));
+    let grid = SweepGrid::new().workload(vgg9(0.9, 2)).backends(backends);
+    let results = Session::new().run(&grid).expect("evaluate");
+    let records = &results.records;
+    assert_eq!(records.len(), 5);
+    assert_eq!(records[0].backend, BackendKind::RtmAp.id());
+    assert_eq!(records[4].backend.as_str(), "rtm-ap-sweep[8b]");
     // The sweep point costs more energy than the 4-bit default it extends.
-    assert!(results[4].1.energy_uj() > results[0].1.energy_uj());
+    assert!(records[4].energy_uj > records[0].energy_uj);
 }

@@ -18,8 +18,7 @@ use apc::layout::CamGeometry;
 use apc::{CompilerOptions, LayerSignature};
 use camdnn::experiment::{BackendPlan, ResultSet, ScenarioSpec, Session, SweepGrid, Workload};
 use camdnn::{
-    BackendId, BackendKind, BackendRegistry, BackendReport, FullStackPipeline, FunctionalBackend,
-    InferenceBackend,
+    BackendId, BackendKind, BackendReport, FullStackPipeline, FunctionalBackend, InferenceBackend,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -136,32 +135,6 @@ impl InferenceBackend for FailingBackend {
         Err(apc::ApcError::Internal {
             reason: format!("injected failure: {}", self.0),
         })
-    }
-}
-
-#[test]
-fn registry_reports_the_lowest_index_error_with_two_failing_backends() {
-    let model = micro_cnn("micro-a", 8, 0.8, 1);
-    // The fast closed-form baseline is registered between the two failures, so
-    // with racing jobs the *second* failure regularly finishes first on the
-    // wall clock — the registry must still report the first one.
-    for _ in 0..8 {
-        let registry = BackendRegistry::new()
-            .with(
-                BackendKind::DeepCam,
-                Box::new(baseline::DeepCamModel::default()),
-            )
-            .with("failing-first", Box::new(FailingBackend("first")))
-            .with("failing-second", Box::new(FailingBackend("second")))
-            .with(
-                BackendKind::Crossbar,
-                Box::new(baseline::CrossbarModel::default()),
-            );
-        let error = registry.evaluate_all(&model).expect_err("must fail");
-        assert!(
-            error.to_string().contains("injected failure: first"),
-            "expected the first registered failure, got: {error}"
-        );
     }
 }
 

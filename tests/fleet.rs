@@ -128,14 +128,11 @@ fn fleet_report_json_round_trips() {
 fn pareto_frontier_is_non_dominated_and_deterministic() {
     let session = FleetSession::new();
     let results = session.run(&saturating_grid()).expect("run");
-    let pareto = session
-        .run(&saturating_grid())
-        .expect("rerun")
-        .pareto()
+    let pareto = serve::pareto(&session.run(&saturating_grid()).expect("rerun").records)
         .iter()
         .map(|r| r.scenario.clone())
         .collect::<Vec<_>>();
-    let frontier = results.pareto();
+    let frontier = serve::pareto(&results.records);
     assert!(!frontier.is_empty());
     assert_eq!(
         frontier

@@ -192,9 +192,18 @@ fn sweep_results_are_deterministic_and_round_trip() {
     // Byte-identical across executions (the rayon fan-out cannot perturb).
     let again = ServeSession::new().run(&grid).expect("sweep again");
     assert_eq!(results.to_json(), again.to_json());
-    // JSON lines round-trip losslessly.
+    // JSON lines round-trip losslessly, in memory and through the file
+    // writer of the shared result set.
     let parsed = serve::ServeResultSet::from_json(&results.to_json()).expect("parse");
     assert_eq!(parsed, results);
+    assert_eq!(parsed.to_json(), results.to_json());
+    let path = std::env::temp_dir().join("camdnn_serve_results_test.json");
+    results.write_json(&path).expect("write");
+    let read_back =
+        serve::ServeResultSet::from_json(&std::fs::read_to_string(&path).expect("read"))
+            .expect("parse file");
+    assert_eq!(read_back, results);
+    std::fs::remove_file(&path).ok();
     assert!(results.to_table().contains("smp/s"));
     // At saturating load, the modeled throughput of dynamic batching beats
     // request-at-a-time dispatch (cycle amortization of the packed batch).
@@ -214,6 +223,19 @@ fn sweep_results_are_deterministic_and_round_trip() {
         batched.report.samples_per_s,
         single.report.samples_per_s
     );
+}
+
+#[test]
+fn duplicate_labels_are_rejected_before_any_simulation() {
+    let grid = ServeGrid::new()
+        .workloads([micro_model(), micro_model()])
+        .backend(|_| panic!("a colliding sweep must not build a backend"));
+    let err = ServeSession::new().run(&grid).expect_err("must collide");
+    assert!(
+        matches!(err, serve::ServeError::InvalidConfig { .. }),
+        "{err}"
+    );
+    assert!(err.to_string().contains("duplicate serve scenario label"));
 }
 
 #[test]
