@@ -69,6 +69,17 @@ impl CostModel {
 
     /// Estimated cost of a single instruction.
     pub fn instruction_cost(&self, instruction: &ApInstruction) -> InstructionCost {
+        let stats = self.instruction_stats(instruction);
+        InstructionCost {
+            stats,
+            latency_ns: stats.latency_ns(&self.tech),
+            energy_fj: stats.energy_fj(&self.tech),
+        }
+    }
+
+    /// The estimated CAM event counters of a single instruction: the `stats` of
+    /// [`CostModel::instruction_cost`] without the derived latency and energy.
+    pub fn instruction_stats(&self, instruction: &ApInstruction) -> CamStats {
         let rows = self.rows as u64;
         let mut stats = CamStats::new();
         match instruction {
@@ -78,15 +89,17 @@ impl CostModel {
                 } else {
                     LutKind::SubInPlace
                 };
-                let lut = Lut::of(kind);
+                let lut = kind.passes();
+                let all_passes = lut.len() as u64;
+                let constant_a_passes = lut.iter().filter(|p| !p.key_a).count() as u64;
                 // Carry clear.
                 stats.write_cycles += 1;
                 stats.written_bits += rows;
                 for bit in 0..acc.width as usize {
                     let (passes, key_bits) = if a.domain_for_bit(bit).is_some() {
-                        (lut.passes().len() as u64, 3)
+                        (all_passes, 3)
                     } else {
-                        (lut.passes_with_constant_a(false).len() as u64, 2)
+                        (constant_a_passes, 2)
                     };
                     stats.search_cycles += passes;
                     stats.searched_bits += passes * key_bits * rows;
@@ -103,7 +116,7 @@ impl CostModel {
                 } else {
                     LutKind::SubOutOfPlace
                 };
-                let lut = Lut::of(kind);
+                let lut = kind.passes();
                 let width = dests.first().map(|d| d.width).unwrap_or(0) as usize;
                 let n_dests = dests.len().max(1) as u64;
                 // Carry clear plus destination clears.
@@ -113,7 +126,6 @@ impl CostModel {
                     let a_known = a.domain_for_bit(bit).is_some();
                     let b_known = b.domain_for_bit(bit).is_some();
                     let passes = lut
-                        .passes()
                         .iter()
                         .filter(|p| (a_known || !p.key_a) && (b_known || !p.key_b))
                         .count() as u64;
@@ -147,11 +159,7 @@ impl CostModel {
                 stats.shifts += dst.width as u64;
             }
         }
-        InstructionCost {
-            stats,
-            latency_ns: stats.latency_ns(&self.tech),
-            energy_fj: stats.energy_fj(&self.tech),
-        }
+        stats
     }
 
     /// Total cost of a sequence of instructions.
@@ -161,7 +169,7 @@ impl CostModel {
     {
         let mut stats = CamStats::new();
         for instruction in instructions {
-            stats += self.instruction_cost(instruction).stats;
+            stats += self.instruction_stats(instruction);
         }
         InstructionCost {
             stats,

@@ -134,15 +134,15 @@ impl ApInstruction {
     }
 
     /// The operands written by this instruction.
-    pub fn destinations(&self) -> Vec<Operand> {
+    pub fn destinations(&self) -> &[Operand] {
         match self {
             ApInstruction::AddInPlace { acc, .. } | ApInstruction::SubInPlace { acc, .. } => {
-                vec![*acc]
+                std::slice::from_ref(acc)
             }
             ApInstruction::AddOutOfPlace { dests, .. }
             | ApInstruction::SubOutOfPlace { dests, .. }
-            | ApInstruction::Copy { dests, .. } => dests.clone(),
-            ApInstruction::Clear { dst } => vec![*dst],
+            | ApInstruction::Copy { dests, .. } => dests,
+            ApInstruction::Clear { dst } => std::slice::from_ref(dst),
         }
     }
 

@@ -29,6 +29,16 @@ impl LutKind {
     pub fn is_subtraction(self) -> bool {
         matches!(self, LutKind::SubInPlace | LutKind::SubOutOfPlace)
     }
+
+    /// The ordered, non-NC passes of this table (what [`Lut::of`] copies).
+    pub(crate) fn passes(self) -> &'static [LutEntry] {
+        match self {
+            LutKind::AddInPlace => &ADD_IN_PLACE,
+            LutKind::AddOutOfPlace => &ADD_OUT_OF_PLACE,
+            LutKind::SubInPlace => &SUB_IN_PLACE,
+            LutKind::SubOutOfPlace => &SUB_OUT_OF_PLACE,
+        }
+    }
 }
 
 /// One pass of a lookup table: the masked search key over the carry/borrow column,
@@ -128,13 +138,10 @@ const SUB_OUT_OF_PLACE: [LutEntry; 5] = [
 impl Lut {
     /// Returns the lookup table for `kind`.
     pub fn of(kind: LutKind) -> Self {
-        let passes = match kind {
-            LutKind::AddInPlace => ADD_IN_PLACE.to_vec(),
-            LutKind::AddOutOfPlace => ADD_OUT_OF_PLACE.to_vec(),
-            LutKind::SubInPlace => SUB_IN_PLACE.to_vec(),
-            LutKind::SubOutOfPlace => SUB_OUT_OF_PLACE.to_vec(),
-        };
-        Lut { kind, passes }
+        Lut {
+            kind,
+            passes: kind.passes().to_vec(),
+        }
     }
 
     /// The operation this table implements.

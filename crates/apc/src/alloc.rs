@@ -85,18 +85,20 @@ pub fn allocate(dfg: &Dfg) -> Allocation {
         schedule.push(Event::AccumulateOutput(index));
     }
 
-    // Live ranges of derived signals over the schedule.
-    let mut def_at: HashMap<SignalId, usize> = HashMap::new();
-    let mut last_use: HashMap<SignalId, usize> = HashMap::new();
+    // Live ranges of derived signals over the schedule: `(signal, definition)` in
+    // definition order, and the last use indexed by signal id. A signal is defined
+    // once, and every use comes after its definition.
+    let mut derived: Vec<(SignalId, usize)> = Vec::new();
+    let mut last_use = vec![0usize; dfg.signals.len()];
     for (position, event) in schedule.iter().enumerate() {
         match event {
             Event::DefineSignal(signal) => {
-                def_at.insert(*signal, position);
-                last_use.entry(*signal).or_insert(position);
+                derived.push((*signal, position));
+                last_use[*signal] = position;
                 if let Some(SignalDef::Combine { lhs, rhs, .. }) = dfg.signals.def(*signal) {
                     for operand in [*lhs, *rhs] {
                         if operand >= inputs {
-                            last_use.insert(operand, position);
+                            last_use[operand] = position;
                         }
                     }
                 }
@@ -104,51 +106,36 @@ pub fn allocate(dfg: &Dfg) -> Allocation {
             Event::AccumulateOutput(index) => {
                 for (signal, _) in dfg.outputs[*index].iter() {
                     if signal >= inputs {
-                        last_use.insert(signal, position);
+                        last_use[signal] = position;
                     }
                 }
             }
         }
     }
 
-    // Interference graph: derived signals whose live ranges overlap.
-    let derived: Vec<SignalId> = schedule
-        .iter()
-        .filter_map(|e| match e {
-            Event::DefineSignal(s) => Some(*s),
-            Event::AccumulateOutput(_) => None,
-        })
-        .collect();
-    let range = |s: SignalId| (def_at[&s], last_use[&s]);
-    let interferes = |a: SignalId, b: SignalId| {
-        let (da, ua) = range(a);
-        let (db, ub) = range(b);
-        da <= ub && db <= ua
-    };
-
-    // Greedy colouring in definition order (optimal for interval graphs).
-    let mut signal_columns: HashMap<SignalId, usize> = HashMap::new();
-    let mut used = 0usize;
-    for (i, &signal) in derived.iter().enumerate() {
-        let mut taken: Vec<bool> = vec![false; used + 1];
-        for &earlier in &derived[..i] {
-            if interferes(signal, earlier) {
-                if let Some(&color) = signal_columns.get(&earlier) {
-                    if color < taken.len() {
-                        taken[color] = true;
-                    }
-                }
+    // Greedy colouring of the interference graph in definition order (optimal for
+    // interval graphs): each signal takes the lowest column no live signal holds.
+    // An earlier signal interferes with the one being defined exactly when it is
+    // still live at that definition, and of the signals that held a column only the
+    // latest can be, so one "busy until" position per column decides.
+    let mut busy_until: Vec<usize> = Vec::new();
+    let mut signal_columns: HashMap<SignalId, usize> = HashMap::with_capacity(derived.len());
+    for &(signal, defined_at) in &derived {
+        let color = match busy_until.iter().position(|&until| until < defined_at) {
+            Some(color) => color,
+            None => {
+                busy_until.push(0);
+                busy_until.len() - 1
             }
-        }
-        let color = taken.iter().position(|&t| !t).unwrap_or(taken.len());
-        used = used.max(color + 1);
+        };
+        busy_until[color] = last_use[signal];
         signal_columns.insert(signal, color);
     }
 
     Allocation {
         schedule,
         signal_columns,
-        temp_columns_used: used,
+        temp_columns_used: busy_until.len(),
     }
 }
 

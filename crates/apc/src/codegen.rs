@@ -171,7 +171,7 @@ pub fn generate(
             Event::AccumulateOutput(index) => {
                 let output = &dfg.outputs[*index];
                 let acc = Operand::new(layout.acc_col_start + index, 0, layout.acc_bits, true);
-                let terms: Vec<(SignalId, i8)> = output.iter().collect();
+                let terms = output.terms();
                 match terms.len() {
                     0 => {}
                     1 => {

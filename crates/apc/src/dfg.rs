@@ -69,16 +69,25 @@ impl WeightSlice {
         }
         let (fh, fw) = layer.kernel;
         let patch_size = fh * fw;
-        let mut rows = Vec::with_capacity(cout_range.len());
-        for ofm in cout_range {
-            let mut row = Vec::with_capacity(patch_size);
-            for kh in 0..fh {
-                for kw in 0..fw {
-                    row.push(layer.weights.get(&[ofm, channel, kh, kw])?);
-                }
-            }
-            rows.push(row);
+        if layer.weights.shape() != [layer.cout, layer.cin, fh, fw] {
+            return Err(ApcError::InvalidArgument {
+                reason: format!(
+                    "weights of shape {:?} do not match {}x{}x{fh}x{fw}",
+                    layer.weights.shape(),
+                    layer.cout,
+                    layer.cin
+                ),
+            });
         }
+        // Row-major `[cout, cin, fh, fw]`: the `fh·fw` weights of one (ofm, channel)
+        // pair are one contiguous run.
+        let weights = layer.weights.as_slice();
+        let rows = cout_range
+            .map(|ofm| {
+                let start = (ofm * layer.cin + channel) * patch_size;
+                weights[start..start + patch_size].to_vec()
+            })
+            .collect();
         Ok(WeightSlice { rows, patch_size })
     }
 
@@ -290,6 +299,9 @@ mod tests {
         assert_eq!(slice.patch_size(), 9);
         assert!(WeightSlice::from_layer_channel(layer, layer.cin, 0..4).is_err());
         assert!(WeightSlice::from_layer_channel(layer, 0, 0..layer.cout + 1).is_err());
+        let mut transposed = layer.clone();
+        transposed.kernel = (1, 9);
+        assert!(WeightSlice::from_layer_channel(&transposed, 0, 0..4).is_err());
     }
 
     #[test]
@@ -307,11 +319,12 @@ mod tests {
     fn cse_on_equation1_reaches_paper_count() {
         let mut dfg = Dfg::equation1();
         dfg.apply_cse().expect("cse");
-        assert!(
-            dfg.op_count().total() <= 8,
-            "ops {}",
-            dfg.op_count().total()
-        );
+        // 14 operations before CSE, 7 after: three shared signals plus four
+        // remaining output combinations, the paper's count.
+        let count = dfg.op_count();
+        assert_eq!(count.total(), 7);
+        assert_eq!(count.signal_ops, 3);
+        assert_eq!(dfg.signals.derived(), 3);
     }
 
     #[test]

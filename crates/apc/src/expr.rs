@@ -7,7 +7,6 @@
 
 use crate::{ApcError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Identifier of a signal in a [`SignalTable`].
 pub type SignalId = usize;
@@ -165,10 +164,11 @@ impl SignalTable {
 /// A signed sum of signals: the value of one output channel for one input channel.
 ///
 /// Coefficients are restricted to ±1 (a ternary weight slice can never produce a
-/// larger coefficient, and CSE replaces pairs rather than scaling terms).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// larger coefficient, and CSE replaces pairs rather than scaling terms). The terms
+/// are kept as a list sorted by signal id, one entry per signal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinearExpr {
-    terms: BTreeMap<SignalId, i8>,
+    terms: Vec<(SignalId, i8)>,
 }
 
 impl LinearExpr {
@@ -182,15 +182,14 @@ impl LinearExpr {
     /// `-x_k`, `0` contributes nothing. This is the constant-folding step of the
     /// compilation flow.
     pub fn from_weight_row(row: &[i8]) -> Self {
-        let mut expr = LinearExpr::new();
-        for (k, &w) in row.iter().enumerate() {
-            match w {
-                1 => expr.insert(k, 1),
-                -1 => expr.insert(k, -1),
-                _ => {}
-            }
+        LinearExpr {
+            terms: row
+                .iter()
+                .enumerate()
+                .filter(|&(_, &w)| w == 1 || w == -1)
+                .map(|(k, &w)| (k, w))
+                .collect(),
         }
-        expr
     }
 
     /// Number of terms.
@@ -203,28 +202,49 @@ impl LinearExpr {
         self.terms.is_empty()
     }
 
+    /// The `(signal, sign)` terms in ascending signal order.
+    pub(crate) fn terms(&self) -> &[(SignalId, i8)] {
+        &self.terms
+    }
+
+    fn position(&self, signal: SignalId) -> std::result::Result<usize, usize> {
+        self.terms.binary_search_by_key(&signal, |&(s, _)| s)
+    }
+
     /// The sign of `signal` in this expression (`None` when absent).
     pub fn sign(&self, signal: SignalId) -> Option<i8> {
-        self.terms.get(&signal).copied()
+        self.position(signal).ok().map(|i| self.terms[i].1)
     }
 
     /// Inserts or replaces a term. A sign of `0` removes the term.
     pub fn insert(&mut self, signal: SignalId, sign: i8) {
         if sign == 0 {
-            self.terms.remove(&signal);
-        } else {
-            self.terms.insert(signal, sign.signum());
+            self.remove(signal);
+            return;
+        }
+        match self.position(signal) {
+            Ok(i) => self.terms[i].1 = sign.signum(),
+            Err(i) => self.terms.insert(i, (signal, sign.signum())),
         }
     }
 
     /// Removes a term, returning its sign if it was present.
     pub fn remove(&mut self, signal: SignalId) -> Option<i8> {
-        self.terms.remove(&signal)
+        let i = self.position(signal).ok()?;
+        Some(self.terms.remove(i).1)
+    }
+
+    /// Replaces the terms of `a` and `b` by `sign·signal`, where `signal` is newer
+    /// (larger) than every signal of the expression: one CSE substitution.
+    pub(crate) fn replace_pair(&mut self, a: SignalId, b: SignalId, signal: SignalId, sign: i8) {
+        debug_assert!(self.terms.last().is_none_or(|&(last, _)| last < signal));
+        self.terms.retain(|&(s, _)| s != a && s != b);
+        self.terms.push((signal, sign));
     }
 
     /// Iterates over `(signal, sign)` pairs in ascending signal order.
     pub fn iter(&self) -> impl Iterator<Item = (SignalId, i8)> + '_ {
-        self.terms.iter().map(|(&s, &sign)| (s, sign))
+        self.terms.iter().copied()
     }
 
     /// Evaluates the expression given the value of every signal.

@@ -259,18 +259,21 @@ impl LayerCompiler {
         per_row_model: &CostModel,
         layout: &LayerLayout,
     ) {
-        let cost = generated.program.cost(per_row_model);
-        // Instructions whose destination lies in the accumulator-column region are
-        // the local part of the accumulation phase; everything else is the
+        // One costing pass: every instruction's counters go into the slice total,
+        // and those whose destination lies in the accumulator-column region also
+        // into the local part of the accumulation phase; everything else is the
         // channel-wise DFG phase (the split reported in Fig. 4 of the paper).
+        let mut cost = cam::CamStats::new();
         let mut acc_cost = cam::CamStats::new();
         for instruction in generated.program.iter() {
+            let counters = per_row_model.instruction_stats(instruction);
+            cost += counters;
             let is_accumulation = instruction
                 .destinations()
                 .iter()
                 .any(|d| d.col >= layout.acc_col_start);
             if is_accumulation {
-                acc_cost += per_row_model.instruction_cost(instruction).stats;
+                acc_cost += counters;
             }
         }
         stats.counted_adds_subs += generated.counted_ops;
@@ -278,12 +281,12 @@ impl LayerCompiler {
         stats.in_place += generated.in_place;
         stats.out_of_place += generated.out_of_place;
         stats.cse_signals += dfg.signals.derived() as u64;
-        stats.total_cycles += cost.stats.compute_cycles();
+        stats.total_cycles += cost.compute_cycles();
         stats.accumulation_cycles += acc_cost.compute_cycles();
         stats.accumulation_searched_bits_per_row += acc_cost.searched_bits;
         stats.accumulation_written_bits_per_row += acc_cost.written_bits;
-        stats.searched_bits_per_row += cost.stats.searched_bits;
-        stats.written_bits_per_row += cost.stats.written_bits;
+        stats.searched_bits_per_row += cost.searched_bits;
+        stats.written_bits_per_row += cost.written_bits;
         stats.io_bits_per_row += (layout.patch_size as u64) * layout.act_bits as u64;
         stats.max_temp_columns = stats
             .max_temp_columns

@@ -1,18 +1,48 @@
 //! Criterion benchmarks of the compilation flow: CSE over a weight slice, full layer
 //! compilation with and without CSE, and the accelerator-level simulation.
+//!
+//! `cse_64_output_slice` is a small VGG-9 slice; `cse_resnet18_layer4_1_conv2_tile0`
+//! is the first output-tile slice of the ResNet-18 layer class that dominates a
+//! cold Table II compile.
 
 use accel::{AcceleratorModel, ArchConfig};
 use apc::dfg::{Dfg, WeightSlice};
+use apc::layout::LayerLayout;
 use apc::{CompilerOptions, LayerCompiler};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use tnn::model::vgg9;
+use tnn::model::{resnet18, vgg9};
 
 fn bench_cse(c: &mut Criterion) {
     let model = vgg9(0.85, 1);
     let layer = &model.conv_like_layers()[1];
     let slice = WeightSlice::from_layer_channel(layer, 0, 0..layer.cout).expect("slice");
     c.bench_function("cse_64_output_slice", |b| {
+        b.iter(|| {
+            let mut dfg = Dfg::from_slice(black_box(&slice));
+            dfg.apply_cse().expect("cse");
+            black_box(dfg.op_count().total())
+        })
+    });
+
+    let model = resnet18(0.8, 7);
+    let layer = model
+        .conv_like_layers()
+        .into_iter()
+        .find(|l| l.name == "layer4_1_conv2")
+        .expect("layer4_1_conv2");
+    let options = CompilerOptions::default();
+    let layout = LayerLayout::for_layer(
+        options.geometry,
+        options.act_bits,
+        &layer,
+        options.temp_budget,
+    )
+    .expect("layout");
+    // 213 of the layer's 512 outputs under the default 4-bit layout.
+    let tile = layout.tile_range(0, layer.cout);
+    let slice = WeightSlice::from_layer_channel(&layer, 0, tile).expect("slice");
+    c.bench_function("cse_resnet18_layer4_1_conv2_tile0", |b| {
         b.iter(|| {
             let mut dfg = Dfg::from_slice(black_box(&slice));
             dfg.apply_cse().expect("cse");

@@ -87,3 +87,40 @@ fn fully_connected_layers_compile_like_1x1_convolutions() {
     assert!(compiled.stats.arithmetic_ops() > 0);
     assert!(compiled.stats.accumulate_ops > 0);
 }
+
+/// The counters of a whole-model compile that the golden below pins.
+fn pinned_counters(options: CompilerOptions) -> [u64; 8] {
+    let model = vgg9(0.85, 1);
+    let compiler = LayerCompiler::new(options);
+    let stats = model
+        .conv_like_layers()
+        .iter()
+        .map(|layer| compiler.compile(layer).expect("compile").stats)
+        .fold(apc::CompileStats::new(), |sum, s| sum + s);
+    [
+        stats.counted_adds_subs,
+        stats.baseline_adds_subs,
+        stats.cse_signals,
+        stats.cse_fallbacks,
+        stats.total_cycles,
+        stats.searched_bits_per_row,
+        stats.written_bits_per_row,
+        stats.max_temp_columns,
+    ]
+}
+
+#[test]
+fn vgg9_compile_stats_are_pinned_exactly() {
+    // [counted_adds_subs, baseline_adds_subs, cse_signals, cse_fallbacks,
+    //  total_cycles, searched_bits_per_row, written_bits_per_row, max_temp_columns]
+    // Any change to CSE, allocation, code generation or costing that moves one
+    // instruction of any VGG-9 slice moves one of these sums.
+    assert_eq!(
+        pinned_counters(CompilerOptions::default()),
+        [47664, 73744, 13823, 0, 30137306, 39337079, 5608543, 24]
+    );
+    assert_eq!(
+        pinned_counters(CompilerOptions::unroll_only()),
+        [73744, 73744, 0, 0, 31064482, 40523452, 5815872, 0]
+    );
+}
