@@ -10,6 +10,16 @@
 //! parallel jobs request it simultaneously, and exposes hit/miss counters so
 //! callers can assert the reuse they expect.
 //!
+//! Table II needs every layer under both CSE settings (`unroll` and
+//! `unroll+CSE`), which share everything up to the CSE pass. So an analytic
+//! request (`keep_programs == false`) runs one
+//! [`LayerCompiler::compile_both`] slice walk and fills both sibling keys —
+//! the two whose options differ only in `enable_cse`. Programs-retaining
+//! requests compile only their own variant. The counters do not see the
+//! sibling fill: a key's **miss is its first request**, even when a sibling
+//! walk already filled it, so [`len`](CompileCache::len) and the hit/miss
+//! counts stay those of one compilation per requested key.
+//!
 //! The three counter families (layer compile, plan lowering, partition) also
 //! feed the [`telemetry`] registry when recording is on — as `apc.compile.*`,
 //! `apc.plan.*` and `apc.partition.*` counters aggregated across every live
@@ -103,10 +113,11 @@ impl LayerSignature {
 /// Hit/miss counters of a [`CompileCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Requests served from an already-compiled entry.
+    /// Repeat requests of a key, served from its entry.
     pub hits: u64,
-    /// Requests that performed the compilation (equals the number of distinct
-    /// `(layer signature, options)` pairs ever requested).
+    /// First requests of a key: the number of distinct keys ever requested.
+    /// For layer compilation the work may already have been done by the
+    /// sibling walk of an analytic key.
     pub misses: u64,
 }
 
@@ -146,7 +157,16 @@ pub struct PlanSummary {
 }
 
 type CacheKey = (LayerSignature, CompilerOptions);
-type CacheSlot = Arc<OnceLock<std::result::Result<Arc<CompiledLayer>, ApcError>>>;
+type Compiled = std::result::Result<Arc<CompiledLayer>, ApcError>;
+/// The memo cell behind one `(layer, options)` key.
+#[derive(Clone)]
+enum CacheSlot {
+    /// A programs-retaining key, compiled on its own.
+    Own(Arc<OnceLock<Compiled>>),
+    /// An analytic key, sharing one walk with its sibling key (the same
+    /// options but the other `enable_cse`): `[unroll, unroll+CSE]`.
+    Pair(Arc<OnceLock<[Compiled; 2]>>),
+}
 /// Plans are keyed by a program digest + geometry; the bucket keeps the full
 /// programs for collision-proof equality, cloning each program only on its
 /// first (miss) insertion.
@@ -161,15 +181,17 @@ type PartitionSlot = Arc<OnceLock<std::result::Result<Arc<PartitionPlan>, ApcErr
 ///
 /// Thread-safe and shareable across parallel jobs: each distinct
 /// `(layer signature, options)` pair is compiled exactly once — concurrent
-/// requesters of the same key block on the in-flight compilation instead of
-/// duplicating it — and every subsequent request returns the shared
-/// [`Arc<CompiledLayer>`]. Compilation errors are memoised too, so a failing
-/// configuration fails consistently without being retried per scenario.
+/// requesters of the same key, or of an analytic key and its sibling, block
+/// on the in-flight walk instead of duplicating it — and every subsequent
+/// request returns the shared [`Arc<CompiledLayer>`]. Compilation errors are
+/// memoised too, so a failing configuration fails consistently without being
+/// retried per scenario.
 #[derive(Default)]
 pub struct CompileCache {
     slots: Mutex<HashMap<CacheKey, CacheSlot>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    walks: AtomicU64,
     plan_slots: Mutex<HashMap<PlanKey, Vec<(ApProgram, PlanSlot)>>>,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
@@ -197,6 +219,11 @@ impl CompileCache {
     /// Compiles `layer` with `compiler`'s options, reusing a previous result
     /// for the same `(layer signature, options)` pair if one exists.
     ///
+    /// An analytic request (`keep_programs == false`) compiles both CSE
+    /// settings in one [`LayerCompiler::compile_both`] walk and fills its
+    /// sibling key too, so the sibling's first request does no work. It still
+    /// counts as that key's miss: a miss is the first request of a key.
+    ///
     /// # Errors
     ///
     /// Propagates (and memoises) the compilation error of the underlying
@@ -206,25 +233,57 @@ impl CompileCache {
         compiler: &LayerCompiler,
         layer: &ConvLayerInfo,
     ) -> Result<Arc<CompiledLayer>> {
-        let key = (LayerSignature::of(layer), *compiler.options());
-        let slot = {
+        let options = *compiler.options();
+        let key = (LayerSignature::of(layer), options);
+        let (slot, first_request) = {
             let mut slots = self.slots.lock().expect("compile cache poisoned");
-            Arc::clone(slots.entry(key).or_default())
+            match slots.get(&key) {
+                Some(slot) => (slot.clone(), false),
+                None => {
+                    let slot = if options.keep_programs {
+                        CacheSlot::Own(Arc::default())
+                    } else {
+                        let sibling = CompilerOptions {
+                            enable_cse: !options.enable_cse,
+                            ..options
+                        };
+                        slots
+                            .get(&(key.0.clone(), sibling))
+                            .cloned()
+                            .unwrap_or_else(|| CacheSlot::Pair(Arc::default()))
+                    };
+                    slots.insert(key, slot.clone());
+                    (slot, true)
+                }
+            }
         };
-        let mut computed = false;
-        let result = slot.get_or_init(|| {
-            computed = true;
-            let _span = telemetry::span("apc.compile.layer");
-            compiler.compile(layer).map(Arc::new)
-        });
-        if computed {
+        let start_walk = || {
+            self.walks.fetch_add(1, Ordering::Relaxed);
+            telemetry::span("apc.compile.layer")
+        };
+        let result = match &slot {
+            CacheSlot::Own(cell) => cell
+                .get_or_init(|| {
+                    let _span = start_walk();
+                    compiler.compile(layer).map(Arc::new)
+                })
+                .clone(),
+            CacheSlot::Pair(cell) => cell.get_or_init(|| {
+                let _span = start_walk();
+                compiler
+                    .compile_both(layer)
+                    .map(|result| result.map(Arc::new))
+            })[usize::from(options.enable_cse)]
+            .clone(),
+        };
+        if first_request {
             self.misses.fetch_add(1, Ordering::Relaxed);
             telemetry::count("apc.compile.misses", 1);
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
             telemetry::count("apc.compile.hits", 1);
         }
-        result.clone()
+        result
     }
 
     /// Compiles every weighted layer of `model` through the cache, in network
@@ -263,6 +322,13 @@ impl CompileCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
+    }
+
+    /// Slice walks run so far: one per analytic layer pair, one per
+    /// programs-retaining key.
+    #[cfg(test)]
+    fn walks(&self) -> u64 {
+        self.walks.load(Ordering::Relaxed)
     }
 
     /// Returns the compiled [`PassPlan`] of `program` for `geometry`,
@@ -418,7 +484,7 @@ impl CompileCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnn::model::vgg9;
+    use tnn::model::{micro_cnn, vgg9};
 
     #[test]
     fn cached_compilation_is_bit_identical_and_counted() {
@@ -469,6 +535,127 @@ mod tests {
                 misses: 2 * layers
             }
         );
+    }
+
+    #[test]
+    fn concurrent_sibling_requests_share_one_walk_per_layer() {
+        let model = vgg9(0.85, 9);
+        let layers = model.conv_like_layers().len() as u64;
+        let cache = CompileCache::new();
+        let cse = LayerCompiler::new(CompilerOptions::default());
+        let unroll = LayerCompiler::new(CompilerOptions::unroll_only());
+        let (with_cse, without) = rayon::join(
+            || cache.compile_model(&cse, &model).expect("cse"),
+            || cache.compile_model(&unroll, &model).expect("unroll"),
+        );
+        assert_eq!(cache.walks(), layers);
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 2 * layers
+            }
+        );
+        assert_eq!(cache.len() as u64, 2 * layers);
+        for (compiler, cached) in [(cse, with_cse), (unroll, without)] {
+            let direct = compiler.compile_model(&model).expect("direct");
+            assert!(cached.iter().map(Arc::as_ref).eq(&direct));
+        }
+    }
+
+    #[test]
+    fn an_analytic_request_fills_its_sibling_but_counts_only_itself() {
+        let model = vgg9(0.85, 9);
+        let layers = model.conv_like_layers().len();
+        let cache = CompileCache::new();
+        let cse = LayerCompiler::new(CompilerOptions::default());
+        cache.compile_model(&cse, &model).expect("cse");
+        assert_eq!(cache.len(), layers);
+        assert_eq!(cache.walks(), layers as u64);
+        // The sibling's first request is served by the walk already done, but
+        // is still that key's miss.
+        let unroll = LayerCompiler::new(CompilerOptions::unroll_only());
+        cache.compile_model(&unroll, &model).expect("unroll");
+        assert_eq!(cache.walks(), layers as u64);
+        assert_eq!(cache.len(), 2 * layers);
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 2 * layers as u64
+            }
+        );
+    }
+
+    #[test]
+    fn a_programs_retaining_request_fills_only_its_own_slot() {
+        let model = micro_cnn("micro", 8, 0.8, 1);
+        let layers = model.conv_like_layers().len() as u64;
+        let cache = CompileCache::new();
+        for (options, walks) in [
+            (CompilerOptions::default().with_programs(), layers),
+            (CompilerOptions::unroll_only().with_programs(), 2 * layers),
+        ] {
+            let compiler = LayerCompiler::new(options);
+            let cached = cache.compile_model(&compiler, &model).expect("compile");
+            assert_eq!(cache.walks(), walks);
+            let direct = compiler.compile_model(&model).expect("direct");
+            assert!(cached.iter().map(Arc::as_ref).eq(&direct));
+        }
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 2 * layers
+            }
+        );
+    }
+
+    #[test]
+    fn a_layer_that_does_not_fit_memoises_its_error_in_both_slots() {
+        let options = CompilerOptions {
+            geometry: crate::layout::CamGeometry {
+                rows: 8,
+                cols: 8,
+                domains: 4,
+            },
+            ..CompilerOptions::default()
+        };
+        let model = vgg9(0.85, 9);
+        let layer = &model.conv_like_layers()[0];
+        let cache = CompileCache::new();
+        for enable_cse in [true, false] {
+            let compiler = LayerCompiler::new(CompilerOptions {
+                enable_cse,
+                ..options
+            });
+            let cached = cache.compile(&compiler, layer).expect_err("must not fit");
+            assert!(matches!(cached, ApcError::DoesNotFit { .. }));
+            assert_eq!(Err(cached), compiler.compile(layer));
+        }
+        assert_eq!(cache.walks(), 1);
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
+    }
+
+    #[test]
+    fn malformed_weight_shapes_are_typed_errors_through_the_cache() {
+        let model = vgg9(0.85, 9);
+        let mut layer = model.conv_like_layers()[1].clone();
+        layer.kernel = (1, 9);
+        let cache = CompileCache::new();
+        for options in [
+            CompilerOptions::default(),
+            CompilerOptions::unroll_only(),
+            CompilerOptions::default().with_programs(),
+        ] {
+            let error = cache
+                .compile(&LayerCompiler::new(options), &layer)
+                .expect_err("malformed weights");
+            assert!(
+                matches!(error, ApcError::InvalidArgument { .. }),
+                "{error:?}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@ use crate::{ApcError, Result};
 use tnn::model::ConvLayerInfo;
 
 /// The ternary weights of one input channel of one layer, flattened to
-/// `Cout` rows of `Fh·Fw` weights.
+/// `Cout` rows of `Fh·Fw` weights — an owned copy for tests, benches and
+/// hand-written slices. [`LayerCompiler`](crate::LayerCompiler) builds its
+/// DFGs straight from the layer's weight tensor ([`Dfg::from_rows`]) instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightSlice {
     rows: Vec<Vec<i8>>,
@@ -48,7 +50,7 @@ impl WeightSlice {
     /// # Errors
     ///
     /// Returns [`ApcError::InvalidArgument`] when the channel or range is out of
-    /// bounds.
+    /// bounds, or when the weights are not shaped `[cout, cin, fh, fw]`.
     pub fn from_layer_channel(
         layer: &ConvLayerInfo,
         channel: usize,
@@ -67,28 +69,15 @@ impl WeightSlice {
                 ),
             });
         }
-        let (fh, fw) = layer.kernel;
-        let patch_size = fh * fw;
-        if layer.weights.shape() != [layer.cout, layer.cin, fh, fw] {
-            return Err(ApcError::InvalidArgument {
-                reason: format!(
-                    "weights of shape {:?} do not match {}x{}x{fh}x{fw}",
-                    layer.weights.shape(),
-                    layer.cout,
-                    layer.cin
-                ),
-            });
-        }
-        // Row-major `[cout, cin, fh, fw]`: the `fh·fw` weights of one (ofm, channel)
-        // pair are one contiguous run.
-        let weights = layer.weights.as_slice();
-        let rows = cout_range
-            .map(|ofm| {
-                let start = (ofm * layer.cin + channel) * patch_size;
-                weights[start..start + patch_size].to_vec()
-            })
+        let weights = LayerWeights::of(layer)?;
+        let rows = weights
+            .slice_rows(channel, cout_range)
+            .map(<[i8]>::to_vec)
             .collect();
-        Ok(WeightSlice { rows, patch_size })
+        Ok(WeightSlice {
+            rows,
+            patch_size: weights.patch_size(),
+        })
     }
 
     /// Number of output channels covered by the slice.
@@ -109,6 +98,61 @@ impl WeightSlice {
     /// The ternary rows of the slice.
     pub fn rows(&self) -> &[Vec<i8>] {
         &self.rows
+    }
+}
+
+/// A layer's ternary weight tensor, shape-checked once: row-major
+/// `[cout, cin, fh, fw]`, so the `fh·fw` weights of one (output, input
+/// channel) pair are one contiguous run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LayerWeights<'a> {
+    weights: &'a [i8],
+    cin: usize,
+    patch_size: usize,
+}
+
+impl<'a> LayerWeights<'a> {
+    /// Borrows the weights of `layer`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ApcError::InvalidArgument`] when the weights are not shaped
+    /// `[cout, cin, fh, fw]`.
+    pub(crate) fn of(layer: &'a ConvLayerInfo) -> Result<Self> {
+        let (fh, fw) = layer.kernel;
+        if layer.weights.shape() != [layer.cout, layer.cin, fh, fw] {
+            return Err(ApcError::InvalidArgument {
+                reason: format!(
+                    "weights of shape {:?} do not match {}x{}x{fh}x{fw}",
+                    layer.weights.shape(),
+                    layer.cout,
+                    layer.cin
+                ),
+            });
+        }
+        Ok(LayerWeights {
+            weights: layer.weights.as_slice(),
+            cin: layer.cin,
+            patch_size: fh * fw,
+        })
+    }
+
+    /// Patch size (`Fh·Fw`).
+    pub(crate) fn patch_size(&self) -> usize {
+        self.patch_size
+    }
+
+    /// The rows of the slice of input channel `channel` for output channels
+    /// `outputs` (both within the checked shape).
+    pub(crate) fn slice_rows(
+        self,
+        channel: usize,
+        outputs: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = &'a [i8]> + Clone {
+        outputs.map(move |ofm| {
+            let start = (ofm * self.cin + channel) * self.patch_size;
+            &self.weights[start..start + self.patch_size]
+        })
     }
 }
 
@@ -161,16 +205,17 @@ impl Dfg {
     /// Builds the DFG of a weight slice by constant folding (multiplications by
     /// ternary weights become signed terms; zeros disappear).
     pub fn from_slice(slice: &WeightSlice) -> Self {
-        let signals = SignalTable::with_inputs(slice.patch_size());
-        let outputs = slice
-            .rows()
-            .iter()
-            .map(|row| LinearExpr::from_weight_row(row))
-            .collect();
+        Dfg::from_rows(slice.patch_size(), slice.rows().iter().map(Vec::as_slice))
+    }
+
+    /// Builds the DFG of `patch_size`-wide ternary weight rows, one output per
+    /// row, by constant folding — straight from borrowed rows such as the
+    /// contiguous runs of a layer's weight tensor, with no [`WeightSlice`] copy.
+    pub fn from_rows<'a>(patch_size: usize, rows: impl IntoIterator<Item = &'a [i8]>) -> Self {
         Dfg {
-            signals,
-            outputs,
-            patch_size: slice.patch_size(),
+            signals: SignalTable::with_inputs(patch_size),
+            outputs: rows.into_iter().map(LinearExpr::from_weight_row).collect(),
+            patch_size,
         }
     }
 

@@ -1,9 +1,9 @@
 //! The compilation pipeline (Fig. 3a): options, per-layer driver and results.
 
-use crate::alloc::allocate;
+use crate::alloc::{allocate, Allocation};
 use crate::bitwidth::signal_widths;
-use crate::codegen::{self, GeneratedSlice};
-use crate::dfg::{Dfg, WeightSlice};
+use crate::codegen;
+use crate::dfg::{Dfg, LayerWeights};
 use crate::layout::{CamGeometry, LayerLayout};
 use crate::{CompileStats, Result};
 use ap::{ApProgram, CostModel};
@@ -129,6 +129,10 @@ impl CompiledLayer {
 /// let with_cse = LayerCompiler::new(CompilerOptions::default()).compile(&layers[1]).expect("compile");
 /// let without = LayerCompiler::new(CompilerOptions::unroll_only()).compile(&layers[1]).expect("compile");
 /// assert!(with_cse.stats.counted_adds_subs <= without.stats.counted_adds_subs);
+/// // Both variants in one slice walk.
+/// let [unroll, cse] = LayerCompiler::new(CompilerOptions::default()).compile_both(&layers[1]);
+/// assert_eq!(unroll.expect("compile"), without);
+/// assert_eq!(cse.expect("compile"), with_cse);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerCompiler {
@@ -151,25 +155,70 @@ impl LayerCompiler {
     /// # Errors
     ///
     /// Returns [`ApcError::DoesNotFit`](crate::ApcError::DoesNotFit) when the layer
-    /// cannot be placed on the configured geometry, or an internal error for
+    /// cannot be placed on the configured geometry,
+    /// [`ApcError::InvalidArgument`](crate::ApcError::InvalidArgument) when its
+    /// weights are not shaped `[cout, cin, fh, fw]`, or an internal error for
     /// malformed inputs.
     pub fn compile(&self, layer: &ConvLayerInfo) -> Result<CompiledLayer> {
+        let [compiled] = self.walk(layer, [self.options.enable_cse]);
+        compiled
+    }
+
+    /// Compiles one layer under both CSE settings — the paper's `unroll` and
+    /// `unroll+CSE` — in one slice walk, ignoring
+    /// [`CompilerOptions::enable_cse`]. Returns `[unroll, unroll+CSE]`, each
+    /// equal to what [`compile`](Self::compile) returns with `enable_cse` set
+    /// accordingly.
+    ///
+    /// Each slice's DFG is built once: the walk lowers and costs it for
+    /// `unroll`, then runs CSE on it in place and lowers and costs it again. A
+    /// slice whose CSE temporaries exceed the budget reuses its `unroll`
+    /// lowering.
+    pub fn compile_both(&self, layer: &ConvLayerInfo) -> [Result<CompiledLayer>; 2] {
+        self.walk(layer, [false, true])
+    }
+
+    /// The slice walk behind [`compile`](Self::compile) and
+    /// [`compile_both`](Self::compile_both): compiles `layer` once per entry
+    /// of `cse_settings` (each value at most once), in that order. A variant
+    /// stops at its first failing slice while the others go on.
+    fn walk<const N: usize>(
+        &self,
+        layer: &ConvLayerInfo,
+        cse_settings: [bool; N],
+    ) -> [Result<CompiledLayer>; N] {
         let options = &self.options;
-        let layout = LayerLayout::for_layer(
+        let checked = LayerLayout::for_layer(
             options.geometry,
             options.act_bits,
             layer,
             options.temp_budget,
-        )?;
+        )
+        .and_then(|layout| Ok((layout, LayerWeights::of(layer)?)));
+        let (layout, weights) = match checked {
+            Ok(checked) => checked,
+            Err(error) => return cse_settings.map(|_| Err(error.clone())),
+        };
         // Cost accounting uses a single-row model: bit counts per row scale linearly
         // with the number of active rows and are multiplied by the accelerator model.
         let per_row_model = CostModel::new(CamTechnology::default(), 1);
+        let lowering = Lowering {
+            keep_programs: options.keep_programs,
+            layout: &layout,
+            per_row_model: &per_row_model,
+        };
 
-        let mut stats = CompileStats::new();
-        let mut slices = if options.keep_programs {
-            Some(Vec::new())
-        } else {
-            None
+        let mut variants: [Result<Variant>; N] = cse_settings.map(|_| {
+            Ok(Variant {
+                stats: CompileStats::new(),
+                slices: options.keep_programs.then(Vec::new),
+            })
+        });
+        let wants = |variants: &[Result<Variant>; N], cse: bool| {
+            cse_settings
+                .iter()
+                .zip(variants)
+                .any(|(&setting, variant)| setting == cse && variant.is_ok())
         };
 
         for tile in 0..layout.output_tiles {
@@ -180,53 +229,78 @@ impl LayerCompiler {
             // Accumulator-clearing prologue, once per tile.
             let prologue = codegen::tile_prologue(&layout, range.len());
             let prologue_cost = prologue.cost(&per_row_model);
-            stats.total_cycles += prologue_cost.stats.compute_cycles();
-            stats.written_bits_per_row += prologue_cost.stats.written_bits;
+            for variant in variants.iter_mut().flatten() {
+                variant.stats.total_cycles += prologue_cost.stats.compute_cycles();
+                variant.stats.written_bits_per_row += prologue_cost.stats.written_bits;
+            }
 
             for channel in 0..layer.cin {
                 let channel_in_group = channel % layout.channels_per_group;
-                let slice = WeightSlice::from_layer_channel(layer, channel, range.clone())?;
-                stats.nonzero_weights += slice.nonzeros() as u64;
-
-                let mut dfg = Dfg::from_slice(&slice);
+                let rows = weights.slice_rows(channel, range.clone());
+                let mut dfg = Dfg::from_rows(weights.patch_size(), rows.clone());
+                let nonzeros = rows.clone().flatten().filter(|&&w| w != 0).count() as u64;
                 let baseline_ops = dfg.op_count().total() as u64;
-                stats.baseline_adds_subs += baseline_ops;
+                for variant in variants.iter_mut().flatten() {
+                    variant.stats.nonzero_weights += nonzeros;
+                    variant.stats.baseline_adds_subs += baseline_ops;
+                }
 
-                if options.enable_cse {
+                let mut unroll = wants(&variants, false)
+                    .then(|| lowering.lower(&dfg, &allocate(&dfg), channel_in_group));
+                let mut cse = wants(&variants, true).then(|| {
                     dfg.apply_cse()?;
-                }
-                let mut widths = signal_widths(&dfg, options.act_bits);
-                let mut allocation = allocate(&dfg);
-                if allocation.temp_columns_used > layout.temp_budget {
+                    let allocation = allocate(&dfg);
+                    if allocation.temp_columns_used <= layout.temp_budget {
+                        return lowering.lower(&dfg, &allocation, channel_in_group);
+                    }
                     // Fall back to the un-CSE'd slice rather than spilling temporaries.
-                    dfg = Dfg::from_slice(&slice);
-                    widths = signal_widths(&dfg, options.act_bits);
-                    allocation = allocate(&dfg);
-                    stats.cse_fallbacks += 1;
-                }
-                let generated =
-                    codegen::generate(&dfg, &widths, &allocation, &layout, channel_in_group)?;
-                self.accumulate(&mut stats, &dfg, &generated, &per_row_model, &layout);
-                if let Some(slices) = slices.as_mut() {
-                    slices.push(CompiledSlice {
-                        channel,
-                        channel_in_group,
-                        tile,
-                        program: generated.program,
-                    });
+                    let mut fallback = match &unroll {
+                        Some(lowered) => lowered.clone(),
+                        None => {
+                            let dfg = Dfg::from_rows(weights.patch_size(), rows);
+                            lowering.lower(&dfg, &allocate(&dfg), channel_in_group)
+                        }
+                    }?;
+                    fallback.stats.cse_fallbacks += 1;
+                    Ok(fallback)
+                });
+
+                for (variant, setting) in variants.iter_mut().zip(cse_settings) {
+                    let lowered = if setting { cse.take() } else { unroll.take() };
+                    let (Ok(accumulated), Some(lowered)) = (&mut *variant, lowered) else {
+                        continue;
+                    };
+                    match lowered {
+                        Ok(lowered) => {
+                            accumulated.stats += lowered.stats;
+                            if let (Some(slices), Some(program)) =
+                                (accumulated.slices.as_mut(), lowered.program)
+                            {
+                                slices.push(CompiledSlice {
+                                    channel,
+                                    channel_in_group,
+                                    tile,
+                                    program,
+                                });
+                            }
+                        }
+                        Err(error) => *variant = Err(error),
+                    }
                 }
             }
         }
 
-        Ok(CompiledLayer {
-            name: layer.name.clone(),
-            cin: layer.cin,
-            cout: layer.cout,
-            kernel: layer.kernel,
-            output_positions: layer.output_positions(),
-            layout,
-            stats,
-            slices,
+        variants.map(|variant| {
+            variant.map(|variant| CompiledLayer {
+                name: layer.name.clone(),
+                cin: layer.cin,
+                cout: layer.cout,
+                kernel: layer.kernel,
+                output_positions: layer.output_positions(),
+                layout: layout.clone(),
+                stats: variant.stats,
+                slices: variant.slices,
+            })
         })
     }
 
@@ -250,15 +324,39 @@ impl LayerCompiler {
             .map(|layer| self.compile(&layer))
             .collect()
     }
+}
 
-    fn accumulate(
+/// One CSE setting's result as the slice walk accumulates it.
+struct Variant {
+    stats: CompileStats,
+    slices: Option<Vec<CompiledSlice>>,
+}
+
+/// One lowered and costed slice: what it adds to its variant's
+/// [`CompileStats`], and its program when programs are retained.
+#[derive(Clone)]
+struct LoweredSlice {
+    stats: CompileStats,
+    program: Option<ApProgram>,
+}
+
+/// Everything slice lowering needs that is fixed per layer.
+struct Lowering<'a> {
+    keep_programs: bool,
+    layout: &'a LayerLayout,
+    per_row_model: &'a CostModel,
+}
+
+impl Lowering<'_> {
+    /// Generates the program of `dfg` under `allocation` and costs it.
+    fn lower(
         &self,
-        stats: &mut CompileStats,
         dfg: &Dfg,
-        generated: &GeneratedSlice,
-        per_row_model: &CostModel,
-        layout: &LayerLayout,
-    ) {
+        allocation: &Allocation,
+        channel_in_group: usize,
+    ) -> Result<LoweredSlice> {
+        let widths = signal_widths(dfg, self.layout.act_bits);
+        let generated = codegen::generate(dfg, &widths, allocation, self.layout, channel_in_group)?;
         // One costing pass: every instruction's counters go into the slice total,
         // and those whose destination lies in the accumulator-column region also
         // into the local part of the accumulation phase; everything else is the
@@ -266,42 +364,239 @@ impl LayerCompiler {
         let mut cost = cam::CamStats::new();
         let mut acc_cost = cam::CamStats::new();
         for instruction in generated.program.iter() {
-            let counters = per_row_model.instruction_stats(instruction);
+            let counters = self.per_row_model.instruction_stats(instruction);
             cost += counters;
             let is_accumulation = instruction
                 .destinations()
                 .iter()
-                .any(|d| d.col >= layout.acc_col_start);
+                .any(|d| d.col >= self.layout.acc_col_start);
             if is_accumulation {
                 acc_cost += counters;
             }
         }
-        stats.counted_adds_subs += generated.counted_ops;
-        stats.accumulate_ops += generated.accumulate_ops;
-        stats.in_place += generated.in_place;
-        stats.out_of_place += generated.out_of_place;
-        stats.cse_signals += dfg.signals.derived() as u64;
-        stats.total_cycles += cost.compute_cycles();
-        stats.accumulation_cycles += acc_cost.compute_cycles();
-        stats.accumulation_searched_bits_per_row += acc_cost.searched_bits;
-        stats.accumulation_written_bits_per_row += acc_cost.written_bits;
-        stats.searched_bits_per_row += cost.searched_bits;
-        stats.written_bits_per_row += cost.written_bits;
-        stats.io_bits_per_row += (layout.patch_size as u64) * layout.act_bits as u64;
-        stats.max_temp_columns = stats
-            .max_temp_columns
-            .max(generated.temp_columns_used as u64);
-        stats.slices += 1;
+        let stats = CompileStats {
+            counted_adds_subs: generated.counted_ops,
+            accumulate_ops: generated.accumulate_ops,
+            in_place: generated.in_place,
+            out_of_place: generated.out_of_place,
+            cse_signals: dfg.signals.derived() as u64,
+            total_cycles: cost.compute_cycles(),
+            accumulation_cycles: acc_cost.compute_cycles(),
+            accumulation_searched_bits_per_row: acc_cost.searched_bits,
+            accumulation_written_bits_per_row: acc_cost.written_bits,
+            searched_bits_per_row: cost.searched_bits,
+            written_bits_per_row: cost.written_bits,
+            io_bits_per_row: (self.layout.patch_size as u64) * self.layout.act_bits as u64,
+            max_temp_columns: generated.temp_columns_used as u64,
+            slices: 1,
+            ..CompileStats::default()
+        };
+        Ok(LoweredSlice {
+            stats,
+            program: self.keep_programs.then_some(generated.program),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnn::model::{vgg9, ModelGraph};
+    use crate::dfg::WeightSlice;
+    use crate::ApcError;
+    use tnn::model::{micro_cnn, resnet18, vgg9, ModelGraph};
+    use tnn::TernaryTensor;
 
     fn small_model() -> ModelGraph {
         vgg9(0.85, 7)
+    }
+
+    /// The per-variant compile loop the slice walk replaced, kept as an
+    /// oracle: it extracts a [`WeightSlice`] per slice, builds the DFG from
+    /// it, and rebuilds the un-CSE'd DFG for a fallback.
+    fn compile_reference(options: CompilerOptions, layer: &ConvLayerInfo) -> Result<CompiledLayer> {
+        let layout = LayerLayout::for_layer(
+            options.geometry,
+            options.act_bits,
+            layer,
+            options.temp_budget,
+        )?;
+        let per_row_model = CostModel::new(CamTechnology::default(), 1);
+        let mut stats = CompileStats::new();
+        let mut slices = options.keep_programs.then(Vec::new);
+        for tile in 0..layout.output_tiles {
+            let range = layout.tile_range(tile, layer.cout);
+            if range.is_empty() {
+                continue;
+            }
+            let prologue_cost = codegen::tile_prologue(&layout, range.len()).cost(&per_row_model);
+            stats.total_cycles += prologue_cost.stats.compute_cycles();
+            stats.written_bits_per_row += prologue_cost.stats.written_bits;
+            for channel in 0..layer.cin {
+                let channel_in_group = channel % layout.channels_per_group;
+                let slice = WeightSlice::from_layer_channel(layer, channel, range.clone())?;
+                stats.nonzero_weights += slice.nonzeros() as u64;
+                let mut dfg = Dfg::from_slice(&slice);
+                stats.baseline_adds_subs += dfg.op_count().total() as u64;
+                if options.enable_cse {
+                    dfg.apply_cse()?;
+                }
+                let mut widths = signal_widths(&dfg, options.act_bits);
+                let mut allocation = allocate(&dfg);
+                if allocation.temp_columns_used > layout.temp_budget {
+                    dfg = Dfg::from_slice(&slice);
+                    widths = signal_widths(&dfg, options.act_bits);
+                    allocation = allocate(&dfg);
+                    stats.cse_fallbacks += 1;
+                }
+                let generated =
+                    codegen::generate(&dfg, &widths, &allocation, &layout, channel_in_group)?;
+                let mut cost = cam::CamStats::new();
+                let mut acc_cost = cam::CamStats::new();
+                for instruction in generated.program.iter() {
+                    let counters = per_row_model.instruction_stats(instruction);
+                    cost += counters;
+                    if instruction
+                        .destinations()
+                        .iter()
+                        .any(|d| d.col >= layout.acc_col_start)
+                    {
+                        acc_cost += counters;
+                    }
+                }
+                stats.counted_adds_subs += generated.counted_ops;
+                stats.accumulate_ops += generated.accumulate_ops;
+                stats.in_place += generated.in_place;
+                stats.out_of_place += generated.out_of_place;
+                stats.cse_signals += dfg.signals.derived() as u64;
+                stats.total_cycles += cost.compute_cycles();
+                stats.accumulation_cycles += acc_cost.compute_cycles();
+                stats.accumulation_searched_bits_per_row += acc_cost.searched_bits;
+                stats.accumulation_written_bits_per_row += acc_cost.written_bits;
+                stats.searched_bits_per_row += cost.searched_bits;
+                stats.written_bits_per_row += cost.written_bits;
+                stats.io_bits_per_row += (layout.patch_size as u64) * layout.act_bits as u64;
+                stats.max_temp_columns = stats
+                    .max_temp_columns
+                    .max(generated.temp_columns_used as u64);
+                stats.slices += 1;
+                if let Some(slices) = slices.as_mut() {
+                    slices.push(CompiledSlice {
+                        channel,
+                        channel_in_group,
+                        tile,
+                        program: generated.program,
+                    });
+                }
+            }
+        }
+        Ok(CompiledLayer {
+            name: layer.name.clone(),
+            cin: layer.cin,
+            cout: layer.cout,
+            kernel: layer.kernel,
+            output_positions: layer.output_positions(),
+            layout,
+            stats,
+            slices,
+        })
+    }
+
+    /// Asserts that the walk equals the oracle on every layer of `model`, for
+    /// both variants at once (`enable_cse` aside, under `options`) and for the
+    /// variant of `options` alone; returns the CSE fallbacks seen.
+    fn assert_walk_matches_oracle(model: &ModelGraph, options: CompilerOptions) -> u64 {
+        let compiler = LayerCompiler::new(options);
+        let mut fallbacks = 0;
+        for layer in model.conv_like_layers() {
+            let [unroll, cse] = compiler.compile_both(&layer);
+            for (walked, enable_cse) in [(unroll, false), (cse, true)] {
+                let variant = CompilerOptions {
+                    enable_cse,
+                    ..options
+                };
+                let expected = compile_reference(variant, &layer);
+                if enable_cse == options.enable_cse {
+                    assert_eq!(compiler.compile(&layer), expected, "{} alone", layer.name);
+                }
+                assert_eq!(walked, expected, "{} cse={enable_cse}", layer.name);
+                if let Ok(compiled) = expected {
+                    fallbacks += compiled.stats.cse_fallbacks;
+                }
+            }
+        }
+        fallbacks
+    }
+
+    #[test]
+    fn walk_matches_the_per_variant_oracle() {
+        for model in [micro_cnn("micro", 8, 0.8, 1), vgg9(0.85, 1)] {
+            for options in [
+                CompilerOptions::default(),
+                CompilerOptions::unroll_only(),
+                CompilerOptions::default().with_act_bits(8),
+                CompilerOptions::default().with_programs(),
+            ] {
+                assert_walk_matches_oracle(&model, options);
+            }
+        }
+    }
+
+    #[test]
+    fn walk_reuses_the_unroll_slice_for_cse_fallbacks() {
+        for (temp_budget, options) in [
+            (1, CompilerOptions::default()),
+            (2, CompilerOptions::default().with_programs()),
+        ] {
+            let options = CompilerOptions {
+                temp_budget,
+                ..options
+            };
+            let fallbacks = assert_walk_matches_oracle(&vgg9(0.85, 1), options);
+            assert!(fallbacks > 0, "budget {temp_budget} forces fallbacks");
+        }
+    }
+
+    #[test]
+    #[ignore = "compiles ResNet-18 three times over; run in release"]
+    fn walk_matches_the_per_variant_oracle_on_resnet18() {
+        for model in [resnet18(0.8, 7), resnet18(0.5, 3)] {
+            assert_walk_matches_oracle(&model, CompilerOptions::default());
+        }
+    }
+
+    #[test]
+    fn malformed_weight_shapes_are_typed_errors() {
+        let model = small_model();
+        let layer = &model.conv_like_layers()[1];
+        let (fh, fw) = layer.kernel;
+        let reshaped = |shape: Vec<usize>| {
+            let len = shape.iter().product();
+            let mut malformed = layer.clone();
+            malformed.weights = TernaryTensor::from_vec(shape, vec![1; len]).expect("tensor");
+            malformed
+        };
+        let mut transposed = layer.clone();
+        transposed.kernel = (1, 9);
+        for malformed in [
+            transposed,
+            reshaped(vec![layer.cout - 1, layer.cin, fh, fw]),
+            reshaped(vec![layer.cout, layer.cin - 1, fh, fw]),
+            reshaped(vec![layer.cout, layer.cin, fh]),
+            reshaped(vec![layer.cout * layer.cin * fh * fw]),
+        ] {
+            for options in [CompilerOptions::default(), CompilerOptions::unroll_only()] {
+                let error = LayerCompiler::new(options)
+                    .compile(&malformed)
+                    .expect_err("malformed weights");
+                assert!(
+                    matches!(error, ApcError::InvalidArgument { .. }),
+                    "{error:?}"
+                );
+            }
+            for result in LayerCompiler::new(CompilerOptions::default()).compile_both(&malformed) {
+                assert!(matches!(result, Err(ApcError::InvalidArgument { .. })));
+            }
+        }
     }
 
     #[test]

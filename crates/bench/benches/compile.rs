@@ -1,5 +1,6 @@
 //! Criterion benchmarks of the compilation flow: CSE over a weight slice, full layer
-//! compilation with and without CSE, and the accelerator-level simulation.
+//! compilation with and without CSE and of both at once through a
+//! `CompileCache`, and the accelerator-level simulation.
 //!
 //! `cse_64_output_slice` is a small VGG-9 slice; `cse_resnet18_layer4_1_conv2_tile0`
 //! is the first output-tile slice of the ResNet-18 layer class that dominates a
@@ -8,7 +9,7 @@
 use accel::{AcceleratorModel, ArchConfig};
 use apc::dfg::{Dfg, WeightSlice};
 use apc::layout::LayerLayout;
-use apc::{CompilerOptions, LayerCompiler};
+use apc::{CompileCache, CompilerOptions, LayerCompiler};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tnn::model::{resnet18, vgg9};
@@ -63,6 +64,17 @@ fn bench_layer_compile(c: &mut Criterion) {
     group.bench_function("unroll_cse", |b| {
         let compiler = LayerCompiler::new(CompilerOptions::default());
         b.iter(|| black_box(compiler.compile(black_box(&layer)).expect("compile").stats))
+    });
+    // Both variants through one fresh cache: one slice walk fills both entries.
+    group.bench_function("pair", |b| {
+        let cse = LayerCompiler::new(CompilerOptions::default());
+        let unroll = LayerCompiler::new(CompilerOptions::unroll_only());
+        b.iter(|| {
+            let cache = CompileCache::new();
+            let with_cse = cache.compile(&cse, black_box(&layer)).expect("compile");
+            let without = cache.compile(&unroll, black_box(&layer)).expect("compile");
+            black_box((with_cse.stats, without.stats))
+        })
     });
     group.finish();
 }
