@@ -3,8 +3,8 @@
 //! definitions.
 
 use apc::loopir::LoopNest;
-use apc::{CompilerOptions, LayerCompiler};
-use tnn::model::{vgg11, vgg9};
+use apc::{CompileStats, CompilerOptions, LayerCompiler};
+use tnn::model::{resnet18, vgg11, vgg9};
 
 #[test]
 fn loop_schedule_and_compiler_agree_on_code_size() {
@@ -88,39 +88,158 @@ fn fully_connected_layers_compile_like_1x1_convolutions() {
     assert!(compiled.stats.accumulate_ops > 0);
 }
 
-/// The counters of a whole-model compile that the golden below pins.
-fn pinned_counters(options: CompilerOptions) -> [u64; 8] {
+/// Every field of `stats`, in declaration order. Destructuring makes a new
+/// field a compile error here, so the goldens below always cover all of them.
+fn all_fields(stats: &CompileStats) -> [u64; 17] {
+    let CompileStats {
+        counted_adds_subs,
+        accumulate_ops,
+        in_place,
+        out_of_place,
+        cse_signals,
+        baseline_adds_subs,
+        nonzero_weights,
+        cse_fallbacks,
+        total_cycles,
+        accumulation_cycles,
+        accumulation_searched_bits_per_row,
+        accumulation_written_bits_per_row,
+        searched_bits_per_row,
+        written_bits_per_row,
+        io_bits_per_row,
+        max_temp_columns,
+        slices,
+    } = *stats;
+    [
+        counted_adds_subs,
+        accumulate_ops,
+        in_place,
+        out_of_place,
+        cse_signals,
+        baseline_adds_subs,
+        nonzero_weights,
+        cse_fallbacks,
+        total_cycles,
+        accumulation_cycles,
+        accumulation_searched_bits_per_row,
+        accumulation_written_bits_per_row,
+        searched_bits_per_row,
+        written_bits_per_row,
+        io_bits_per_row,
+        max_temp_columns,
+        slices,
+    ]
+}
+
+/// Every field of a whole-model VGG-9 compile, summed over its layers.
+fn pinned_counters(options: CompilerOptions) -> [u64; 17] {
     let model = vgg9(0.85, 1);
     let compiler = LayerCompiler::new(options);
     let stats = model
         .conv_like_layers()
         .iter()
         .map(|layer| compiler.compile(layer).expect("compile").stats)
-        .fold(apc::CompileStats::new(), |sum, s| sum + s);
-    [
-        stats.counted_adds_subs,
-        stats.baseline_adds_subs,
-        stats.cse_signals,
-        stats.cse_fallbacks,
-        stats.total_cycles,
-        stats.searched_bits_per_row,
-        stats.written_bits_per_row,
-        stats.max_temp_columns,
-    ]
+        .fold(CompileStats::new(), |sum, s| sum + s);
+    all_fields(&stats)
 }
 
 #[test]
 fn vgg9_compile_stats_are_pinned_exactly() {
-    // [counted_adds_subs, baseline_adds_subs, cse_signals, cse_fallbacks,
-    //  total_cycles, searched_bits_per_row, written_bits_per_row, max_temp_columns]
-    // Any change to CSE, allocation, code generation or costing that moves one
-    // instruction of any VGG-9 slice moves one of these sums.
-    assert_eq!(
-        pinned_counters(CompilerOptions::default()),
-        [47664, 73744, 13823, 0, 30137306, 39337079, 5608543, 24]
-    );
-    assert_eq!(
-        pinned_counters(CompilerOptions::unroll_only()),
-        [73744, 73744, 0, 0, 31064482, 40523452, 5815872, 0]
-    );
+    // Every `CompileStats` field in declaration order: counted_adds_subs,
+    // accumulate_ops, in_place, out_of_place, cse_signals, baseline_adds_subs,
+    // nonzero_weights, cse_fallbacks, total_cycles, accumulation_cycles,
+    // accumulation_searched_bits_per_row, accumulation_written_bits_per_row,
+    // searched_bits_per_row, written_bits_per_row, io_bits_per_row,
+    // max_temp_columns, slices. Any change to CSE, allocation, code generation
+    // or costing that moves one instruction of any VGG-9 slice moves one of them.
+    assert_eq!(pinned_counters(CompilerOptions::default()), VGG9_CSE);
+    assert_eq!(pinned_counters(CompilerOptions::unroll_only()), VGG9_UNROLL);
 }
+
+const VGG9_CSE: [u64; 17] = [
+    47664, 452084, 455602, 44146, 13823, 73744, 525828, 0, 30137306, 27355044, 35969304, 4911238,
+    39337079, 5608543, 94316, 24, 15363,
+];
+const VGG9_UNROLL: [u64; 17] = [
+    73744, 452084, 474887, 50941, 0, 73744, 525828, 0, 31064482, 27355044, 35969304, 4911238,
+    40523452, 5815872, 94316, 0, 15363,
+];
+
+/// FNV-1a over the little-endian bytes of every `CompileStats` field.
+fn stats_digest(stats: &CompileStats) -> u64 {
+    all_fields(stats)
+        .iter()
+        .flat_map(|field| field.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+#[ignore = "compiles ResNet-18 twice over; run in release"]
+fn resnet18_compile_stats_are_pinned_exactly() {
+    // Per layer of resnet18(0.8, 7): the `stats_digest` of `unroll` and of
+    // `unroll+CSE`.
+    let model = resnet18(0.8, 7);
+    let both = LayerCompiler::new(CompilerOptions::default());
+    let digests: Vec<(String, u64, u64)> = model
+        .conv_like_layers()
+        .iter()
+        .map(|layer| {
+            let [unroll, cse] = both.compile_both(layer).map(|r| r.expect("compile"));
+            for (compiled, options) in [
+                (&unroll, CompilerOptions::unroll_only()),
+                (&cse, CompilerOptions::default()),
+            ] {
+                let alone = LayerCompiler::new(options).compile(layer).expect("compile");
+                assert_eq!(&alone, compiled, "{}", layer.name);
+            }
+            (
+                layer.name.clone(),
+                stats_digest(&unroll.stats),
+                stats_digest(&cse.stats),
+            )
+        })
+        .collect();
+    let expected: Vec<(String, u64, u64)> = RESNET18_DIGESTS
+        .iter()
+        .map(|&(name, unroll, cse)| (name.to_string(), unroll, cse))
+        .collect();
+    assert_eq!(digests, expected);
+}
+
+const RESNET18_DIGESTS: [(&str, u64, u64); 21] = [
+    ("conv1", 0x5c93b50e563f0897, 0x0fd8e5cc7bebac40),
+    ("layer1_0_conv1", 0xe81019af5e90db08, 0xf28047f241d19795),
+    ("layer1_0_conv2", 0x2a4dfbef98ad611a, 0xbe8f5e2e68a2776f),
+    ("layer1_1_conv1", 0x186cb1c15a2b8af7, 0x1dc3d855a786bcb2),
+    ("layer1_1_conv2", 0x103432cf78133fb6, 0x4d90cf7b06347162),
+    (
+        "layer2_0_downsample",
+        0xa0e4dcab55e2b9fc,
+        0xa0e4dcab55e2b9fc,
+    ),
+    ("layer2_0_conv1", 0xa4c65e4a57e03cdb, 0xe05a16d5cae703c3),
+    ("layer2_0_conv2", 0x6414b561de6b6832, 0xd4213e74dc72f99c),
+    ("layer2_1_conv1", 0x231fb8e49b5b856d, 0x078d4694ff5c29da),
+    ("layer2_1_conv2", 0xc5f6c2f23865a1f4, 0x3c29a7c72e958a5d),
+    (
+        "layer3_0_downsample",
+        0x21e2f640f56447a8,
+        0x21e2f640f56447a8,
+    ),
+    ("layer3_0_conv1", 0x2cfe334e38474016, 0x2dfc89813a132fcc),
+    ("layer3_0_conv2", 0x1ac33d4ba0a4fce1, 0x2c1c59350ce7f8b5),
+    ("layer3_1_conv1", 0x687ecba2ccb22b8f, 0xb0613b2e9f2736d9),
+    ("layer3_1_conv2", 0xe8ab4e617b338573, 0xd991bde965e301f6),
+    (
+        "layer4_0_downsample",
+        0x15490263abc7e788,
+        0x15490263abc7e788,
+    ),
+    ("layer4_0_conv1", 0xd3bac32b6912c6f5, 0xfbc09c7de7c1fb2b),
+    ("layer4_0_conv2", 0x905443c50d1be023, 0x906e67775d8366c1),
+    ("layer4_1_conv1", 0x3ab57f90adf80e57, 0x50b154dd15464ecb),
+    ("layer4_1_conv2", 0x5a44f5b973534fd7, 0xcde62fc4a6fd9d8d),
+    ("fc", 0x1e72d2779c820c9d, 0x1e72d2779c820c9d),
+];
