@@ -304,8 +304,8 @@ mod tests {
 
     #[test]
     fn data_movement_is_a_minority_share() {
-        // The paper reports 3% for ResNet-18; our accounting is more conservative
-        // (see EXPERIMENTS.md) but data movement must stay well below the 41%
+        // The paper reports 3% for ResNet-18; our accounting is more conservative,
+        // but data movement must stay well below the 41%
         // interconnect share of the crossbar baseline.
         let report = simulate(4, true, 0.9);
         let share = report.data_movement_share();

@@ -1,4 +1,4 @@
-use crate::{ApInstruction, Lut, LutKind};
+use crate::{ApInstruction, Lut, LutKind, Operand};
 use cam::{CamStats, CamTechnology};
 use serde::{Deserialize, Serialize};
 
@@ -79,8 +79,169 @@ impl CostModel {
 
     /// The estimated CAM event counters of a single instruction: the `stats` of
     /// [`CostModel::instruction_cost`] without the derived latency and energy.
+    ///
+    /// It dispatches to the per-operation formulas below, which a code generator
+    /// can also call directly while it emits instructions, without building them.
     pub fn instruction_stats(&self, instruction: &ApInstruction) -> CamStats {
+        let width = |dests: &[Operand]| dests.first().map_or(0, |d| d.width);
+        match instruction {
+            ApInstruction::AddInPlace { a, acc, .. } => {
+                self.in_place_stats(LutKind::AddInPlace, a, acc.width)
+            }
+            ApInstruction::SubInPlace { a, acc, .. } => {
+                self.in_place_stats(LutKind::SubInPlace, a, acc.width)
+            }
+            ApInstruction::AddOutOfPlace { a, b, dests, .. } => {
+                self.out_of_place_stats(LutKind::AddOutOfPlace, a, b, width(dests), dests.len())
+            }
+            ApInstruction::SubOutOfPlace { a, b, dests, .. } => {
+                self.out_of_place_stats(LutKind::SubOutOfPlace, a, b, width(dests), dests.len())
+            }
+            ApInstruction::Copy { src, dests } => self.copy_stats(src, width(dests), dests.len()),
+            ApInstruction::Clear { dst } => self.clear_stats(dst.width),
+        }
+    }
+
+    /// Counters of an in-place `kind` instruction (`AddInPlace` or `SubInPlace`)
+    /// that adds `a` into an accumulator of `width` bits.
+    ///
+    /// Every accumulator bit runs all passes of the table while `a` still has a
+    /// domain for it (a bit of `a`, or its sign), and only the passes that do not
+    /// key on `a` once `a` is zero-extended.
+    pub fn in_place_stats(&self, kind: LutKind, a: &Operand, width: u8) -> CamStats {
+        debug_assert!(kind.is_in_place(), "{kind:?} is not an in-place table");
         let rows = self.rows as u64;
+        let width = u64::from(width);
+        let known = known_bits(a, width);
+        let all_passes = kind.passes_keyed(true, true);
+        let constant_a_passes = kind.passes_keyed(false, true);
+        let passes = known * all_passes + (width - known) * constant_a_passes;
+        CamStats {
+            search_cycles: passes,
+            searched_bits: (known * all_passes * 3 + (width - known) * constant_a_passes * 2)
+                * rows,
+            // Carry clear, then one write per pass.
+            write_cycles: 1 + passes,
+            // Expected: about half the rows rewritten (2 bits each) per result bit.
+            written_bits: rows + width * rows,
+            shifts: 3 * width,
+            ..CamStats::new()
+        }
+    }
+
+    /// Counters of an out-of-place `kind` instruction (`AddOutOfPlace` or
+    /// `SubOutOfPlace`) of operands `a` and `b` into `dests` destinations of
+    /// `width` bits.
+    ///
+    /// A result bit runs the passes of the table whose key bits the operands can
+    /// supply ([`LutKind`] passes that key on a zero-extended operand are skipped).
+    pub fn out_of_place_stats(
+        &self,
+        kind: LutKind,
+        a: &Operand,
+        b: &Operand,
+        width: u8,
+        dests: usize,
+    ) -> CamStats {
+        debug_assert!(!kind.is_in_place(), "{kind:?} is not an out-of-place table");
+        let rows = self.rows as u64;
+        let width = u64::from(width);
+        let n_dests = dests.max(1) as u64;
+        // Bits `0..known` of an operand have a domain, so the bits split into four
+        // classes by which operands they know.
+        let (a_known, b_known) = (known_bits(a, width), known_bits(b, width));
+        let both = a_known.min(b_known);
+        let mut stats = CamStats {
+            // Carry clear plus destination clears.
+            write_cycles: 1 + width,
+            written_bits: rows + width * rows * n_dests * 2,
+            shifts: width * (2 + n_dests),
+            ..CamStats::new()
+        };
+        for (bits, a_known, b_known) in [
+            (both, true, true),
+            (a_known - both, true, false),
+            (b_known - both, false, true),
+            (width - a_known.max(b_known), false, false),
+        ] {
+            let passes = kind.passes_keyed(a_known, b_known);
+            let key_bits = 1 + u64::from(a_known) + u64::from(b_known);
+            stats.search_cycles += bits * passes;
+            stats.searched_bits += bits * passes * key_bits * rows;
+            stats.write_cycles += bits * passes;
+        }
+        stats
+    }
+
+    /// Counters of a copy of `src` into `dests` destinations of `width` bits: a
+    /// bit of `src` is searched and written twice, a zero-extended bit written
+    /// once.
+    pub fn copy_stats(&self, src: &Operand, width: u8, dests: usize) -> CamStats {
+        let rows = self.rows as u64;
+        let width = u64::from(width);
+        let n_dests = dests.max(1) as u64;
+        let known = known_bits(src, width);
+        CamStats {
+            search_cycles: 2 * known,
+            searched_bits: 2 * known * rows,
+            write_cycles: 2 * known + (width - known),
+            written_bits: width * rows * n_dests,
+            shifts: width * (1 + n_dests),
+            ..CamStats::new()
+        }
+    }
+
+    /// Counters of clearing `width` bits of one column.
+    pub fn clear_stats(&self, width: u8) -> CamStats {
+        let width = u64::from(width);
+        CamStats {
+            write_cycles: width,
+            written_bits: width * self.rows as u64,
+            shifts: width,
+            ..CamStats::new()
+        }
+    }
+
+    /// Total cost of a sequence of instructions.
+    pub fn program_cost<'a, I>(&self, instructions: I) -> InstructionCost
+    where
+        I: IntoIterator<Item = &'a ApInstruction>,
+    {
+        let mut stats = CamStats::new();
+        for instruction in instructions {
+            stats += self.instruction_stats(instruction);
+        }
+        InstructionCost {
+            stats,
+            latency_ns: stats.latency_ns(&self.tech),
+            energy_fj: stats.energy_fj(&self.tech),
+        }
+    }
+}
+
+/// How many of the bits `0..width` of an operand `op` supplies a domain for:
+/// all of them when it is signed (the sign extends), else its own width.
+fn known_bits(op: &Operand, width: u64) -> u64 {
+    if op.signed {
+        width
+    } else {
+        u64::from(op.width).min(width)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CarrySlot;
+
+    fn model() -> CostModel {
+        CostModel::new(CamTechnology::default(), 256)
+    }
+
+    /// The per-bit costing loop the closed-form formulas replaced, kept as their
+    /// oracle.
+    fn instruction_stats_per_bit(model: &CostModel, instruction: &ApInstruction) -> CamStats {
+        let rows = model.rows as u64;
         let mut stats = CamStats::new();
         match instruction {
             ApInstruction::AddInPlace { a, acc, .. } | ApInstruction::SubInPlace { a, acc, .. } => {
@@ -92,7 +253,6 @@ impl CostModel {
                 let lut = kind.passes();
                 let all_passes = lut.len() as u64;
                 let constant_a_passes = lut.iter().filter(|p| !p.key_a).count() as u64;
-                // Carry clear.
                 stats.write_cycles += 1;
                 stats.written_bits += rows;
                 for bit in 0..acc.width as usize {
@@ -104,7 +264,6 @@ impl CostModel {
                     stats.search_cycles += passes;
                     stats.searched_bits += passes * key_bits * rows;
                     stats.write_cycles += passes;
-                    // Expected: about half the rows rewritten (2 bits each) per result bit.
                     stats.written_bits += rows;
                     stats.shifts += 3;
                 }
@@ -119,7 +278,6 @@ impl CostModel {
                 let lut = kind.passes();
                 let width = dests.first().map(|d| d.width).unwrap_or(0) as usize;
                 let n_dests = dests.len().max(1) as u64;
-                // Carry clear plus destination clears.
                 stats.write_cycles += 1 + width as u64;
                 stats.written_bits += rows + width as u64 * rows * n_dests;
                 for bit in 0..width {
@@ -162,30 +320,63 @@ impl CostModel {
         stats
     }
 
-    /// Total cost of a sequence of instructions.
-    pub fn program_cost<'a, I>(&self, instructions: I) -> InstructionCost
-    where
-        I: IntoIterator<Item = &'a ApInstruction>,
-    {
-        let mut stats = CamStats::new();
-        for instruction in instructions {
-            stats += self.instruction_stats(instruction);
+    #[test]
+    fn closed_form_formulas_match_the_per_bit_loop() {
+        let carry = CarrySlot::new(9, 0);
+        let operands =
+            |width: u8| [false, true].map(move |signed| Operand::new(1, 2, width, signed));
+        for rows in [1, 256] {
+            let model = CostModel::new(CamTechnology::default(), rows);
+            for a_width in 0..=10u8 {
+                for b_width in [0u8, 3, 5, 9] {
+                    for dest_width in 0..=14u8 {
+                        let dest = Operand::new(4, 0, dest_width, true);
+                        for a in operands(a_width) {
+                            let mut instructions = vec![
+                                ApInstruction::AddInPlace {
+                                    a,
+                                    acc: dest,
+                                    carry,
+                                },
+                                ApInstruction::SubInPlace {
+                                    a,
+                                    acc: dest,
+                                    carry,
+                                },
+                                ApInstruction::Clear { dst: dest },
+                            ];
+                            for dests in [vec![], vec![dest], vec![dest; 3]] {
+                                instructions.push(ApInstruction::Copy {
+                                    src: a,
+                                    dests: dests.clone(),
+                                });
+                                for b in operands(b_width) {
+                                    instructions.push(ApInstruction::AddOutOfPlace {
+                                        a,
+                                        b,
+                                        dests: dests.clone(),
+                                        carry,
+                                    });
+                                    instructions.push(ApInstruction::SubOutOfPlace {
+                                        a,
+                                        b,
+                                        dests: dests.clone(),
+                                        carry,
+                                    });
+                                }
+                            }
+                            for instruction in &instructions {
+                                assert_eq!(
+                                    model.instruction_stats(instruction),
+                                    instruction_stats_per_bit(&model, instruction),
+                                    "{instruction:?} on {rows} rows"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
-        InstructionCost {
-            stats,
-            latency_ns: stats.latency_ns(&self.tech),
-            energy_fj: stats.energy_fj(&self.tech),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{CarrySlot, Operand};
-
-    fn model() -> CostModel {
-        CostModel::new(CamTechnology::default(), 256)
     }
 
     #[test]

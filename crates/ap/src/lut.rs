@@ -30,8 +30,15 @@ impl LutKind {
         matches!(self, LutKind::SubInPlace | LutKind::SubOutOfPlace)
     }
 
+    /// How many passes run for one result bit, given whether the `A` and `B`
+    /// operands supply a key bit: a pass that keys on a missing (zero-extended)
+    /// operand is skipped.
+    pub(crate) fn passes_keyed(self, a_known: bool, b_known: bool) -> u64 {
+        PASSES_KEYED[self as usize][usize::from(a_known) | usize::from(b_known) << 1]
+    }
+
     /// The ordered, non-NC passes of this table (what [`Lut::of`] copies).
-    pub(crate) fn passes(self) -> &'static [LutEntry] {
+    pub(crate) const fn passes(self) -> &'static [LutEntry] {
         match self {
             LutKind::AddInPlace => &ADD_IN_PLACE,
             LutKind::AddOutOfPlace => &ADD_OUT_OF_PLACE,
@@ -40,6 +47,36 @@ impl LutKind {
         }
     }
 }
+
+/// [`LutKind::passes_keyed`] by kind and operand case (bit 0: `A` supplies a
+/// key bit, bit 1: `B` does), counted once at compile time.
+const PASSES_KEYED: [[u64; 4]; 4] = {
+    let kinds = [
+        LutKind::AddInPlace,
+        LutKind::AddOutOfPlace,
+        LutKind::SubInPlace,
+        LutKind::SubOutOfPlace,
+    ];
+    let mut table = [[0; 4]; 4];
+    let mut k = 0;
+    while k < kinds.len() {
+        let lut = kinds[k].passes();
+        let mut case = 0;
+        while case < 4 {
+            let (a_known, b_known) = (case & 1 == 1, case & 2 == 2);
+            let mut i = 0;
+            while i < lut.len() {
+                if (a_known || !lut[i].key_a) && (b_known || !lut[i].key_b) {
+                    table[kinds[k] as usize][case] += 1;
+                }
+                i += 1;
+            }
+            case += 1;
+        }
+        k += 1;
+    }
+    table
+};
 
 /// One pass of a lookup table: the masked search key over the carry/borrow column,
 /// the `B` operand and the `A` operand, and the values written into the tagged rows.

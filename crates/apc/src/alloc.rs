@@ -9,7 +9,6 @@
 
 use crate::dfg::Dfg;
 use crate::expr::{SignalDef, SignalId};
-use std::collections::HashMap;
 
 /// One step of the slice schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,8 +25,13 @@ pub enum Event {
 pub struct Allocation {
     /// Schedule of definition and accumulation events.
     pub schedule: Vec<Event>,
-    /// Temporary-column index assigned to each derived signal.
-    pub signal_columns: HashMap<SignalId, usize>,
+    /// Temporary-column index of each derived signal, indexed by the signal's
+    /// position among the derived signals (`signal − inputs`); `None` for a
+    /// signal no output uses.
+    pub signal_columns: Vec<Option<usize>>,
+    /// Number of patch-input signals of the DFG (the id of its first derived
+    /// signal).
+    pub inputs: usize,
     /// Number of distinct temporary columns required.
     pub temp_columns_used: usize,
 }
@@ -35,7 +39,8 @@ pub struct Allocation {
 impl Allocation {
     /// The temporary column of `signal`, if it is a derived signal.
     pub fn column_of(&self, signal: SignalId) -> Option<usize> {
-        self.signal_columns.get(&signal).copied()
+        let derived = signal.checked_sub(self.inputs)?;
+        self.signal_columns.get(derived).copied().flatten()
     }
 }
 
@@ -55,87 +60,98 @@ impl Allocation {
 /// assert_eq!(allocation.signal_columns.len(), dfg.signals.derived());
 /// ```
 pub fn allocate(dfg: &Dfg) -> Allocation {
-    let inputs = dfg.signals.inputs();
-    let mut schedule = Vec::new();
-    let mut defined = vec![false; dfg.signals.len()];
+    let mut allocation = Allocation::default();
+    Allocator::default().allocate(dfg, &mut allocation);
+    allocation
+}
 
-    // Lazily define a derived signal (and its derived dependencies) before first use.
-    fn ensure_defined(
-        signal: SignalId,
-        inputs: usize,
-        dfg: &Dfg,
-        defined: &mut [bool],
-        schedule: &mut Vec<Event>,
-    ) {
-        if signal < inputs || defined[signal] {
+/// The scratch state of [`allocate`], kept between slices by the compiler's
+/// slice walk so that scheduling and colouring allocate nothing once it has
+/// grown.
+#[derive(Debug, Default)]
+pub(crate) struct Allocator {
+    /// Whether each signal is already scheduled, by signal id.
+    defined: Vec<bool>,
+    /// Schedule position of each derived signal's last use, by signal id.
+    last_use: Vec<usize>,
+    /// Per temporary column, the last use of the signal that holds it.
+    busy_until: Vec<usize>,
+}
+
+impl Allocator {
+    /// [`allocate`] into `allocation`, reusing its storage and this scratch.
+    pub(crate) fn allocate(&mut self, dfg: &Dfg, allocation: &mut Allocation) {
+        let inputs = dfg.signals.inputs();
+        let signals = dfg.signals.len();
+        let schedule = &mut allocation.schedule;
+        schedule.clear();
+        self.defined.clear();
+        self.defined.resize(signals, false);
+        self.last_use.clear();
+        self.last_use.resize(signals, 0);
+
+        // The schedule grows in position order, so the last use of a derived
+        // signal is the last position recorded for it while scheduling.
+        for (index, output) in dfg.outputs.iter().enumerate() {
+            for &(signal, _) in output.terms() {
+                self.define(signal, dfg, schedule);
+            }
+            for &(signal, _) in output.terms() {
+                if signal >= inputs {
+                    self.last_use[signal] = schedule.len();
+                }
+            }
+            schedule.push(Event::AccumulateOutput(index));
+        }
+
+        // Greedy colouring of the interference graph in definition order (optimal for
+        // interval graphs): each signal takes the lowest column no live signal holds.
+        // An earlier signal interferes with the one being defined exactly when it is
+        // still live at that definition, and of the signals that held a column only the
+        // latest can be, so one "busy until" position per column decides.
+        let busy_until = &mut self.busy_until;
+        busy_until.clear();
+        allocation.signal_columns.clear();
+        allocation
+            .signal_columns
+            .resize(dfg.signals.derived(), None);
+        for (defined_at, event) in schedule.iter().enumerate() {
+            let Event::DefineSignal(signal) = *event else {
+                continue;
+            };
+            let color = match busy_until.iter().position(|&until| until < defined_at) {
+                Some(color) => color,
+                None => {
+                    busy_until.push(0);
+                    busy_until.len() - 1
+                }
+            };
+            busy_until[color] = self.last_use[signal];
+            allocation.signal_columns[signal - inputs] = Some(color);
+        }
+        allocation.inputs = inputs;
+        allocation.temp_columns_used = busy_until.len();
+    }
+
+    /// Lazily defines derived `signal`, after its derived operands, right
+    /// before its first use; records the uses its definition makes.
+    fn define(&mut self, signal: SignalId, dfg: &Dfg, schedule: &mut Vec<Event>) {
+        let inputs = dfg.signals.inputs();
+        if signal < inputs || self.defined[signal] {
             return;
         }
-        if let Some(SignalDef::Combine { lhs, rhs, .. }) = dfg.signals.def(signal) {
-            ensure_defined(*lhs, inputs, dfg, defined, schedule);
-            ensure_defined(*rhs, inputs, dfg, defined, schedule);
+        if let Some(&SignalDef::Combine { lhs, rhs, .. }) = dfg.signals.def(signal) {
+            self.define(lhs, dfg, schedule);
+            self.define(rhs, dfg, schedule);
+            for operand in [lhs, rhs] {
+                if operand >= inputs {
+                    self.last_use[operand] = schedule.len();
+                }
+            }
         }
-        defined[signal] = true;
+        self.defined[signal] = true;
+        self.last_use[signal] = schedule.len();
         schedule.push(Event::DefineSignal(signal));
-    }
-
-    for (index, output) in dfg.outputs.iter().enumerate() {
-        for (signal, _) in output.iter() {
-            ensure_defined(signal, inputs, dfg, &mut defined, &mut schedule);
-        }
-        schedule.push(Event::AccumulateOutput(index));
-    }
-
-    // Live ranges of derived signals over the schedule: `(signal, definition)` in
-    // definition order, and the last use indexed by signal id. A signal is defined
-    // once, and every use comes after its definition.
-    let mut derived: Vec<(SignalId, usize)> = Vec::new();
-    let mut last_use = vec![0usize; dfg.signals.len()];
-    for (position, event) in schedule.iter().enumerate() {
-        match event {
-            Event::DefineSignal(signal) => {
-                derived.push((*signal, position));
-                last_use[*signal] = position;
-                if let Some(SignalDef::Combine { lhs, rhs, .. }) = dfg.signals.def(*signal) {
-                    for operand in [*lhs, *rhs] {
-                        if operand >= inputs {
-                            last_use[operand] = position;
-                        }
-                    }
-                }
-            }
-            Event::AccumulateOutput(index) => {
-                for (signal, _) in dfg.outputs[*index].iter() {
-                    if signal >= inputs {
-                        last_use[signal] = position;
-                    }
-                }
-            }
-        }
-    }
-
-    // Greedy colouring of the interference graph in definition order (optimal for
-    // interval graphs): each signal takes the lowest column no live signal holds.
-    // An earlier signal interferes with the one being defined exactly when it is
-    // still live at that definition, and of the signals that held a column only the
-    // latest can be, so one "busy until" position per column decides.
-    let mut busy_until: Vec<usize> = Vec::new();
-    let mut signal_columns: HashMap<SignalId, usize> = HashMap::with_capacity(derived.len());
-    for &(signal, defined_at) in &derived {
-        let color = match busy_until.iter().position(|&until| until < defined_at) {
-            Some(color) => color,
-            None => {
-                busy_until.push(0);
-                busy_until.len() - 1
-            }
-        };
-        busy_until[color] = last_use[signal];
-        signal_columns.insert(signal, color);
-    }
-
-    Allocation {
-        schedule,
-        signal_columns,
-        temp_columns_used: busy_until.len(),
     }
 }
 
@@ -145,6 +161,7 @@ mod tests {
     use crate::dfg::WeightSlice;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::collections::HashMap;
 
     fn random_dfg(seed: u64, outputs: usize, patch: usize, cse: bool) -> Dfg {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -243,7 +260,7 @@ mod tests {
             let signals: Vec<SignalId> = position_of_def.keys().copied().collect();
             for &a in &signals {
                 for &b in &signals {
-                    if a == b || allocation.signal_columns[&a] != allocation.signal_columns[&b] {
+                    if a == b || allocation.column_of(a) != allocation.column_of(b) {
                         continue;
                     }
                     let overlap =

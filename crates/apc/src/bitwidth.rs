@@ -31,8 +31,15 @@ pub const MAX_WIDTH: u8 = 48;
 /// assert!(widths.iter().all(|&w| w >= 4));
 /// ```
 pub fn signal_widths(dfg: &Dfg, act_bits: u8) -> Vec<u8> {
+    let mut widths = Vec::with_capacity(dfg.signals.len());
+    signal_widths_into(dfg, act_bits, &mut widths);
+    widths
+}
+
+/// [`signal_widths`] into `widths`, reusing its storage.
+pub(crate) fn signal_widths_into(dfg: &Dfg, act_bits: u8, widths: &mut Vec<u8>) {
     let inputs = dfg.signals.inputs();
-    let mut widths: Vec<u8> = Vec::with_capacity(dfg.signals.len());
+    widths.clear();
     // Signed width needed to hold a signal: unsigned inputs need one extra bit once
     // they participate in signed arithmetic.
     let signed_width = |id: usize, widths: &[u8]| -> u8 {
@@ -46,14 +53,13 @@ pub fn signal_widths(dfg: &Dfg, act_bits: u8) -> Vec<u8> {
         let width = match def {
             SignalDef::Input { .. } => act_bits,
             SignalDef::Combine { lhs, rhs, .. } => {
-                let wl = signed_width(*lhs, &widths);
-                let wr = signed_width(*rhs, &widths);
+                let wl = signed_width(*lhs, widths);
+                let wr = signed_width(*rhs, widths);
                 wl.max(wr).saturating_add(1).min(MAX_WIDTH)
             }
         };
         widths.push(width);
     }
-    widths
 }
 
 /// Signed width of the chain accumulator that combines up to `max_terms` values of

@@ -22,12 +22,13 @@ use crate::dfg::Dfg;
 use crate::expr::{SignalDef, SignalId};
 use crate::layout::LayerLayout;
 use crate::{ApcError, Result};
-use ap::{ApInstruction, ApProgram, CarrySlot, Operand};
+use ap::{ApInstruction, ApProgram, CarrySlot, CostModel, LutKind, Operand};
+use cam::CamStats;
 
 /// The lowered form of one (input channel, output tile) slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedSlice {
-    /// The instruction stream.
+    /// The instruction stream (empty unless the program was retained).
     pub program: ApProgram,
     /// Add/sub operations that construct output values (the paper's `#Adds/Subs`
     /// counting convention — accumulations into the persistent output columns are
@@ -41,6 +42,13 @@ pub struct GeneratedSlice {
     pub out_of_place: u64,
     /// Number of temporary columns used by CSE signals.
     pub temp_columns_used: usize,
+    /// Estimated CAM counters of the whole stream.
+    pub cost: CamStats,
+    /// The part of [`GeneratedSlice::cost`] spent by instructions whose
+    /// destination lies in the accumulator-column region: the local part of the
+    /// accumulation phase (the split reported in Fig. 4 of the paper); the rest is
+    /// the channel-wise DFG phase.
+    pub accumulation_cost: CamStats,
 }
 
 /// Generates the accumulator-clearing prologue of one output tile (run once per
@@ -55,7 +63,73 @@ pub fn tile_prologue(layout: &LayerLayout, tile_outputs: usize) -> ApProgram {
     program
 }
 
-/// Lowers one slice DFG to an [`ApProgram`].
+/// Costs every instruction as it is emitted, through the per-operation formulas
+/// of [`CostModel`], and builds the instruction itself only when the program is
+/// retained.
+struct Emitter<'a> {
+    model: &'a CostModel,
+    acc_col_start: usize,
+    carry: CarrySlot,
+    generated: GeneratedSlice,
+    keep_program: bool,
+}
+
+impl Emitter<'_> {
+    fn book(&mut self, stats: CamStats, dest: &Operand) {
+        self.generated.cost += stats;
+        if dest.col >= self.acc_col_start {
+            self.generated.accumulation_cost += stats;
+        }
+    }
+
+    /// `acc ← acc ± a`.
+    fn in_place(&mut self, subtract: bool, a: Operand, acc: Operand) {
+        let kind = if subtract {
+            LutKind::SubInPlace
+        } else {
+            LutKind::AddInPlace
+        };
+        self.book(self.model.in_place_stats(kind, &a, acc.width), &acc);
+        self.generated.in_place += 1;
+        if self.keep_program {
+            let carry = self.carry;
+            self.generated.program.push(if subtract {
+                ApInstruction::SubInPlace { a, acc, carry }
+            } else {
+                ApInstruction::AddInPlace { a, acc, carry }
+            });
+        }
+    }
+
+    /// `dest ← b ± a`.
+    fn out_of_place(&mut self, subtract: bool, a: Operand, b: Operand, dest: Operand) {
+        let kind = if subtract {
+            LutKind::SubOutOfPlace
+        } else {
+            LutKind::AddOutOfPlace
+        };
+        self.book(
+            self.model.out_of_place_stats(kind, &a, &b, dest.width, 1),
+            &dest,
+        );
+        self.generated.out_of_place += 1;
+        if self.keep_program {
+            let (dests, carry) = (vec![dest], self.carry);
+            self.generated.program.push(if subtract {
+                ApInstruction::SubOutOfPlace { a, b, dests, carry }
+            } else {
+                ApInstruction::AddOutOfPlace { a, b, dests, carry }
+            });
+        }
+    }
+}
+
+/// Lowers one slice DFG to AP instructions and costs them under `model`.
+///
+/// Every instruction is costed as it is emitted; it is pushed into
+/// [`GeneratedSlice::program`] only when `keep_program` is set, so the analytic
+/// compile builds no instruction at all. The costs are the same either way, and
+/// equal [`CostModel::instruction_stats`] summed over the retained program.
 ///
 /// `channel_in_group` selects which resident channel's activation bits (domain
 /// offset inside the input cells) the generated loads refer to.
@@ -70,6 +144,8 @@ pub fn generate(
     allocation: &Allocation,
     layout: &LayerLayout,
     channel_in_group: usize,
+    model: &CostModel,
+    keep_program: bool,
 ) -> Result<GeneratedSlice> {
     if allocation.temp_columns_used > layout.temp_budget {
         return Err(ApcError::DoesNotFit {
@@ -88,16 +164,11 @@ pub fn generate(
             ),
         });
     }
-    let carry = CarrySlot::new(layout.carry_col, 0);
     let inputs = dfg.signals.inputs();
+    let input_base = layout.channel_domain_base(channel_in_group);
     let operand_of = |signal: SignalId| -> Result<Operand> {
         if signal < inputs {
-            Ok(Operand::new(
-                signal,
-                layout.channel_domain_base(channel_in_group),
-                layout.act_bits,
-                false,
-            ))
+            Ok(Operand::new(signal, input_base, layout.act_bits, false))
         } else {
             let column = allocation
                 .column_of(signal)
@@ -113,13 +184,21 @@ pub fn generate(
         }
     };
 
-    let mut generated = GeneratedSlice {
-        program: ApProgram::new(),
-        counted_ops: 0,
-        accumulate_ops: 0,
-        in_place: 0,
-        out_of_place: 0,
-        temp_columns_used: allocation.temp_columns_used,
+    let mut emit = Emitter {
+        model,
+        acc_col_start: layout.acc_col_start,
+        carry: CarrySlot::new(layout.carry_col, 0),
+        generated: GeneratedSlice {
+            program: ApProgram::new(),
+            counted_ops: 0,
+            accumulate_ops: 0,
+            in_place: 0,
+            out_of_place: 0,
+            temp_columns_used: allocation.temp_columns_used,
+            cost: CamStats::new(),
+            accumulation_cost: CamStats::new(),
+        },
+        keep_program,
     };
 
     for event in &allocation.schedule {
@@ -139,34 +218,17 @@ pub fn generate(
                 let dest = operand_of(*signal)?;
                 let lhs_op = operand_of(*lhs)?;
                 let rhs_op = operand_of(*rhs)?;
-                let instruction = match (lhs_negated, rhs_negated) {
-                    (false, false) => ApInstruction::AddOutOfPlace {
-                        a: rhs_op,
-                        b: lhs_op,
-                        dests: vec![dest],
-                        carry,
-                    },
-                    (false, true) => ApInstruction::SubOutOfPlace {
-                        a: rhs_op,
-                        b: lhs_op,
-                        dests: vec![dest],
-                        carry,
-                    },
-                    (true, false) => ApInstruction::SubOutOfPlace {
-                        a: lhs_op,
-                        b: rhs_op,
-                        dests: vec![dest],
-                        carry,
-                    },
+                match (lhs_negated, rhs_negated) {
+                    (false, false) => emit.out_of_place(false, rhs_op, lhs_op, dest),
+                    (false, true) => emit.out_of_place(true, rhs_op, lhs_op, dest),
+                    (true, false) => emit.out_of_place(true, lhs_op, rhs_op, dest),
                     (true, true) => {
                         return Err(ApcError::Internal {
                             reason: "CSE never introduces a doubly negated combination".to_string(),
                         })
                     }
-                };
-                generated.program.push(instruction);
-                generated.counted_ops += 1;
-                generated.out_of_place += 1;
+                }
+                emit.generated.counted_ops += 1;
             }
             Event::AccumulateOutput(index) => {
                 let output = &dfg.outputs[*index];
@@ -179,15 +241,8 @@ pub fn generate(
                         // persistent column. Under the paper's Eq. 1 counting
                         // convention this is an accumulation, not a constructive op.
                         let (signal, sign) = terms[0];
-                        let a = operand_of(signal)?;
-                        let instruction = if sign > 0 {
-                            ApInstruction::AddInPlace { a, acc, carry }
-                        } else {
-                            ApInstruction::SubInPlace { a, acc, carry }
-                        };
-                        generated.program.push(instruction);
-                        generated.accumulate_ops += 1;
-                        generated.in_place += 1;
+                        emit.in_place(sign < 0, operand_of(signal)?, acc);
+                        emit.generated.accumulate_ops += 1;
                     }
                     _ => {
                         let widest = terms
@@ -201,92 +256,28 @@ pub fn generate(
                         let (second_signal, second_sign) = terms[1];
                         let first = operand_of(first_signal)?;
                         let second = operand_of(second_signal)?;
-                        // chain := ±first ± second, possibly negated as a whole.
-                        let chain_negated;
-                        let head = match (first_sign > 0, second_sign > 0) {
-                            (true, true) => {
-                                chain_negated = false;
-                                ApInstruction::AddOutOfPlace {
-                                    a: second,
-                                    b: first,
-                                    dests: vec![chain],
-                                    carry,
-                                }
-                            }
-                            (true, false) => {
-                                chain_negated = false;
-                                ApInstruction::SubOutOfPlace {
-                                    a: second,
-                                    b: first,
-                                    dests: vec![chain],
-                                    carry,
-                                }
-                            }
-                            (false, true) => {
-                                chain_negated = false;
-                                ApInstruction::SubOutOfPlace {
-                                    a: first,
-                                    b: second,
-                                    dests: vec![chain],
-                                    carry,
-                                }
-                            }
-                            (false, false) => {
-                                // chain holds first + second; the whole chain is negated.
-                                chain_negated = true;
-                                ApInstruction::AddOutOfPlace {
-                                    a: second,
-                                    b: first,
-                                    dests: vec![chain],
-                                    carry,
-                                }
-                            }
-                        };
-                        generated.program.push(head);
-                        generated.counted_ops += 1;
-                        generated.out_of_place += 1;
-                        for &(signal, sign) in &terms[2..] {
-                            let a = operand_of(signal)?;
-                            let effective = if chain_negated { -sign } else { sign };
-                            let instruction = if effective > 0 {
-                                ApInstruction::AddInPlace {
-                                    a,
-                                    acc: chain,
-                                    carry,
-                                }
-                            } else {
-                                ApInstruction::SubInPlace {
-                                    a,
-                                    acc: chain,
-                                    carry,
-                                }
-                            };
-                            generated.program.push(instruction);
-                            generated.counted_ops += 1;
-                            generated.in_place += 1;
+                        // chain := ±first ± second, possibly negated as a whole: a
+                        // fully negated pair is added and the chain is negated.
+                        let chain_negated = first_sign < 0 && second_sign < 0;
+                        match (first_sign > 0, second_sign > 0) {
+                            (true, false) => emit.out_of_place(true, second, first, chain),
+                            (false, true) => emit.out_of_place(true, first, second, chain),
+                            _ => emit.out_of_place(false, second, first, chain),
                         }
-                        let accumulate = if chain_negated {
-                            ApInstruction::SubInPlace {
-                                a: chain,
-                                acc,
-                                carry,
-                            }
-                        } else {
-                            ApInstruction::AddInPlace {
-                                a: chain,
-                                acc,
-                                carry,
-                            }
-                        };
-                        generated.program.push(accumulate);
-                        generated.accumulate_ops += 1;
-                        generated.in_place += 1;
+                        emit.generated.counted_ops += 1;
+                        for &(signal, sign) in &terms[2..] {
+                            let effective = if chain_negated { -sign } else { sign };
+                            emit.in_place(effective < 0, operand_of(signal)?, chain);
+                            emit.generated.counted_ops += 1;
+                        }
+                        emit.in_place(chain_negated, chain, acc);
+                        emit.generated.accumulate_ops += 1;
                     }
                 }
             }
         }
     }
-    Ok(generated)
+    Ok(emit.generated)
 }
 
 #[cfg(test)]
@@ -326,6 +317,10 @@ mod tests {
         }
     }
 
+    fn per_row_model() -> CostModel {
+        CostModel::new(CamTechnology::default(), 1)
+    }
+
     fn lower(rows: Vec<Vec<i8>>, act_bits: u8, cse: bool) -> (Dfg, LayerLayout, GeneratedSlice) {
         let patch = rows[0].len();
         let cout = rows.len();
@@ -348,7 +343,16 @@ mod tests {
         .expect("layout");
         let widths = signal_widths(&dfg, act_bits);
         let allocation = allocate(&dfg);
-        let generated = generate(&dfg, &widths, &allocation, &layout, 0).expect("codegen");
+        let generated = generate(
+            &dfg,
+            &widths,
+            &allocation,
+            &layout,
+            0,
+            &per_row_model(),
+            true,
+        )
+        .expect("codegen");
         (dfg, layout, generated)
     }
 
@@ -503,7 +507,15 @@ mod tests {
         let allocation = allocate(&dfg);
         if allocation.temp_columns_used > 0 {
             assert!(matches!(
-                generate(&dfg, &widths, &allocation, &layout, 0),
+                generate(
+                    &dfg,
+                    &widths,
+                    &allocation,
+                    &layout,
+                    0,
+                    &per_row_model(),
+                    true
+                ),
                 Err(ApcError::DoesNotFit { .. })
             ));
         }

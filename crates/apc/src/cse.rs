@@ -11,14 +11,21 @@
 //!
 //! The pass is incremental. Pair counts are taken once; a substitution then
 //! decrements only the pairs of the expressions it rewrites and counts the pairs of
-//! the new signal, and a per-signal occurrence list finds those expressions without
-//! visiting the others. One greedy step costs a scan of the live pair counts plus
-//! work proportional to the terms of the rewritten expressions.
+//! the new signal. Per-signal membership bitsets, one bit per output and one set per
+//! sign, give exactly the expressions a substitution rewrites: those that hold `a`
+//! and `b` with the pattern's relative sign. The counts live in a dense table
+//! indexed by the pair's signal ids, and a max-heap of `(count, pattern)` entries,
+//! checked lazily against the table, yields the best pattern without scanning every
+//! live one. One greedy step costs work proportional to the terms of the rewritten
+//! expressions, plus a logarithmic heap operation per changed count.
+//!
+//! A [`Workspace`] holds all of that state. The compiler's slice walk keeps one
+//! across slices, so after the first few slices a CSE run allocates nothing.
 
 use crate::expr::{LinearExpr, SignalId, SignalTable};
 use crate::{ApcError, Result};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Statistics of one CSE run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,63 +61,16 @@ fn unpack(key: PatternKey) -> (SignalId, SignalId, i8) {
     )
 }
 
-/// Multiplicative hash for pattern keys. The keys are internal signal ids, never
-/// outside input, so a keyed hash buys nothing here.
-#[derive(Default)]
-struct PatternHasher(u64);
-
-impl Hasher for PatternHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let product = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = product ^ (product >> 29);
-    }
+/// The slot of a pattern in the dense count table: pairs are laid out by their
+/// larger signal, so the slots of a new signal's pairs follow every existing slot.
+fn slot(key: PatternKey) -> usize {
+    let (a, b, _) = unpack(key);
+    (b * (b - 1) / 2 + a) * 2 + (key & 1) as usize
 }
 
-/// Live pair counts; a pattern whose count drops to zero is removed.
-#[derive(Default)]
-struct PairCounts(HashMap<PatternKey, u32, BuildHasherDefault<PatternHasher>>);
-
-impl PairCounts {
-    fn increment(&mut self, key: PatternKey) {
-        *self.0.entry(key).or_insert(0) += 1;
-    }
-
-    fn decrement(&mut self, key: PatternKey) {
-        if let Some(count) = self.0.get_mut(&key) {
-            *count -= 1;
-            if *count == 0 {
-                self.0.remove(&key);
-            }
-        }
-    }
-
-    /// The pattern with the highest count, ties broken towards the smallest pattern
-    /// so compilation is stable; `None` once no pattern occurs twice.
-    fn best(&self) -> Option<PatternKey> {
-        let mut best: Option<(u32, PatternKey)> = None;
-        for (&key, &count) in &self.0 {
-            let better = match best {
-                None => count >= 2,
-                Some((best_count, best_key)) => {
-                    count > best_count || (count == best_count && key < best_key)
-                }
-            };
-            if better {
-                best = Some((count, key));
-            }
-        }
-        best.map(|(_, key)| key)
-    }
+/// Slots needed for every pattern over `signals` signals.
+fn slots_for(signals: usize) -> usize {
+    signals * signals.saturating_sub(1)
 }
 
 /// The pattern of the pair `(x, sx)`, `(y, sy)` of one expression.
@@ -119,6 +79,202 @@ fn pair_key((x, sx): (SignalId, i8), (y, sy): (SignalId, i8)) -> PatternKey {
         pattern_key(x, y, sx * sy)
     } else {
         pattern_key(y, x, sx * sy)
+    }
+}
+
+/// The buffers of one CSE run, kept between runs: the dense pair counts, the
+/// selection heap and the signal membership bitsets. Every run leaves the counts
+/// zeroed and the heap empty, and keeps the capacity of all of them.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// Live count of each pattern, by [`slot`]; zero outside a run.
+    counts: Vec<u32>,
+    /// Every pattern whose count has left zero during the current run, so the
+    /// run can zero them again without clearing the whole table.
+    touched: Vec<PatternKey>,
+    /// `(count, pattern)` entries. Every pattern that occurs at least twice has
+    /// an entry whose count is at least its live count; an entry whose count is
+    /// no longer live is stale and is dropped (or refreshed) when it surfaces.
+    heap: BinaryHeap<(u32, Reverse<PatternKey>)>,
+    /// Words of one membership bitset: one bit per output.
+    words: usize,
+    /// Per signal, two bitsets of `words` words: the outputs that hold the signal
+    /// positively, then those that hold it negatively.
+    members: Vec<u64>,
+}
+
+impl Workspace {
+    /// Runs [`eliminate`] on these buffers.
+    pub(crate) fn eliminate(
+        &mut self,
+        table: &mut SignalTable,
+        outputs: &mut [LinearExpr],
+    ) -> Result<CseOutcome> {
+        let outcome = self.run(table, outputs);
+        for &key in &self.touched {
+            self.counts[slot(key)] = 0;
+        }
+        self.touched.clear();
+        self.heap.clear();
+        outcome
+    }
+
+    fn run(&mut self, table: &mut SignalTable, outputs: &mut [LinearExpr]) -> Result<CseOutcome> {
+        let signals = table.len();
+        if self.counts.len() < slots_for(signals) {
+            self.counts.resize(slots_for(signals), 0);
+        }
+        self.words = outputs.len().div_ceil(64);
+        self.members.clear();
+        self.members.resize(signals * 2 * self.words, 0);
+        for (index, expr) in outputs.iter().enumerate() {
+            let terms = expr.terms();
+            if let Some(&(last, _)) = terms.last() {
+                if last >= signals {
+                    return Err(ApcError::Internal {
+                        reason: format!(
+                            "expression references unknown signal {last} (table has {signals})"
+                        ),
+                    });
+                }
+            }
+            for (i, &(a, sa)) in terms.iter().enumerate() {
+                self.flip_member(a, sa, index);
+                for &(b, sb) in &terms[i + 1..] {
+                    self.increment(pattern_key(a, b, sa * sb));
+                }
+            }
+        }
+        self.push_repeated(0);
+
+        let mut outcome = CseOutcome::default();
+        while let Some(key) = self.best() {
+            let (a, b, relative_sign) = unpack(key);
+            let new_signal = table.push_combine(a, false, b, relative_sign < 0)?;
+            outcome.new_signals += 1;
+            if self.counts.len() < slots_for(new_signal + 1) {
+                self.counts.resize(slots_for(new_signal + 1), 0);
+            }
+            self.members.resize((new_signal + 1) * 2 * self.words, 0);
+            let fresh = self.touched.len();
+            for word in 0..self.words {
+                let [a_pos, a_neg, b_pos, b_neg] = [(a, 1), (a, -1), (b, 1), (b, -1)]
+                    .map(|(signal, sign)| self.members[self.member_word(signal, sign, word)]);
+                let mut rewritten = if relative_sign > 0 {
+                    (a_pos & b_pos) | (a_neg & b_neg)
+                } else {
+                    (a_pos & b_neg) | (a_neg & b_pos)
+                };
+                while rewritten != 0 {
+                    let bit = rewritten.trailing_zeros();
+                    rewritten &= rewritten - 1;
+                    let index = word * 64 + bit as usize;
+                    let sa = if a_pos >> bit & 1 == 1 { 1 } else { -1 };
+                    let sb = sa * relative_sign;
+                    self.substitute(&mut outputs[index], (a, sa), (b, sb), new_signal);
+                    self.flip_member(a, sa, index);
+                    self.flip_member(b, sb, index);
+                    self.flip_member(new_signal, sa, index);
+                    outcome.terms_eliminated += 1;
+                }
+            }
+            // Each rewrite retires one occurrence of the pattern. One left over
+            // would be selected again, and the pass would never end.
+            let left = self.counts[slot(key)];
+            if left != 0 {
+                return Err(ApcError::Internal {
+                    reason: format!(
+                        "pattern {:?} still occurs {left} times after its substitution",
+                        unpack(key)
+                    ),
+                });
+            }
+            // The patterns of the new signal are the only ones whose counts grew.
+            self.push_repeated(fresh);
+        }
+        Ok(outcome)
+    }
+
+    /// The index in `members` of word `word` of the bitset of outputs holding
+    /// `signal` with `sign`.
+    fn member_word(&self, signal: SignalId, sign: i8, word: usize) -> usize {
+        (2 * signal + usize::from(sign < 0)) * self.words + word
+    }
+
+    /// Toggles whether output `index` holds `signal` with `sign`.
+    fn flip_member(&mut self, signal: SignalId, sign: i8, index: usize) {
+        let word = self.member_word(signal, sign, index / 64);
+        self.members[word] ^= 1 << (index % 64);
+    }
+
+    fn increment(&mut self, key: PatternKey) {
+        let count = &mut self.counts[slot(key)];
+        if *count == 0 {
+            self.touched.push(key);
+        }
+        *count += 1;
+    }
+
+    fn decrement(&mut self, key: PatternKey) {
+        let count = &mut self.counts[slot(key)];
+        debug_assert!(*count > 0, "pattern {:?} is not live", unpack(key));
+        *count = count.saturating_sub(1);
+    }
+
+    /// Pushes a heap entry for every pattern touched since `touched[from]` that
+    /// occurs at least twice.
+    fn push_repeated(&mut self, from: usize) {
+        for &key in &self.touched[from..] {
+            let count = self.counts[slot(key)];
+            if count >= 2 {
+                self.heap.push((count, Reverse(key)));
+            }
+        }
+    }
+
+    /// The pattern with the highest count, ties broken towards the smallest pattern
+    /// so compilation is stable; `None` once no pattern occurs twice.
+    ///
+    /// The top entry is live exactly when its count is the pattern's live count;
+    /// no other pattern can then beat it, because every pattern's live count is
+    /// bounded by one of its entries. A stale top entry is refreshed with the live
+    /// count (if still repeated) and the search goes on.
+    fn best(&mut self) -> Option<PatternKey> {
+        while let Some(mut top) = self.heap.peek_mut() {
+            let (count, Reverse(key)) = *top;
+            let live = self.counts[slot(key)];
+            if live == count {
+                return Some(key);
+            }
+            if live >= 2 {
+                *top = (live, Reverse(key));
+            } else {
+                PeekMut::pop(top);
+            }
+        }
+        None
+    }
+
+    /// Rewrites `e·a + e·s·b` in `expr` to `e·new_signal`, keeping the counts
+    /// exact: the pairs that involve `a` or `b` are retired and the pairs with the
+    /// new signal are counted.
+    fn substitute(
+        &mut self,
+        expr: &mut LinearExpr,
+        (a, sa): (SignalId, i8),
+        (b, sb): (SignalId, i8),
+        new_signal: SignalId,
+    ) {
+        for &term in expr.terms() {
+            if term.0 != a {
+                self.decrement(pair_key((a, sa), term));
+                if term.0 != b {
+                    self.decrement(pair_key((b, sb), term));
+                    self.increment(pattern_key(term.0, new_signal, term.1 * sa));
+                }
+            }
+        }
+        expr.replace_pair(a, b, new_signal, sa);
     }
 }
 
@@ -150,83 +306,7 @@ fn pair_key((x, sx): (SignalId, i8), (y, sy): (SignalId, i8)) -> PatternKey {
 /// assert_eq!(outputs[0].len(), 1);
 /// ```
 pub fn eliminate(table: &mut SignalTable, outputs: &mut [LinearExpr]) -> Result<CseOutcome> {
-    // `occurrences[s]` lists the outputs of at least two terms that contained signal
-    // `s` when it was last looked at; entries whose output has since lost `s` are
-    // dropped lazily. Expressions never grow, so a shorter one never matters.
-    let mut occurrences: Vec<Vec<usize>> = vec![Vec::new(); table.len()];
-    let mut counts = PairCounts::default();
-    for (index, expr) in outputs.iter().enumerate() {
-        let terms = expr.terms();
-        if let Some(&(last, _)) = terms.last() {
-            if last >= table.len() {
-                return Err(ApcError::Internal {
-                    reason: format!(
-                        "expression references unknown signal {last} (table has {})",
-                        table.len()
-                    ),
-                });
-            }
-        }
-        if terms.len() < 2 {
-            continue;
-        }
-        for (i, &(a, sa)) in terms.iter().enumerate() {
-            occurrences[a].push(index);
-            for &(b, sb) in &terms[i + 1..] {
-                counts.increment(pattern_key(a, b, sa * sb));
-            }
-        }
-    }
-
-    let mut outcome = CseOutcome::default();
-    while let Some(key) = counts.best() {
-        let (a, b, relative_sign) = unpack(key);
-        let new_signal = table.push_combine(a, false, b, relative_sign < 0)?;
-        debug_assert_eq!(new_signal, occurrences.len());
-        outcome.new_signals += 1;
-        let mut rewritten = Vec::new();
-        let mut outputs_with_a = std::mem::take(&mut occurrences[a]);
-        outputs_with_a.retain(|&index| {
-            let expr = &mut outputs[index];
-            let Some(sa) = expr.sign(a) else {
-                return false;
-            };
-            match expr.sign(b) {
-                Some(sb) if sa * sb == relative_sign => {
-                    substitute(expr, &mut counts, (a, sa), (b, sb), new_signal);
-                    rewritten.push(index);
-                    false
-                }
-                _ => true,
-            }
-        });
-        occurrences[a] = outputs_with_a;
-        outcome.terms_eliminated += rewritten.len();
-        occurrences.push(rewritten);
-    }
-    Ok(outcome)
-}
-
-/// Rewrites `e·a + e·s·b` in `expr` to `e·new_signal`, keeping `counts` exact: the
-/// pairs that involve `a` or `b` are retired and the pairs with the new signal are
-/// counted.
-fn substitute(
-    expr: &mut LinearExpr,
-    counts: &mut PairCounts,
-    (a, sa): (SignalId, i8),
-    (b, sb): (SignalId, i8),
-    new_signal: SignalId,
-) {
-    for &term in expr.terms() {
-        if term.0 != a {
-            counts.decrement(pair_key((a, sa), term));
-            if term.0 != b {
-                counts.decrement(pair_key((b, sb), term));
-                counts.increment(pattern_key(term.0, new_signal, term.1 * sa));
-            }
-        }
-    }
-    expr.replace_pair(a, b, new_signal, sa);
+    Workspace::default().eliminate(table, outputs)
 }
 
 #[cfg(test)]
@@ -235,6 +315,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::collections::HashMap;
 
     /// The original pass, kept as the oracle of the incremental one: it recounts
     /// every pair of every expression on each greedy step.
@@ -426,6 +507,12 @@ mod tests {
     /// Runs the incremental pass and the reference on the same rows and asserts the
     /// same signal table, outputs and outcome.
     fn assert_matches_reference(rows: &[Vec<i8>]) {
+        assert_matches_reference_in(&mut Workspace::default(), rows);
+    }
+
+    /// [`assert_matches_reference`] with the incremental pass running on the
+    /// buffers of `workspace`, as the slice walk runs it.
+    fn assert_matches_reference_in(workspace: &mut Workspace, rows: &[Vec<i8>]) {
         let patch = rows.first().map_or(0, Vec::len);
         let build = || -> (SignalTable, Vec<LinearExpr>) {
             let outputs = rows
@@ -435,12 +522,38 @@ mod tests {
             (SignalTable::with_inputs(patch), outputs)
         };
         let (mut table, mut outputs) = build();
-        let outcome = eliminate(&mut table, &mut outputs).expect("cse");
+        let outcome = workspace.eliminate(&mut table, &mut outputs).expect("cse");
         let (mut ref_table, mut ref_outputs) = build();
         let ref_outcome = eliminate_reference(&mut ref_table, &mut ref_outputs).expect("reference");
         assert_eq!(table, ref_table);
         assert_eq!(outputs, ref_outputs);
         assert_eq!(outcome, ref_outcome);
+    }
+
+    /// Rows that tie many patterns at the same count, by `shape`: 0 repeats
+    /// one row; 1 duplicates a few distinct rows; 2 mixes a few rows with their
+    /// negations; 3 is 256 rows drawn from four dense patterns and their
+    /// negations.
+    fn tied_rows(seed: u64, shape: usize, outputs: usize, patch: usize) -> Vec<Vec<i8>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let distinct = match shape {
+            0 => 1,
+            1 | 2 => rng.gen_range(2..5),
+            _ => 4,
+        };
+        let sparsity = if shape == 3 { 0.2 } else { 0.5 };
+        let patterns = sparse_rows(seed ^ 0x5eed, distinct, patch, sparsity);
+        let outputs = if shape == 3 { 256 } else { outputs };
+        (0..outputs)
+            .map(|_| {
+                let row = &patterns[rng.gen_range(0..distinct)];
+                if shape >= 2 && rng.gen_bool(0.5) {
+                    row.iter().map(|&w| -w).collect()
+                } else {
+                    row.clone()
+                }
+            })
+            .collect()
     }
 
     /// `outputs` rows of `patch` ternary weights, each zero with probability
@@ -510,6 +623,22 @@ mod tests {
             let values = table.evaluate(&inputs).expect("evaluate");
             let after: Vec<i64> = outputs.iter().map(|o| o.evaluate(&values)).collect();
             prop_assert_eq!(before, after);
+        }
+
+        #[test]
+        fn prop_heap_selection_breaks_ties_like_the_reference(
+            seed in any::<u64>(),
+            shape in 0usize..4,
+            outputs in 1usize..=256,
+            patch in 2usize..=12,
+        ) {
+            // One workspace across three runs, as the slice walk reuses it: a
+            // tied slice, a sparse one, then the tied one again.
+            let mut workspace = Workspace::default();
+            let tied = tied_rows(seed, shape, outputs, patch);
+            assert_matches_reference_in(&mut workspace, &tied);
+            assert_matches_reference_in(&mut workspace, &sparse_rows(seed, outputs, patch, 0.7));
+            assert_matches_reference_in(&mut workspace, &tied);
         }
 
         #[test]

@@ -191,7 +191,7 @@ impl OpCount {
 /// assert!(dfg.op_count().total() <= before);
 /// assert_eq!(dfg.evaluate(&[10, 3, 1]).expect("eval"), vec![7, 8]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dfg {
     /// All signals: patch inputs followed by CSE-derived subexpressions.
     pub signals: SignalTable,
@@ -212,11 +212,31 @@ impl Dfg {
     /// row, by constant folding — straight from borrowed rows such as the
     /// contiguous runs of a layer's weight tensor, with no [`WeightSlice`] copy.
     pub fn from_rows<'a>(patch_size: usize, rows: impl IntoIterator<Item = &'a [i8]>) -> Self {
-        Dfg {
-            signals: SignalTable::with_inputs(patch_size),
-            outputs: rows.into_iter().map(LinearExpr::from_weight_row).collect(),
-            patch_size,
+        let mut dfg = Dfg::default();
+        dfg.refill(patch_size, rows);
+        dfg
+    }
+
+    /// Rebuilds this DFG as [`Dfg::from_rows`] would, reusing its signal table
+    /// and the storage of its output expressions: once the expressions have
+    /// grown to a slice's shape, refilling them allocates nothing.
+    pub(crate) fn refill<'a>(
+        &mut self,
+        patch_size: usize,
+        rows: impl IntoIterator<Item = &'a [i8]>,
+    ) {
+        self.signals.reset(patch_size);
+        self.patch_size = patch_size;
+        let mut outputs = 0;
+        for row in rows {
+            if outputs == self.outputs.len() {
+                // An expression never holds more terms than the patch has inputs.
+                self.outputs.push(LinearExpr::with_capacity(patch_size));
+            }
+            self.outputs[outputs].refill_from_weight_row(row);
+            outputs += 1;
         }
+        self.outputs.truncate(outputs);
     }
 
     /// Builds the DFG of the matrix-vector example of Eq. 1 in the paper (used by
@@ -240,7 +260,12 @@ impl Dfg {
     ///
     /// Propagates internal errors from the CSE pass.
     pub fn apply_cse(&mut self) -> Result<CseOutcome> {
-        cse::eliminate(&mut self.signals, &mut self.outputs)
+        self.apply_cse_with(&mut cse::Workspace::default())
+    }
+
+    /// [`Dfg::apply_cse`] on the buffers of `workspace`.
+    pub(crate) fn apply_cse_with(&mut self, workspace: &mut cse::Workspace) -> Result<CseOutcome> {
+        workspace.eliminate(&mut self.signals, &mut self.outputs)
     }
 
     /// Operation counts under the paper's counting convention.

@@ -56,12 +56,18 @@ pub struct SignalTable {
 impl SignalTable {
     /// Creates a table containing `inputs` patch-input signals (ids `0..inputs`).
     pub fn with_inputs(inputs: usize) -> Self {
-        SignalTable {
-            defs: (0..inputs)
-                .map(|patch_index| SignalDef::Input { patch_index })
-                .collect(),
-            inputs,
-        }
+        let mut table = SignalTable::default();
+        table.reset(inputs);
+        table
+    }
+
+    /// Empties the table down to `inputs` patch-input signals, keeping its
+    /// storage.
+    pub(crate) fn reset(&mut self, inputs: usize) {
+        self.defs.clear();
+        self.defs
+            .extend((0..inputs).map(|patch_index| SignalDef::Input { patch_index }));
+        self.inputs = inputs;
     }
 
     /// Number of signals (inputs plus derived).
@@ -177,19 +183,36 @@ impl LinearExpr {
         Self::default()
     }
 
+    /// Creates an empty expression with room for `terms` terms.
+    pub(crate) fn with_capacity(terms: usize) -> Self {
+        LinearExpr {
+            terms: Vec::with_capacity(terms),
+        }
+    }
+
     /// Builds the expression of one output channel directly from a ternary weight
     /// row: weight `+1` at patch offset `k` contributes `+x_k`, `-1` contributes
     /// `-x_k`, `0` contributes nothing. This is the constant-folding step of the
     /// compilation flow.
     pub fn from_weight_row(row: &[i8]) -> Self {
-        LinearExpr {
-            terms: row
-                .iter()
-                .enumerate()
-                .filter(|&(_, &w)| w == 1 || w == -1)
-                .map(|(k, &w)| (k, w))
-                .collect(),
+        let mut expr = LinearExpr::new();
+        expr.refill_from_weight_row(row);
+        expr
+    }
+
+    /// Replaces the terms with those of [`LinearExpr::from_weight_row`], keeping
+    /// the storage.
+    pub(crate) fn refill_from_weight_row(&mut self, row: &[i8]) {
+        // Branch-free compaction: every offset is written at the current end and
+        // kept only if its weight is ±1. The end never passes the offset, so the
+        // write stays inside the row-sized buffer.
+        self.terms.resize(row.len(), (0, 0));
+        let mut len = 0;
+        for (k, &w) in row.iter().enumerate() {
+            self.terms[len] = (k, w);
+            len += usize::from(w == 1 || w == -1);
         }
+        self.terms.truncate(len);
     }
 
     /// Number of terms.

@@ -1,8 +1,9 @@
 //! The compilation pipeline (Fig. 3a): options, per-layer driver and results.
 
-use crate::alloc::{allocate, Allocation};
-use crate::bitwidth::signal_widths;
+use crate::alloc::{Allocation, Allocator};
+use crate::bitwidth::signal_widths_into;
 use crate::codegen;
+use crate::cse;
 use crate::dfg::{Dfg, LayerWeights};
 use crate::layout::{CamGeometry, LayerLayout};
 use crate::{CompileStats, Result};
@@ -207,6 +208,7 @@ impl LayerCompiler {
             layout: &layout,
             per_row_model: &per_row_model,
         };
+        let mut buffers = SliceBuffers::default();
 
         let mut variants: [Result<Variant>; N] = cse_settings.map(|_| {
             Ok(Variant {
@@ -237,28 +239,33 @@ impl LayerCompiler {
             for channel in 0..layer.cin {
                 let channel_in_group = channel % layout.channels_per_group;
                 let rows = weights.slice_rows(channel, range.clone());
-                let mut dfg = Dfg::from_rows(weights.patch_size(), rows.clone());
-                let nonzeros = rows.clone().flatten().filter(|&&w| w != 0).count() as u64;
-                let baseline_ops = dfg.op_count().total() as u64;
+                buffers.dfg.refill(weights.patch_size(), rows.clone());
+                let nonzeros = rows
+                    .clone()
+                    .map(|row| row.iter().filter(|&&w| w != 0).count() as u64)
+                    .sum::<u64>();
+                let baseline_ops = buffers.dfg.op_count().total() as u64;
                 for variant in variants.iter_mut().flatten() {
                     variant.stats.nonzero_weights += nonzeros;
                     variant.stats.baseline_adds_subs += baseline_ops;
                 }
 
-                let mut unroll = wants(&variants, false)
-                    .then(|| lowering.lower(&dfg, &allocate(&dfg), channel_in_group));
+                let mut unroll = wants(&variants, false).then(|| {
+                    buffers.allocate();
+                    lowering.lower(&mut buffers, channel_in_group)
+                });
                 let mut cse = wants(&variants, true).then(|| {
-                    dfg.apply_cse()?;
-                    let allocation = allocate(&dfg);
-                    if allocation.temp_columns_used <= layout.temp_budget {
-                        return lowering.lower(&dfg, &allocation, channel_in_group);
+                    buffers.dfg.apply_cse_with(&mut buffers.cse)?;
+                    if buffers.allocate() <= layout.temp_budget {
+                        return lowering.lower(&mut buffers, channel_in_group);
                     }
                     // Fall back to the un-CSE'd slice rather than spilling temporaries.
                     let mut fallback = match &unroll {
                         Some(lowered) => lowered.clone(),
                         None => {
-                            let dfg = Dfg::from_rows(weights.patch_size(), rows);
-                            lowering.lower(&dfg, &allocate(&dfg), channel_in_group)
+                            buffers.dfg.refill(weights.patch_size(), rows);
+                            buffers.allocate();
+                            lowering.lower(&mut buffers, channel_in_group)
                         }
                     }?;
                     fallback.stats.cse_fallbacks += 1;
@@ -340,6 +347,28 @@ struct LoweredSlice {
     program: Option<ApProgram>,
 }
 
+/// The per-slice state of the slice walk: the slice's DFG, the CSE, allocation
+/// and bitwidth buffers, and the allocation itself. Each slice clears and
+/// refills them, so they keep their capacity from one slice to the next and,
+/// once grown, a slice allocates nothing unless its program is retained.
+#[derive(Default)]
+struct SliceBuffers {
+    dfg: Dfg,
+    cse: cse::Workspace,
+    allocator: Allocator,
+    allocation: Allocation,
+    widths: Vec<u8>,
+}
+
+impl SliceBuffers {
+    /// Schedules and colours the current DFG; returns the temporary columns it
+    /// needs.
+    fn allocate(&mut self) -> usize {
+        self.allocator.allocate(&self.dfg, &mut self.allocation);
+        self.allocation.temp_columns_used
+    }
+}
+
 /// Everything slice lowering needs that is fixed per layer.
 struct Lowering<'a> {
     keep_programs: bool,
@@ -348,32 +377,26 @@ struct Lowering<'a> {
 }
 
 impl Lowering<'_> {
-    /// Generates the program of `dfg` under `allocation` and costs it.
-    fn lower(
-        &self,
-        dfg: &Dfg,
-        allocation: &Allocation,
-        channel_in_group: usize,
-    ) -> Result<LoweredSlice> {
-        let widths = signal_widths(dfg, self.layout.act_bits);
-        let generated = codegen::generate(dfg, &widths, allocation, self.layout, channel_in_group)?;
-        // One costing pass: every instruction's counters go into the slice total,
-        // and those whose destination lies in the accumulator-column region also
-        // into the local part of the accumulation phase; everything else is the
-        // channel-wise DFG phase (the split reported in Fig. 4 of the paper).
-        let mut cost = cam::CamStats::new();
-        let mut acc_cost = cam::CamStats::new();
-        for instruction in generated.program.iter() {
-            let counters = self.per_row_model.instruction_stats(instruction);
-            cost += counters;
-            let is_accumulation = instruction
-                .destinations()
-                .iter()
-                .any(|d| d.col >= self.layout.acc_col_start);
-            if is_accumulation {
-                acc_cost += counters;
-            }
-        }
+    /// Generates and costs the program of the DFG in `buffers` under its
+    /// allocation, in one pass.
+    fn lower(&self, buffers: &mut SliceBuffers, channel_in_group: usize) -> Result<LoweredSlice> {
+        let SliceBuffers {
+            dfg,
+            allocation,
+            widths,
+            ..
+        } = buffers;
+        signal_widths_into(dfg, self.layout.act_bits, widths);
+        let generated = codegen::generate(
+            dfg,
+            widths,
+            allocation,
+            self.layout,
+            channel_in_group,
+            self.per_row_model,
+            self.keep_programs,
+        )?;
+        let (cost, acc_cost) = (&generated.cost, &generated.accumulation_cost);
         let stats = CompileStats {
             counted_adds_subs: generated.counted_ops,
             accumulate_ops: generated.accumulate_ops,
@@ -401,8 +424,13 @@ impl Lowering<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::allocate;
+    use crate::bitwidth::signal_widths;
     use crate::dfg::WeightSlice;
     use crate::ApcError;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use tnn::model::{micro_cnn, resnet18, vgg9, ModelGraph};
     use tnn::TernaryTensor;
 
@@ -448,8 +476,17 @@ mod tests {
                     allocation = allocate(&dfg);
                     stats.cse_fallbacks += 1;
                 }
-                let generated =
-                    codegen::generate(&dfg, &widths, &allocation, &layout, channel_in_group)?;
+                // The oracle always builds the program and costs it instruction
+                // by instruction.
+                let generated = codegen::generate(
+                    &dfg,
+                    &widths,
+                    &allocation,
+                    &layout,
+                    channel_in_group,
+                    &per_row_model,
+                    true,
+                )?;
                 let mut cost = cam::CamStats::new();
                 let mut acc_cost = cam::CamStats::new();
                 for instruction in generated.program.iter() {
@@ -561,6 +598,127 @@ mod tests {
     fn walk_matches_the_per_variant_oracle_on_resnet18() {
         for model in [resnet18(0.8, 7), resnet18(0.5, 3)] {
             assert_walk_matches_oracle(&model, CompilerOptions::default());
+        }
+    }
+
+    /// A layer of one input channel: `outputs` rows of `side × side` weights
+    /// drawn from `seed`, each zero with probability `sparsity` and otherwise ±1.
+    /// Each of its slices is one output tile.
+    fn one_channel_layer(seed: u64, outputs: usize, side: usize, sparsity: f64) -> ConvLayerInfo {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let weights = (0..outputs * side * side)
+            .map(|_| match (rng.gen_bool(sparsity), rng.gen_bool(0.5)) {
+                (true, _) => 0,
+                (false, true) => 1,
+                (false, false) => -1,
+            })
+            .collect();
+        ConvLayerInfo {
+            node_id: 0,
+            name: "one-channel".to_string(),
+            cin: 1,
+            cout: outputs,
+            kernel: (side, side),
+            stride: 1,
+            padding: side / 2,
+            input_hw: (8, 8),
+            output_hw: (8, 8),
+            weights: TernaryTensor::from_vec(vec![outputs, 1, side, side], weights)
+                .expect("ternary weights"),
+        }
+    }
+
+    /// The instruction counts and cost fields of `compiled.stats`, recomputed
+    /// from its retained programs: every instruction costed by
+    /// [`CostModel::instruction_stats`] (and, when its destination is an
+    /// accumulator column, also into the accumulation split), plus the tile
+    /// prologues.
+    fn stats_from_programs(compiled: &CompiledLayer) -> [u64; 8] {
+        let model = CostModel::new(CamTechnology::default(), 1);
+        let layout = &compiled.layout;
+        let mut cost = cam::CamStats::new();
+        let mut acc_cost = cam::CamStats::new();
+        let (mut in_place, mut out_of_place) = (0, 0);
+        for tile in 0..layout.output_tiles {
+            let outputs = layout.tile_range(tile, compiled.cout).len();
+            if outputs > 0 {
+                cost += codegen::tile_prologue(layout, outputs).cost(&model).stats;
+            }
+        }
+        for slice in compiled.slices.as_ref().expect("programs retained") {
+            in_place += slice.program.in_place_count() as u64;
+            out_of_place += slice.program.out_of_place_count() as u64;
+            for instruction in slice.program.iter() {
+                let counters = model.instruction_stats(instruction);
+                cost += counters;
+                if instruction
+                    .destinations()
+                    .iter()
+                    .any(|d| d.col >= layout.acc_col_start)
+                {
+                    acc_cost += counters;
+                }
+            }
+        }
+        [
+            in_place,
+            out_of_place,
+            cost.compute_cycles(),
+            cost.searched_bits,
+            cost.written_bits,
+            acc_cost.compute_cycles(),
+            acc_cost.searched_bits,
+            acc_cost.written_bits,
+        ]
+    }
+
+    /// The fields of `stats` that [`stats_from_programs`] recomputes.
+    fn program_fields(stats: &CompileStats) -> [u64; 8] {
+        [
+            stats.in_place,
+            stats.out_of_place,
+            stats.total_cycles,
+            stats.searched_bits_per_row,
+            stats.written_bits_per_row,
+            stats.accumulation_cycles,
+            stats.accumulation_searched_bits_per_row,
+            stats.accumulation_written_bits_per_row,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn prop_costing_while_generating_matches_costing_the_programs(
+            seed in any::<u64>(),
+            outputs in 1usize..=256,
+            square in any::<bool>(),
+            sparsity in 0.3f64..0.9,
+            eight_bit in any::<bool>(),
+            budget in 0usize..4,
+        ) {
+            // Budgets of 0–2 temporaries force CSE fallbacks; 32 is the default.
+            let temp_budget = [0, 1, 2, 32][budget];
+            let layer = one_channel_layer(seed, outputs, if square { 3 } else { 1 }, sparsity);
+            let options = CompilerOptions {
+                act_bits: if eight_bit { 8 } else { 4 },
+                temp_budget,
+                ..CompilerOptions::default()
+            };
+            let analytic = LayerCompiler::new(options).compile_both(&layer);
+            let kept = LayerCompiler::new(options.with_programs()).compile_both(&layer);
+            for (analytic, kept) in analytic.into_iter().zip(kept) {
+                let (analytic, kept) = (analytic.expect("compile"), kept.expect("compile"));
+                prop_assert_eq!(&program_fields(&analytic.stats), &stats_from_programs(&kept));
+                prop_assert_eq!(
+                    &analytic,
+                    &CompiledLayer {
+                        slices: None,
+                        ..kept
+                    }
+                );
+            }
         }
     }
 

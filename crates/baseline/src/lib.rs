@@ -8,7 +8,8 @@
 //!   loses accuracy on complex tasks.
 //!
 //! Both are closed-form models over the layer geometry of a [`tnn::model::ModelGraph`];
-//! see DESIGN.md for the calibration argument.
+//! README "Baselines and the accuracy substitute" lists their constants and
+//! where each comes from.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,5 +1,6 @@
-//! Ablation benches for the design choices called out in DESIGN.md §5:
-//! in-place vs out-of-place operation mix, activation precision, and CAM geometry.
+//! Ablation benches for three design choices (indexed in README "Baselines and the
+//! accuracy substitute"): in-place vs out-of-place operation mix, activation
+//! precision, and CAM geometry.
 //!
 //! The precision and geometry ablations are declarative sweeps through one
 //! shared session, so the configurations that coincide (4-bit activations on

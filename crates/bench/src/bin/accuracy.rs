@@ -1,5 +1,5 @@
 //! Regenerates the accuracy columns of Table II on the offline-trainable substitute
-//! task (see DESIGN.md), and demonstrates the bit-exactness of the AP against the
+//! task (see README "Baselines and the accuracy substitute"), and demonstrates the bit-exactness of the AP against the
 //! quantized software model.
 //!
 //! Run with `cargo run -p camdnn-bench --bin accuracy --release`.

@@ -35,7 +35,9 @@ fn main() {
     }
     cli.write_results(&results);
 
-    println!("\nAccuracy columns (synthetic-task substitute, see DESIGN.md):");
+    println!(
+        "\nAccuracy columns (synthetic-task substitute, see README \"Baselines and the accuracy substitute\"):"
+    );
     let columns = accuracy_experiment(21).expect("accuracy experiment");
     println!(
         "  full precision: {:.1}%   ternary + 8-bit: {:.1}%   ternary + 4-bit: {:.1}%   graph 4-bit: {:.1}%",

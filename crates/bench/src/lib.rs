@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment-regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in `src/bin/` that
-//! prints the corresponding rows or series; see DESIGN.md §4 for the experiment
-//! index and EXPERIMENTS.md for paper-vs-measured numbers. The binaries declare
+//! prints the corresponding rows or series; README "Baselines and the accuracy
+//! substitute" indexes them and states what the baselines rest on. The binaries declare
 //! their configuration grids with [`camdnn::experiment::SweepGrid`] and execute
 //! them through a shared [`camdnn::experiment::Session`]; `--json <path>` dumps
 //! the raw [`ResultSet`] as JSON lines (schema: `BENCH_schema.md`).

@@ -3,7 +3,8 @@
 //! The paper evaluates accuracy on CIFAR-10 and ImageNet with models trained by
 //! BIPROP; neither the datasets nor the trained checkpoints are available offline, so
 //! the accuracy experiments of this reproduction run on a synthetic, offline-trainable
-//! classification task instead (see DESIGN.md for the substitution argument). Images
+//! classification task instead (README "Baselines and the accuracy substitute" gives
+//! the substitution argument). Images
 //! are small gray-scale patterns whose class determines the position and orientation
 //! of a bright blob, plus Gaussian noise.
 

@@ -2,7 +2,8 @@
 //!
 //! This is the software ground truth of the stack: the associative processor must
 //! produce *bit-identical* partial sums, which is how the paper's "retains software
-//! accuracy" claim is verified in this reproduction (see DESIGN.md). The engine
+//! accuracy" claim is verified in this reproduction (see README "Baselines and the
+//! accuracy substitute"). The engine
 //! executes the model graph on `i64` activations with ternary weights, so every
 //! multiply is a `+x`, `-x` or nothing.
 

@@ -15,7 +15,8 @@
 //!   associative processor must match bit-exactly),
 //! * [`dataset`] / [`train`] — synthetic data and a tiny trainer used for the
 //!   accuracy experiments that the paper runs on CIFAR-10/ImageNet (substituted here
-//!   by an offline-trainable task, see DESIGN.md).
+//!   by an offline-trainable task; see README "Baselines and the accuracy
+//!   substitute").
 //!
 //! # Example
 //!

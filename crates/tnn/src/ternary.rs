@@ -56,7 +56,7 @@ impl TernaryTensor {
     ///
     /// This is the synthetic stand-in for the BIPROP-trained models of the paper: the
     /// accelerator cost model depends only on the layer geometry and sparsity, not on
-    /// the trained values (see DESIGN.md).
+    /// the trained values (see README "Baselines and the accuracy substitute").
     pub fn random(shape: Vec<usize>, sparsity: f64, seed: u64) -> Self {
         let len: usize = shape.iter().product();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
