@@ -15,7 +15,7 @@
 
 use serve::{
     simulate_fleet, AutoscalePolicy, BatchingPolicy, FleetConfig, FleetGrid, FleetResultSet,
-    FleetSession, FleetStageModel, LatencySummary, TraceSpec,
+    FleetSession, FleetStageModel, LatencySummary, StageCost, TraceSpec,
 };
 use tnn::model::{micro_cnn, ModelGraph};
 
@@ -269,4 +269,319 @@ fn duplicate_labels_are_rejected_before_any_simulation() {
         "{err}"
     );
     assert!(err.to_string().contains("duplicate fleet scenario label"));
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Compares `(label, digest)` pairs against checked-in literals, printing the
+/// whole table on a mismatch so an intended change can be re-pinned.
+fn assert_digests(got: &[(String, u64)], expected: &[(&str, u64)]) {
+    let matches = got.len() == expected.len()
+        && got
+            .iter()
+            .zip(expected)
+            .all(|((label, digest), (want_label, want))| label == want_label && digest == want);
+    if !matches {
+        let table: String = got
+            .iter()
+            .map(|(label, digest)| format!("    (\"{label}\", {digest:#018x}),\n"))
+            .collect();
+        panic!("digests moved; the current table is:\n{table}");
+    }
+}
+
+/// Byte-identity pin of the `fleet` bin's sweep at its smoke size (512
+/// requests per trace): one digest of each record's JSON line.
+#[test]
+fn fleet_bin_grid_is_pinned() {
+    let requests = 512;
+    let seed = 42;
+    let queue_depth = AutoscalePolicy::QueueDepth {
+        check_interval_ns: 10_000,
+        up_per_replica: 8,
+        down_per_replica: 1,
+        min_replicas: 1,
+        max_replicas: 6,
+        warmup_ns: 5_000,
+    };
+    let slo_headroom = AutoscalePolicy::SloHeadroom {
+        check_interval_ns: 10_000,
+        up_wait_permille: 400,
+        down_wait_permille: 40,
+        min_replicas: 1,
+        max_replicas: 6,
+        warmup_ns: 5_000,
+    };
+    let grid = FleetGrid::new()
+        .workload(micro_cnn("micro_cnn", 8, 0.8, 42))
+        .traffic([
+            TraceSpec::poisson(4_000_000.0, requests, seed),
+            TraceSpec::diurnal(2_000_000.0, 0.8, 0.001, requests, seed),
+            TraceSpec::flash_crowd(500_000.0, 20.0, 0.000_5, 0.002, requests, seed),
+        ])
+        .shards([1, 2])
+        .replicas([1, 2])
+        .autoscalers([AutoscalePolicy::Fixed, queue_depth, slo_headroom])
+        .batching(BatchingPolicy::new(8, 100))
+        .slo_ms(0.05);
+    let results = FleetSession::new().run(&grid).expect("fleet sweep");
+    let got: Vec<(String, u64)> = results
+        .records
+        .iter()
+        .zip(results.to_json().lines())
+        .map(|(record, line)| (record.scenario.clone(), fnv1a(line.as_bytes())))
+        .collect();
+    assert_digests(&got, golden::BIN_GRID);
+}
+
+/// Byte-identity pin of hand-built pipelines that backpressure (a slow
+/// second stage behind a one-batch buffer) and drain (an autoscaler that
+/// shrinks a three-replica fleet), over bursty and flash-crowd traffic.
+#[test]
+fn backpressure_and_drain_reports_are_pinned() {
+    let model = FleetStageModel {
+        model: "toy".to_string(),
+        stages: vec![
+            StageCost {
+                latency_ns: 2_000,
+                energy_uj_per_sample: 0.25,
+                tiles: 2,
+            },
+            StageCost {
+                latency_ns: 9_000,
+                energy_uj_per_sample: 1.5,
+                tiles: 3,
+            },
+        ],
+    };
+    let backpressure = FleetConfig {
+        stage_queue_capacity: 1,
+        queue_capacity: 6,
+        ..FleetConfig::default()
+            .with_replicas(2)
+            .with_batching(BatchingPolicy::new(4, 5))
+            .with_slo_ms(0.2)
+    };
+    let drain = FleetConfig {
+        replicas: 3,
+        routing: serve::RoutePolicy::LeastLoaded,
+        autoscaler: AutoscalePolicy::QueueDepth {
+            check_interval_ns: 20_000,
+            up_per_replica: 12,
+            down_per_replica: 2,
+            min_replicas: 1,
+            max_replicas: 5,
+            warmup_ns: 10_000,
+        },
+        ..FleetConfig::default().with_batching(BatchingPolicy::new(4, 5))
+    };
+    let headroom = FleetConfig {
+        routing: serve::RoutePolicy::JoinShortestQueue,
+        slo_ns: 40_000,
+        autoscaler: AutoscalePolicy::SloHeadroom {
+            check_interval_ns: 20_000,
+            up_wait_permille: 300,
+            down_wait_permille: 30,
+            min_replicas: 1,
+            max_replicas: 5,
+            warmup_ns: 10_000,
+        },
+        ..backpressure.with_replicas(1)
+    };
+    let traces = [
+        TraceSpec {
+            process: serve::ArrivalProcess::Bursty {
+                idle_rate_per_s: 50_000.0,
+                burst_rate_per_s: 4_000_000.0,
+                mean_phase_requests: 40.0,
+            },
+            requests: 400,
+            seed: 8,
+        },
+        TraceSpec::flash_crowd(100_000.0, 15.0, 0.000_5, 0.001, 400, 9),
+    ];
+    let mut got = Vec::new();
+    for spec in traces {
+        let trace = spec.generate().expect("trace");
+        for (name, config) in [
+            ("backpressure", backpressure),
+            ("drain", drain),
+            ("headroom", headroom),
+        ] {
+            let report = simulate_fleet(&model, &config, &spec, &trace).expect("simulate");
+            // Each shape exercises what it is named for.
+            match name {
+                "backpressure" => assert!(report.rejected > 0, "{report:?}"),
+                "drain" => assert!(report.final_replicas < 3, "{report:?}"),
+                _ => assert!(!report.scale_events.is_empty(), "{report:?}"),
+            }
+            let label = format!("{} {name}", spec.process.label());
+            got.push((label, fnv1a(report.to_json().as_bytes())));
+        }
+    }
+    assert_digests(&got, golden::HAND_BUILT);
+}
+
+/// Checked-in digests of the fleet goldens above, captured before the serve
+/// and fleet simulations shared one event loop.
+mod golden {
+    pub const BIN_GRID: &[(&str, u64)] = &[
+        (
+            "micro_cnn poisson@4000000x512 s1 r1 fixed",
+            0x99ce1fab4fdf86d3,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s1 r1 qd8-1",
+            0x3db748ddb7a46be1,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s1 r1 slo400-40",
+            0x4b811a3c2558fdbc,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s1 r2 fixed",
+            0x391f1c29bd0c6bdb,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s1 r2 qd8-1",
+            0x4df8bb355e19fe47,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s1 r2 slo400-40",
+            0xbe03a3116a1130af,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s2 r1 fixed",
+            0xd078b4bfd1ed0726,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s2 r1 qd8-1",
+            0x90a4af96ff49578e,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s2 r1 slo400-40",
+            0x8077deba79fd671e,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s2 r2 fixed",
+            0x25e475dc46fd9529,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s2 r2 qd8-1",
+            0x75e661732805549d,
+        ),
+        (
+            "micro_cnn poisson@4000000x512 s2 r2 slo400-40",
+            0x93a6ece8adaa5101,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s1 r1 fixed",
+            0xbbe584a6e57274e8,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s1 r1 qd8-1",
+            0x3cb26a228e90925b,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s1 r1 slo400-40",
+            0xd8619f987dc281a4,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s1 r2 fixed",
+            0x342d6ed8aa64f5e7,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s1 r2 qd8-1",
+            0xb5dd5bb84a8d5a4a,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s1 r2 slo400-40",
+            0x68e40c93ff1fee4b,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s2 r1 fixed",
+            0xd01f72d863359b69,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s2 r1 qd8-1",
+            0x0895d1fd06a52565,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s2 r1 slo400-40",
+            0xb101fa36fc810f19,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s2 r2 fixed",
+            0x78423f0363c092ca,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s2 r2 qd8-1",
+            0xea9f6a2226142128,
+        ),
+        (
+            "micro_cnn diurnal@2000000x512 s2 r2 slo400-40",
+            0x738a0ca2d409b72a,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s1 r1 fixed",
+            0x624e9b061028edca,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s1 r1 qd8-1",
+            0xca8328e8a29633bd,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s1 r1 slo400-40",
+            0x4d0ac06f0f0ec8f0,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s1 r2 fixed",
+            0xebd15fd53df964ac,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s1 r2 qd8-1",
+            0x98c62683982ed082,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s1 r2 slo400-40",
+            0xe8613f45d1d3706d,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s2 r1 fixed",
+            0x648a2244ca80ff0d,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s2 r1 qd8-1",
+            0x717e1134f367053d,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s2 r1 slo400-40",
+            0x22918d80313f3e34,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s2 r2 fixed",
+            0x5840c9958ab35f3e,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s2 r2 qd8-1",
+            0x49a5aab488f4b55d,
+        ),
+        (
+            "micro_cnn flash@500000x20x512 s2 r2 slo400-40",
+            0xfcf98a8c74b8f9e8,
+        ),
+    ];
+    pub const HAND_BUILT: &[(&str, u64)] = &[
+        ("bursty@50000-4000000 backpressure", 0x23b96e86e51b5b7b),
+        ("bursty@50000-4000000 drain", 0xbc6336bcdf2a750c),
+        ("bursty@50000-4000000 headroom", 0x78cf3a207e012778),
+        ("flash@100000x15 backpressure", 0x2a8ac03232823b6c),
+        ("flash@100000x15 drain", 0x618796e11f47f652),
+        ("flash@100000x15 headroom", 0xa5030ae992d3eff5),
+    ];
 }

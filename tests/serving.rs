@@ -19,8 +19,9 @@ use apc::CompileCache;
 use camdnn::FunctionalBackend;
 use proptest::prelude::*;
 use serve::{
-    BackendExecutor, BatchingPolicy, PayloadSpec, RoutePolicy, ServeConfig, ServeGrid,
-    ServeSession, Server, TraceSpec,
+    simulate, ArrivalProcess, BackendExecutor, BatchingPolicy, ExecutedBatch, PayloadSpec,
+    RequestExecutor, RoutePolicy, ServeConfig, ServeGrid, ServeSession, Server, SimOutcome,
+    TraceSpec,
 };
 use std::sync::{Arc, OnceLock};
 use tnn::model::{micro_cnn, ModelGraph};
@@ -161,6 +162,127 @@ mod golden {
     pub const P50_NS: u64 = 89_219;
     pub const P99_NS: u64 = 321_671;
     pub const MAKESPAN_NS: u64 = 592_491;
+
+    /// `fixed_latency_simulations_are_pinned`: one digest per configuration.
+    pub const FIXED_SIMULATIONS: &[(&str, u64)] = &[
+        ("poisson@150000 rr r1 b4/20us q256", 0x0447441714dbca2a),
+        ("poisson@150000 rr r1 b4/20us q4", 0x926f1d53c554e571),
+        ("poisson@150000 rr r1 b8/100us q256", 0x099669e95bd0d3e8),
+        ("poisson@150000 rr r1 b8/100us q4", 0xcf2a1a0723056d0c),
+        ("poisson@150000 rr r3 b4/20us q256", 0x32cbb24dfe1fded7),
+        ("poisson@150000 rr r3 b4/20us q4", 0x58b35b03bb03d646),
+        ("poisson@150000 rr r3 b8/100us q256", 0xfc67f7f04a1c93af),
+        ("poisson@150000 rr r3 b8/100us q4", 0x161749a65f1c74f6),
+        ("poisson@150000 ll r1 b4/20us q256", 0x22bbafd354a05abe),
+        ("poisson@150000 ll r1 b4/20us q4", 0xb5998dec123e688f),
+        ("poisson@150000 ll r1 b8/100us q256", 0x2afd9a41e81552de),
+        ("poisson@150000 ll r1 b8/100us q4", 0x92430252964ad4a0),
+        ("poisson@150000 ll r3 b4/20us q256", 0x038270188bc221ad),
+        ("poisson@150000 ll r3 b4/20us q4", 0x36e64306f3e709e4),
+        ("poisson@150000 ll r3 b8/100us q256", 0x30fe4f5f07fe68c1),
+        ("poisson@150000 ll r3 b8/100us q4", 0xa17e84f574d24af2),
+        ("poisson@150000 jsq r1 b4/20us q256", 0x672676234f4c9e73),
+        ("poisson@150000 jsq r1 b4/20us q4", 0x50359cc456ea91ec),
+        ("poisson@150000 jsq r1 b8/100us q256", 0xa321af134b9841f9),
+        ("poisson@150000 jsq r1 b8/100us q4", 0x7573216ed7c9d979),
+        ("poisson@150000 jsq r3 b4/20us q256", 0x96e00fa2cd139517),
+        ("poisson@150000 jsq r3 b4/20us q4", 0x10152ab2c7df5930),
+        ("poisson@150000 jsq r3 b8/100us q256", 0x8e55becf45abfc86),
+        ("poisson@150000 jsq r3 b8/100us q4", 0x8667765247f8db1f),
+        (
+            "bursty@20000-1000000 rr r1 b4/20us q256",
+            0x667840387b882fe5,
+        ),
+        ("bursty@20000-1000000 rr r1 b4/20us q4", 0xb4fe7678dc4d5a79),
+        (
+            "bursty@20000-1000000 rr r1 b8/100us q256",
+            0x45b40f788078f617,
+        ),
+        ("bursty@20000-1000000 rr r1 b8/100us q4", 0xbcc8153834c7a736),
+        (
+            "bursty@20000-1000000 rr r3 b4/20us q256",
+            0x7d5f4a3789dcfe43,
+        ),
+        ("bursty@20000-1000000 rr r3 b4/20us q4", 0xc7bbb581ee20e16e),
+        (
+            "bursty@20000-1000000 rr r3 b8/100us q256",
+            0x74e225e03d1f60fb,
+        ),
+        ("bursty@20000-1000000 rr r3 b8/100us q4", 0x2103df23b2cd7dff),
+        (
+            "bursty@20000-1000000 ll r1 b4/20us q256",
+            0x54bb4fb6bca9a3b9,
+        ),
+        ("bursty@20000-1000000 ll r1 b4/20us q4", 0x29a17406ff8a52ab),
+        (
+            "bursty@20000-1000000 ll r1 b8/100us q256",
+            0x3c357d98e39f32a5,
+        ),
+        ("bursty@20000-1000000 ll r1 b8/100us q4", 0x250ca7c7d72c71ba),
+        (
+            "bursty@20000-1000000 ll r3 b4/20us q256",
+            0x7a5b2c5f36a3cba9,
+        ),
+        ("bursty@20000-1000000 ll r3 b4/20us q4", 0x1770e02ede336ca0),
+        (
+            "bursty@20000-1000000 ll r3 b8/100us q256",
+            0x659141192b53a7ec,
+        ),
+        ("bursty@20000-1000000 ll r3 b8/100us q4", 0xd47f444b2cc7143c),
+        (
+            "bursty@20000-1000000 jsq r1 b4/20us q256",
+            0x3c4ceb772aaf59cc,
+        ),
+        ("bursty@20000-1000000 jsq r1 b4/20us q4", 0x44c2d519f0d8d9f8),
+        (
+            "bursty@20000-1000000 jsq r1 b8/100us q256",
+            0xaa352a533f558936,
+        ),
+        (
+            "bursty@20000-1000000 jsq r1 b8/100us q4",
+            0x348dc56b14c9b25d,
+        ),
+        (
+            "bursty@20000-1000000 jsq r3 b4/20us q256",
+            0x33a9a72099003d05,
+        ),
+        ("bursty@20000-1000000 jsq r3 b4/20us q4", 0xcbdeefec577da8eb),
+        (
+            "bursty@20000-1000000 jsq r3 b8/100us q256",
+            0xc58407fbbf068105,
+        ),
+        (
+            "bursty@20000-1000000 jsq r3 b8/100us q4",
+            0x9b44b700e44392b9,
+        ),
+        ("flash@40000x25 rr r1 b4/20us q256", 0x980a5c77567a0d29),
+        ("flash@40000x25 rr r1 b4/20us q4", 0xd2083292bbc3e08b),
+        ("flash@40000x25 rr r1 b8/100us q256", 0x6e82d1e833e15c41),
+        ("flash@40000x25 rr r1 b8/100us q4", 0x9a7210457feead07),
+        ("flash@40000x25 rr r3 b4/20us q256", 0x0362405c789126c9),
+        ("flash@40000x25 rr r3 b4/20us q4", 0x48559e04d0929b21),
+        ("flash@40000x25 rr r3 b8/100us q256", 0x225ceedc11ad889d),
+        ("flash@40000x25 rr r3 b8/100us q4", 0x01bc2a9d44dfa811),
+        ("flash@40000x25 ll r1 b4/20us q256", 0x0a036d223460b51d),
+        ("flash@40000x25 ll r1 b4/20us q4", 0xb4e42b37ba318419),
+        ("flash@40000x25 ll r1 b8/100us q256", 0x8b354980ff8bb5f3),
+        ("flash@40000x25 ll r1 b8/100us q4", 0x10f09594b73a653b),
+        ("flash@40000x25 ll r3 b4/20us q256", 0x3b4dcb6ba54aa2ef),
+        ("flash@40000x25 ll r3 b4/20us q4", 0xf8a279432b8edfad),
+        ("flash@40000x25 ll r3 b8/100us q256", 0x997d38faa2012c90),
+        ("flash@40000x25 ll r3 b8/100us q4", 0x42b0202cd2a5e458),
+        ("flash@40000x25 jsq r1 b4/20us q256", 0x2add65f66d580820),
+        ("flash@40000x25 jsq r1 b4/20us q4", 0x238c51dd9b6e6d70),
+        ("flash@40000x25 jsq r1 b8/100us q256", 0x2f4325d9ecb6bae0),
+        ("flash@40000x25 jsq r1 b8/100us q4", 0xee194b8125832faa),
+        ("flash@40000x25 jsq r3 b4/20us q256", 0x10764be6b1801963),
+        ("flash@40000x25 jsq r3 b4/20us q4", 0x500d2a239dff0055),
+        ("flash@40000x25 jsq r3 b8/100us q256", 0x337f364b66ce921b),
+        ("flash@40000x25 jsq r3 b8/100us q4", 0x21da140d06ead5f0),
+    ];
+
+    /// `functional_sweep_is_pinned`.
+    pub const FUNCTIONAL_SWEEP: u64 = 0x4ebca9147ec1a3f5;
 }
 
 #[test]
@@ -302,6 +424,193 @@ fn threaded_server_drains_gracefully_and_checks_out() {
         server.submit(inputs[0].clone()).is_err(),
         "closed to new work"
     );
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One digest of everything a simulation reports: the report JSON, every
+/// batch record, every completion record (logits included) and the rejected
+/// requests.
+fn outcome_digest(outcome: &SimOutcome) -> u64 {
+    let mut words: Vec<u64> = Vec::new();
+    for batch in &outcome.batches {
+        words.extend([batch.replica as u64, batch.dispatch_ns, batch.completion_ns]);
+        words.push(batch.requests.len() as u64);
+        words.extend(batch.requests.iter().map(|&r| r as u64));
+    }
+    for c in &outcome.completions {
+        words.extend([
+            c.request as u64,
+            c.arrival_ns,
+            c.planned_close_ns,
+            c.dispatch_ns,
+            c.completion_ns,
+            c.replica as u64,
+            c.batch as u64,
+        ]);
+        match &c.logits {
+            None => words.push(u64::MAX),
+            Some(logits) => {
+                words.push(logits.len() as u64);
+                words.extend(logits.iter().map(|&l| l as u64));
+            }
+        }
+    }
+    words.push(outcome.rejected.len() as u64);
+    words.extend(outcome.rejected.iter().map(|&r| r as u64));
+    let hash = fnv1a(FNV_OFFSET, outcome.report.to_json().as_bytes());
+    words
+        .iter()
+        .fold(hash, |hash, word| fnv1a(hash, &word.to_le_bytes()))
+}
+
+/// A synthetic executor with a fixed latency model, `base + per_sample · n`
+/// nanoseconds per batch, and no logits.
+struct FixedExecutor {
+    base_ns: u64,
+    per_sample_ns: u64,
+}
+
+impl RequestExecutor for FixedExecutor {
+    fn name(&self) -> String {
+        "fixed".to_string()
+    }
+
+    fn execute(&self, inputs: &[Tensor<i64>]) -> serve::Result<ExecutedBatch> {
+        Ok(ExecutedBatch {
+            latency_ns: self.base_ns + self.per_sample_ns * inputs.len() as u64,
+            logits: None,
+            bit_exact: None,
+        })
+    }
+}
+
+/// Poisson, bursty and flash-crowd traces that overload a few fixed-latency
+/// replicas, so queues build, batches fill and small queues reject.
+fn golden_traces() -> Vec<TraceSpec> {
+    vec![
+        TraceSpec::poisson(150_000.0, 160, 5),
+        TraceSpec {
+            process: ArrivalProcess::Bursty {
+                idle_rate_per_s: 20_000.0,
+                burst_rate_per_s: 1_000_000.0,
+                mean_phase_requests: 12.0,
+            },
+            requests: 160,
+            seed: 6,
+        },
+        TraceSpec::flash_crowd(40_000.0, 25.0, 0.000_4, 0.000_8, 160, 7),
+    ]
+}
+
+/// Every configuration of the simulation goldens, with its label: three
+/// routings × {1, 3} replicas × two batching windows × {default, 4} queue
+/// capacity, for each trace of [`golden_traces`].
+fn golden_configs() -> Vec<(String, TraceSpec, ServeConfig)> {
+    let mut configs = Vec::new();
+    for spec in golden_traces() {
+        for routing in [
+            RoutePolicy::RoundRobin,
+            RoutePolicy::LeastLoaded,
+            RoutePolicy::JoinShortestQueue,
+        ] {
+            for replicas in [1, 3] {
+                for batching in [BatchingPolicy::new(4, 20), BatchingPolicy::new(8, 100)] {
+                    for capacity in [ServeConfig::default().queue_capacity, 4] {
+                        let config = ServeConfig::default()
+                            .with_routing(routing)
+                            .with_replicas(replicas)
+                            .with_batching(batching)
+                            .with_queue_capacity(capacity)
+                            .with_slo_ms(0.1);
+                        let label = format!(
+                            "{} {routing} r{replicas} {} q{capacity}",
+                            spec.process.label(),
+                            batching.label()
+                        );
+                        configs.push((label, spec, config));
+                    }
+                }
+            }
+        }
+    }
+    configs
+}
+
+/// Compares `(label, digest)` pairs against checked-in literals, printing the
+/// whole table on a mismatch so an intended change can be re-pinned.
+fn assert_digests(got: &[(String, u64)], expected: &[(&str, u64)]) {
+    let matches = got.len() == expected.len()
+        && got
+            .iter()
+            .zip(expected)
+            .all(|((label, digest), (want_label, want))| label == want_label && digest == want);
+    if !matches {
+        let table: String = got
+            .iter()
+            .map(|(label, digest)| format!("    (\"{label}\", {digest:#018x}),\n"))
+            .collect();
+        panic!("digests moved; the current table is:\n{table}");
+    }
+}
+
+/// Byte-identity pin of the virtual-clock decision rules: every admission,
+/// routing, batching and timing decision of 72 fixed-latency replays.
+#[test]
+fn fixed_latency_simulations_are_pinned() {
+    let executor = FixedExecutor {
+        base_ns: 20_000,
+        per_sample_ns: 1_500,
+    };
+    let (mut rejecting, mut full_batches) = (0, 0);
+    let got: Vec<(String, u64)> = golden_configs()
+        .into_iter()
+        .map(|(label, spec, config)| {
+            let trace = spec.generate().expect("trace");
+            let payloads = vec![Tensor::from_vec(vec![1], vec![0]).expect("payload"); trace.len()];
+            let outcome =
+                simulate(&executor, &config, &spec, &trace, &payloads, "fixed").expect("simulate");
+            rejecting += usize::from(outcome.report.rejected > 0);
+            full_batches += usize::from(outcome.report.batch_size_counts.last() > Some(&0));
+            (label, outcome_digest(&outcome))
+        })
+        .collect();
+    // The table exercises admission control and size-triggered closes.
+    assert!(
+        rejecting > 0 && full_batches > 0,
+        "{rejecting} {full_batches}"
+    );
+    assert_digests(&got, golden::FIXED_SIMULATIONS);
+}
+
+/// Byte-identity pin of a small functional sweep: real logits, modeled
+/// latencies and bit-exactness through `ServeSession::run`.
+#[test]
+fn functional_sweep_is_pinned() {
+    let grid = ServeGrid::new()
+        .workload(micro_model())
+        .traffic([
+            TraceSpec::poisson(200_000.0, 16, 3),
+            TraceSpec::poisson(5_000_000.0, 16, 4),
+        ])
+        .batching([BatchingPolicy::single(), BatchingPolicy::new(4, 2)])
+        .replicas([1, 2])
+        .routing(RoutePolicy::LeastLoaded);
+    let session = ServeSession::new();
+    let results = session.run(&grid).expect("sweep");
+    let mut hash = fnv1a(FNV_OFFSET, results.to_json().as_bytes());
+    for scenario in grid.scenarios() {
+        let outcome = session.run_scenario(&scenario).expect("simulate");
+        hash = fnv1a(hash, &outcome_digest(&outcome).to_le_bytes());
+    }
+    assert_eq!(hash, golden::FUNCTIONAL_SWEEP, "{hash:#018x}");
 }
 
 proptest! {
