@@ -1,7 +1,8 @@
 //! Serving configuration: replica fleet, dynamic-batching window, admission
 //! control and the latency SLO.
 
-use crate::error::{Result, ServeError};
+use crate::error::Result;
+use crate::fleet::{AutoscalePolicy, FleetConfig};
 use serde::{Deserialize, Serialize};
 
 /// Converts a duration in milliseconds to whole nanoseconds: round to the
@@ -42,6 +43,30 @@ impl RoutePolicy {
             RoutePolicy::LeastLoaded => "ll",
             RoutePolicy::JoinShortestQueue => "jsq",
         }
+    }
+
+    /// The one routing rule of the server and the simulations: picks among
+    /// `(index, queued, in_flight)` candidates, ties to the lowest index
+    /// (round-robin takes the `cursor`-th candidate and advances the cursor).
+    /// `None` when there is no candidate.
+    pub(crate) fn pick<I>(self, candidates: I, cursor: &mut usize) -> Option<usize>
+    where
+        I: IntoIterator<Item = (usize, usize, usize)>,
+        I::IntoIter: Clone,
+    {
+        let mut candidates = candidates.into_iter();
+        let chosen = match self {
+            RoutePolicy::RoundRobin => {
+                let count = candidates.clone().count().max(1);
+                *cursor += 1;
+                candidates.nth((*cursor - 1) % count)
+            }
+            RoutePolicy::LeastLoaded => {
+                candidates.min_by_key(|&(i, queued, busy)| (queued + busy, i))
+            }
+            RoutePolicy::JoinShortestQueue => candidates.min_by_key(|&(i, queued, _)| (queued, i)),
+        };
+        chosen.map(|(index, _, _)| index)
     }
 }
 
@@ -183,31 +208,38 @@ impl ServeConfig {
         self
     }
 
+    /// This serving point as a one-stage fleet of fixed replicas, the shape
+    /// [`simulate`](crate::simulate) replays.
+    pub(crate) fn one_stage_fleet(&self) -> FleetConfig {
+        FleetConfig {
+            shards: 1,
+            replicas: self.replicas,
+            batching: self.batching,
+            queue_capacity: self.queue_capacity,
+            routing: self.routing,
+            slo_ns: self.slo_ns,
+            autoscaler: AutoscalePolicy::Fixed,
+            idle_tile_uw: 0.0,
+            ..FleetConfig::default()
+        }
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] when any knob would stall the
-    /// runtime: zero replicas, a zero batch size, or a zero queue capacity.
+    /// Returns [`ServeError::InvalidConfig`](crate::ServeError::InvalidConfig)
+    /// when any knob would stall the runtime: zero replicas, a zero batch size, or a zero queue capacity.
     pub fn validate(&self) -> Result<()> {
-        let reason = if self.replicas == 0 {
-            "at least one replica is required"
-        } else if self.batching.max_batch_size == 0 {
-            "max_batch_size must be at least 1"
-        } else if self.queue_capacity == 0 {
-            "queue_capacity must be at least 1"
-        } else {
-            return Ok(());
-        };
-        Err(ServeError::InvalidConfig {
-            reason: reason.to_string(),
-        })
+        // Same checks and messages; the fleet-only knobs are fixed and valid.
+        self.one_stage_fleet().validate()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ServeError;
 
     #[test]
     fn batching_window_closes_on_size_or_deadline() {
@@ -248,6 +280,27 @@ mod tests {
         assert_eq!(ms_to_ns(0.0), 1);
         assert_eq!(ms_to_ns(0.0000004), 1); // rounds to zero -> clamped
         assert_eq!(ServeConfig::default().with_slo_ms(0.29).slo_ns, 290_000);
+    }
+
+    #[test]
+    fn routing_picks_by_policy_with_lowest_index_ties() {
+        // (index, queued, in_flight): replica 5 has the shortest queue,
+        // replica 9 the least total load.
+        let candidates = [(2, 3, 0), (5, 1, 4), (9, 2, 0)];
+        let mut cursor = 0;
+        let picks: Vec<Option<usize>> = (0..4)
+            .map(|_| RoutePolicy::RoundRobin.pick(candidates, &mut cursor))
+            .collect();
+        assert_eq!(picks, vec![Some(2), Some(5), Some(9), Some(2)]);
+        assert_eq!(cursor, 4);
+        let pick = |policy: RoutePolicy| policy.pick(candidates, &mut 0);
+        assert_eq!(pick(RoutePolicy::LeastLoaded), Some(9));
+        assert_eq!(pick(RoutePolicy::JoinShortestQueue), Some(5));
+        // Ties go to the lowest index; no candidate, no pick.
+        let tied = [(4, 1, 1), (1, 1, 1)];
+        assert_eq!(RoutePolicy::LeastLoaded.pick(tied, &mut 0), Some(1));
+        assert_eq!(RoutePolicy::JoinShortestQueue.pick(tied, &mut 0), Some(1));
+        assert_eq!(RoutePolicy::RoundRobin.pick([], &mut 0), None);
     }
 
     #[test]

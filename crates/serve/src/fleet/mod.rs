@@ -24,11 +24,12 @@
 //!   replica holds, from creation to retirement), yielding joules/sample per
 //!   SLO point.
 //!
-//! Everything runs on the virtual clock of [`crate::sim`]: the same trace
-//! seed produces byte-identical [`FleetReport`](report::FleetReport) JSON on
-//! every run, at any `RAYON_NUM_THREADS` and on any host. The simulation is
-//! a pure cost model (no payload execution), so traces with millions of
-//! requests replay in seconds.
+//! Everything runs on the serving stack's one virtual-clock event loop (which
+//! [`simulate`](crate::simulate) runs as a one-stage fleet): the same trace
+//! seed produces byte-identical [`FleetReport`] JSON on every run, at any
+//! `RAYON_NUM_THREADS` and on any host. The simulation is a pure cost model
+//! (no payload execution), so traces with millions of requests replay in
+//! seconds.
 
 mod experiment;
 mod report;
@@ -36,6 +37,7 @@ mod sim;
 
 pub use experiment::{pareto, FleetGrid, FleetRecord, FleetResultSet, FleetScenario, FleetSession};
 pub use report::{FleetReport, ScaleEvent};
+pub(crate) use sim::{replay, Trajectory};
 pub use sim::{simulate_fleet, FleetStageModel, StageCost};
 
 use crate::config::{BatchingPolicy, RoutePolicy};
@@ -117,47 +119,49 @@ impl AutoscalePolicy {
         }
     }
 
-    fn validate(&self, initial_replicas: usize) -> Result<()> {
-        let (interval, min, max, up, down) = match *self {
-            AutoscalePolicy::Fixed => return Ok(()),
+    /// The knobs both scaling policies share; `None` for a fixed fleet.
+    pub(crate) fn thresholds(&self) -> Option<Thresholds> {
+        match *self {
+            AutoscalePolicy::Fixed => None,
             AutoscalePolicy::QueueDepth {
                 check_interval_ns,
-                up_per_replica,
-                down_per_replica,
+                up_per_replica: up,
+                down_per_replica: down,
                 min_replicas,
                 max_replicas,
-                ..
-            } => (
+                warmup_ns,
+            }
+            | AutoscalePolicy::SloHeadroom {
                 check_interval_ns,
+                up_wait_permille: up,
+                down_wait_permille: down,
                 min_replicas,
                 max_replicas,
-                up_per_replica,
-                down_per_replica,
-            ),
-            AutoscalePolicy::SloHeadroom {
+                warmup_ns,
+            } => Some(Thresholds {
                 check_interval_ns,
-                up_wait_permille,
-                down_wait_permille,
+                up,
+                down,
                 min_replicas,
                 max_replicas,
-                ..
-            } => (
-                check_interval_ns,
-                min_replicas,
-                max_replicas,
-                up_wait_permille,
-                down_wait_permille,
-            ),
+                warmup_ns,
+            }),
+        }
+    }
+
+    fn validate(&self, initial_replicas: usize) -> Result<()> {
+        let Some(t) = self.thresholds() else {
+            return Ok(());
         };
-        let reason = if interval == 0 {
+        let reason = if t.check_interval_ns == 0 {
             "autoscaler check interval must be at least 1 ns"
-        } else if min == 0 {
+        } else if t.min_replicas == 0 {
             "min_replicas must be at least 1"
-        } else if max < min {
+        } else if t.max_replicas < t.min_replicas {
             "max_replicas must be at least min_replicas"
-        } else if initial_replicas < min || initial_replicas > max {
+        } else if initial_replicas < t.min_replicas || initial_replicas > t.max_replicas {
             "initial replicas must lie within [min_replicas, max_replicas]"
-        } else if down >= up {
+        } else if t.down >= t.up {
             "the scale-down threshold must be below the scale-up threshold"
         } else {
             return Ok(());
@@ -166,6 +170,17 @@ impl AutoscalePolicy {
             reason: reason.to_string(),
         })
     }
+}
+
+/// The knobs of a scaling [`AutoscalePolicy`]; `up` and `down` are in the
+/// policy's own unit (waiting requests per replica, or permille of the SLO).
+pub(crate) struct Thresholds {
+    pub(crate) check_interval_ns: u64,
+    pub(crate) up: u64,
+    pub(crate) down: u64,
+    pub(crate) min_replicas: usize,
+    pub(crate) max_replicas: usize,
+    pub(crate) warmup_ns: u64,
 }
 
 /// Full configuration of one fleet simulation point.

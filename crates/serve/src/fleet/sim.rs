@@ -1,9 +1,10 @@
-//! The fleet event loop: pipelined replicas and autoscaling on the virtual
-//! clock.
+//! The serving stack's one virtual-clock event loop: pipelined replicas and
+//! autoscaling.
 //!
-//! [`simulate_fleet`] replays a [`Trace`] against a [`FleetStageModel`] — a
-//! pure cost model distilled from a profiled execution, so million-request
-//! traces replay without touching payload data. The event loop is sequential
+//! [`simulate_fleet`] runs [`replay`] against a [`FleetStageModel`] — a pure
+//! cost model distilled from a profiled execution, so million-request traces
+//! replay without touching payload data; [`crate::simulate`] runs it as a
+//! one-stage fleet whose stage executes payloads. The loop is sequential
 //! with a total order over `(time, kind, replica, stage)` ties; kinds rank
 //! completions before arrivals before dispatches before scale decisions, so
 //! the whole trajectory (batch compositions, scaling events, energy
@@ -11,9 +12,9 @@
 
 use super::report::{FleetReport, ScaleEvent};
 use super::{AutoscalePolicy, FleetConfig};
-use crate::config::RoutePolicy;
 use crate::error::{Result, ServeError};
-use crate::report::{LatencySummary, PhaseBreakdown, PhaseSample};
+use crate::report::{ratio, RequestSummary};
+use crate::sim::{BatchRecord, SimCompletion};
 use crate::trace::{Trace, TraceSpec};
 use camdnn::ModelProfile;
 use serde::{Deserialize, Serialize};
@@ -98,31 +99,62 @@ impl FleetStageModel {
     }
 }
 
-/// One closed stage-0 batch traversing the pipeline.
+/// Everything one replay decided, for the reports to summarise.
 #[derive(Debug, Clone)]
-struct FleetBatch {
-    /// Member requests (trace indices), in queue order.
-    requests: Vec<usize>,
-    /// When the batching policy decided this batch (the filling member's
-    /// arrival when size-triggered, the oldest member's deadline otherwise),
-    /// never after `dispatch_ns`.
-    planned_close_ns: u64,
-    /// Stage-0 dispatch time, in nanoseconds.
-    dispatch_ns: u64,
+pub(crate) struct Trajectory {
+    /// Every dispatched batch, in dispatch order, completed by the last stage.
+    pub(crate) batches: Vec<BatchRecord>,
+    /// Per batch, when the batching policy decided it (never after dispatch).
+    pub(crate) planned_close_ns: Vec<u64>,
+    /// Trace indices rejected by admission control, in arrival order.
+    pub(crate) rejected: Vec<usize>,
+    /// Largest total number of requests waiting across the fleet.
+    pub(crate) max_queue_depth: u64,
+    /// The autoscaler's decisions, in virtual-time order.
+    pub(crate) scale_events: Vec<ScaleEvent>,
+    /// Largest provisioned replica count.
+    pub(crate) peak_replicas: usize,
+    /// `(provisioned, retired)` times of every replica, in creation order.
+    pub(crate) lifetimes: Vec<(u64, Option<u64>)>,
 }
 
-/// One pipeline stage's runtime state on one replica.
+impl Trajectory {
+    /// Every served request of a trace arriving at `arrivals_ns`, in
+    /// dispatch order with batch members together (no logits).
+    pub(crate) fn completions<'a>(
+        &'a self,
+        arrivals_ns: &'a [u64],
+    ) -> impl Iterator<Item = SimCompletion> + 'a {
+        let batches = self.batches.iter().zip(&self.planned_close_ns);
+        batches
+            .enumerate()
+            .flat_map(move |(index, (batch, &planned_close_ns))| {
+                batch.requests.iter().map(move |&request| SimCompletion {
+                    request,
+                    arrival_ns: arrivals_ns[request],
+                    planned_close_ns,
+                    dispatch_ns: batch.dispatch_ns,
+                    completion_ns: batch.completion_ns,
+                    replica: batch.replica,
+                    batch: index,
+                    logits: None,
+                })
+            })
+    }
+}
+
+/// One pipeline stage's runtime state on one replica. Batches are indices
+/// into [`Trajectory::batches`].
 #[derive(Debug, Clone, Default)]
 struct StageSlot {
     /// Batches waiting to enter the stage (bounded by
     /// `stage_queue_capacity`).
-    queue: VecDeque<FleetBatch>,
+    queue: VecDeque<usize>,
     /// The batch currently executing, with its completion time.
-    executing: Option<FleetBatch>,
-    busy_until: Option<u64>,
+    executing: Option<(usize, u64)>,
     /// A finished batch blocked by a full downstream queue (head-of-line
     /// blocking: the stage cannot start new work until this moves on).
-    done: Option<FleetBatch>,
+    done: Option<usize>,
 }
 
 impl StageSlot {
@@ -157,7 +189,6 @@ struct FleetReplica {
     /// integral.
     started_ns: u64,
     retired_ns: Option<u64>,
-    batches: u64,
 }
 
 impl FleetReplica {
@@ -168,7 +199,6 @@ impl FleetReplica {
             stages: vec![StageSlot::default(); stages],
             started_ns,
             retired_ns: None,
-            batches: 0,
         }
     }
 
@@ -184,24 +214,61 @@ impl FleetReplica {
         self.requests.is_empty() && self.stages.iter().all(StageSlot::is_empty)
     }
 
-    /// Samples waiting plus in flight (the least-loaded score).
-    fn load(&self) -> usize {
-        self.requests.len()
-            + self
-                .stages
-                .iter()
-                .map(|s| {
-                    s.queue.iter().map(|b| b.requests.len()).sum::<usize>()
-                        + s.executing.as_ref().map_or(0, |b| b.requests.len())
-                        + s.done.as_ref().map_or(0, |b| b.requests.len())
-                })
-                .sum::<usize>()
+    /// Samples past stage-0 dispatch and not yet out of the pipeline.
+    fn in_flight(&self, batches: &[BatchRecord]) -> usize {
+        let size = |batch: &usize| batches[*batch].requests.len();
+        self.stages
+            .iter()
+            .map(|s| {
+                s.queue.iter().map(size).sum::<usize>()
+                    + s.executing.as_ref().map_or(0, |(batch, _)| size(batch))
+                    + s.done.as_ref().map_or(0, size)
+            })
+            .sum()
+    }
+
+    /// Starts queued work (priced by `start`, see [`replay`]) and moves
+    /// blocked batches forward until nothing can move: stages are scanned
+    /// last to first so a freed stage pulls from its input queue, which in
+    /// turn unblocks its upstream neighbour.
+    fn settle(
+        &mut self,
+        now: u64,
+        stage_queue_capacity: usize,
+        batches: &[BatchRecord],
+        start: &mut impl FnMut(usize, usize, &[usize]) -> Result<u64>,
+    ) -> Result<()> {
+        let stages = self.stages.len();
+        loop {
+            let mut moved = false;
+            for s in (0..stages).rev() {
+                if self.stages[s].done.is_some()
+                    && s + 1 < stages
+                    && self.stages[s + 1].queue.len() < stage_queue_capacity
+                {
+                    let batch = self.stages[s].done.take().expect("checked above");
+                    self.stages[s + 1].queue.push_back(batch);
+                    moved = true;
+                }
+                if self.stages[s].is_free() {
+                    if let Some(batch) = self.stages[s].queue.pop_front() {
+                        let latency_ns = start(s, batch, &batches[batch].requests)?;
+                        self.stages[s].executing = Some((batch, now.saturating_add(latency_ns)));
+                        moved = true;
+                    }
+                }
+            }
+            if !moved {
+                return Ok(());
+            }
+        }
     }
 }
 
 /// The four event kinds, in tie-break priority order: at equal virtual times
-/// stages free first, then arrivals join queues, then batches close, then
-/// the autoscaler decides (seeing the settled state of the instant).
+/// stages free first, then arrivals join queues, then batches close (so an
+/// arrival at exactly the close deadline still makes the batch), then the
+/// autoscaler decides (seeing the settled state of the instant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     Completion,
@@ -210,43 +277,240 @@ enum EventKind {
     Scale,
 }
 
-/// Starts queued work and moves blocked batches forward on one replica until
-/// nothing can move: stages are scanned last to first so a freed stage pulls
-/// from its input queue, which in turn unblocks its upstream neighbour.
-fn settle(
-    replica: &mut FleetReplica,
-    now: u64,
-    model: &FleetStageModel,
-    stage_queue_capacity: usize,
-    compute_uj: &mut f64,
-) {
-    let stages = model.stages.len();
+/// Replays `trace` through `config.shards`-stage replicas under a valid
+/// `config`. Whenever a stage begins a batch it calls `start(stage, batch,
+/// requests)` (`batch` indexes [`Trajectory::batches`]), which returns the
+/// stage's service latency in nanoseconds or an error that ends the replay.
+pub(crate) fn replay(
+    config: &FleetConfig,
+    trace: &Trace,
+    mut start: impl FnMut(usize, usize, &[usize]) -> Result<u64>,
+) -> Result<Trajectory> {
+    let stages = config.shards;
+    let last_stage = stages - 1;
+
+    let mut replicas: Vec<FleetReplica> = (0..config.replicas)
+        .map(|_| FleetReplica::new(stages, ReplicaState::Active, 0))
+        .collect();
+    let mut rr_cursor = 0usize;
+    let mut next_arrival = 0usize;
+    let mut now = 0u64;
+    let mut next_check_ns = config
+        .autoscaler
+        .thresholds()
+        .map_or(u64::MAX, |t| t.check_interval_ns);
+    let mut window_max_wait_ns = 0u64;
+    // Requests waiting before stage 0 across the fleet (retired replicas
+    // hold none).
+    let mut waiting = 0u64;
+    let mut out = Trajectory {
+        batches: Vec::new(),
+        planned_close_ns: Vec::new(),
+        rejected: Vec::new(),
+        max_queue_depth: 0,
+        scale_events: Vec::new(),
+        peak_replicas: config.replicas,
+        lifetimes: Vec::new(),
+    };
+
     loop {
-        let mut moved = false;
-        for s in (0..stages).rev() {
-            if replica.stages[s].done.is_some()
-                && s + 1 < stages
-                && replica.stages[s + 1].queue.len() < stage_queue_capacity
-            {
-                let batch = replica.stages[s].done.take().expect("checked above");
-                replica.stages[s + 1].queue.push_back(batch);
-                moved = true;
-            }
-            if replica.stages[s].is_free() {
-                if let Some(batch) = replica.stages[s].queue.pop_front() {
-                    *compute_uj +=
-                        model.stages[s].energy_uj_per_sample * batch.requests.len() as f64;
-                    replica.stages[s].busy_until =
-                        Some(now.saturating_add(model.stages[s].latency_ns));
-                    replica.stages[s].executing = Some(batch);
-                    moved = true;
+        let completion = replicas
+            .iter()
+            .enumerate()
+            .flat_map(|(i, r)| {
+                r.stages.iter().enumerate().filter_map(move |(s, slot)| {
+                    slot.executing
+                        .map(|(_, t)| (t, EventKind::Completion, i, s))
+                })
+            })
+            .min();
+        let arrival = trace
+            .arrivals_ns
+            .get(next_arrival)
+            .map(|&t| (t.max(now), EventKind::Arrival, next_arrival, 0));
+        let dispatch = replicas
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| {
+                matches!(r.state, ReplicaState::Active | ReplicaState::Draining)
+                    && r.stages[0].is_free()
+                    && !r.requests.is_empty()
+            })
+            .map(|(i, r)| {
+                let close = if config.batching.is_full(r.requests.len()) {
+                    now
+                } else {
+                    let oldest = *r.requests.front().expect("queue checked non-empty");
+                    config.batching.close_deadline_ns(trace.arrivals_ns[oldest])
+                };
+                (close.max(now), EventKind::Dispatch, i, 0)
+            })
+            .min();
+        let work_pending = next_arrival < trace.len()
+            || replicas.iter().any(|r| r.in_fleet() && !r.pipeline_empty());
+        let scale = (next_check_ns != u64::MAX && work_pending)
+            .then(|| (next_check_ns.max(now), EventKind::Scale, usize::MAX, 0));
+
+        // The total order over (time, kind, replica, stage) makes every step
+        // — and therefore the whole trajectory — deterministic.
+        let Some((time, kind, index, stage)) = [completion, arrival, dispatch, scale]
+            .into_iter()
+            .flatten()
+            .min()
+        else {
+            break;
+        };
+        now = time;
+        // Replicas whose warmup elapsed become routable before the event is
+        // handled; nothing can have involved them earlier (arrivals are not
+        // routed to warming replicas, so their pipelines are empty).
+        for replica in &mut replicas {
+            if let ReplicaState::Warming { ready_ns } = replica.state {
+                if ready_ns <= now {
+                    replica.state = ReplicaState::Active;
                 }
             }
         }
-        if !moved {
-            break;
+
+        match kind {
+            EventKind::Completion => {
+                let slot = &mut replicas[index].stages[stage];
+                let (batch, _) = slot.executing.take().expect("completion without a batch");
+                if stage == last_stage {
+                    out.batches[batch].completion_ns = now;
+                } else {
+                    slot.done = Some(batch);
+                }
+                let replica = &mut replicas[index];
+                replica.settle(now, config.stage_queue_capacity, &out.batches, &mut start)?;
+                if replica.state == ReplicaState::Draining && replica.pipeline_empty() {
+                    replica.state = ReplicaState::Retired;
+                    replica.retired_ns = Some(now);
+                }
+            }
+            EventKind::Arrival => {
+                next_arrival += 1;
+                let candidates = replicas
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.is_routable())
+                    .map(|(i, r)| (i, r.requests.len(), r.in_flight(&out.batches)));
+                let chosen = config
+                    .routing
+                    .pick(candidates, &mut rr_cursor)
+                    .expect("at least one active replica");
+                if replicas[chosen].requests.len() >= config.queue_capacity {
+                    out.rejected.push(index);
+                } else {
+                    replicas[chosen].requests.push_back(index);
+                    waiting += 1;
+                    out.max_queue_depth = out.max_queue_depth.max(waiting);
+                }
+            }
+            EventKind::Dispatch => {
+                let replica = &mut replicas[index];
+                let size = replica.requests.len().min(config.batching.max_batch_size);
+                let members: Vec<usize> = replica.requests.drain(..size).collect();
+                waiting -= size as u64;
+                for &request in &members {
+                    window_max_wait_ns = window_max_wait_ns.max(now - trace.arrivals_ns[request]);
+                }
+                // When the batching policy decided this batch: the filling
+                // member's arrival when size-triggered, the oldest member's
+                // deadline otherwise. Later dispatch is replica-busy delay.
+                let planned_close_ns = if config.batching.is_full(members.len()) {
+                    trace.arrivals_ns[*members.last().expect("batch is non-empty")]
+                } else {
+                    config
+                        .batching
+                        .close_deadline_ns(trace.arrivals_ns[members[0]])
+                }
+                .min(now);
+                replica.stages[0].queue.push_back(out.batches.len());
+                out.planned_close_ns.push(planned_close_ns);
+                out.batches.push(BatchRecord {
+                    replica: index,
+                    dispatch_ns: now,
+                    completion_ns: 0,
+                    requests: members,
+                });
+                replica.settle(now, config.stage_queue_capacity, &out.batches, &mut start)?;
+            }
+            EventKind::Scale => {
+                let t = config
+                    .autoscaler
+                    .thresholds()
+                    .expect("fixed fleets schedule no checks");
+                next_check_ns = now.saturating_add(t.check_interval_ns);
+                let provisioned = replicas
+                    .iter()
+                    .filter(|r| {
+                        matches!(r.state, ReplicaState::Active | ReplicaState::Warming { .. })
+                    })
+                    .count();
+                let active = replicas.iter().filter(|r| r.is_routable()).count();
+                // The policy's signal, and the unit its thresholds count in.
+                let (signal, unit) = if let AutoscalePolicy::SloHeadroom { .. } = config.autoscaler
+                {
+                    // The worst wait since the last check: dispatched
+                    // batches plus the age of the oldest request still
+                    // waiting (a stuck queue must count even if nothing
+                    // dispatched).
+                    let oldest_waiting = replicas
+                        .iter()
+                        .filter(|r| r.in_fleet())
+                        .filter_map(|r| r.requests.front())
+                        .map(|&request| now - trace.arrivals_ns[request])
+                        .max()
+                        .unwrap_or(0);
+                    let observed = window_max_wait_ns.max(oldest_waiting);
+                    window_max_wait_ns = 0;
+                    (u128::from(observed) * 1000, u128::from(config.slo_ns))
+                } else {
+                    (u128::from(waiting), provisioned as u128)
+                };
+                let grow = signal > u128::from(t.up) * unit;
+                let shrink = signal < u128::from(t.down) * unit;
+                if grow && provisioned < t.max_replicas {
+                    replicas.push(FleetReplica::new(
+                        stages,
+                        ReplicaState::Warming {
+                            ready_ns: now.saturating_add(t.warmup_ns),
+                        },
+                        now,
+                    ));
+                    out.peak_replicas = out.peak_replicas.max(provisioned + 1);
+                    out.scale_events.push(ScaleEvent {
+                        time_ns: now,
+                        from_replicas: provisioned,
+                        to_replicas: provisioned + 1,
+                    });
+                } else if shrink && !grow && active > t.min_replicas {
+                    let victim = replicas
+                        .iter_mut()
+                        .rev()
+                        .find(|r| r.is_routable())
+                        .expect("active count checked above");
+                    if victim.pipeline_empty() {
+                        victim.state = ReplicaState::Retired;
+                        victim.retired_ns = Some(now);
+                    } else {
+                        victim.state = ReplicaState::Draining;
+                    }
+                    out.scale_events.push(ScaleEvent {
+                        time_ns: now,
+                        from_replicas: provisioned,
+                        to_replicas: provisioned - 1,
+                    });
+                }
+            }
         }
     }
+    out.lifetimes = replicas
+        .iter()
+        .map(|r| (r.started_ns, r.retired_ns))
+        .collect();
+    Ok(out)
 }
 
 /// Replays `trace` through a fleet of pipelined replicas under `config`,
@@ -277,367 +541,40 @@ pub fn simulate_fleet(
             ),
         });
     }
-    let stages = config.shards;
-    let last_stage = stages - 1;
-
-    let mut replicas: Vec<FleetReplica> = (0..config.replicas)
-        .map(|_| FleetReplica::new(stages, ReplicaState::Active, 0))
-        .collect();
-    let mut rr_cursor = 0usize;
-    let mut next_arrival = 0usize;
-    let mut now = 0u64;
-    let mut next_check_ns = match config.autoscaler {
-        AutoscalePolicy::Fixed => u64::MAX,
-        AutoscalePolicy::QueueDepth {
-            check_interval_ns, ..
-        }
-        | AutoscalePolicy::SloHeadroom {
-            check_interval_ns, ..
-        } => check_interval_ns,
-    };
-
-    // (request, planned close, dispatch, completion)
-    let mut completions: Vec<(usize, u64, u64, u64)> = Vec::new();
-    let mut rejected = 0u64;
-    let mut batches_total = 0u64;
-    let mut batched_samples = 0u64;
-    let mut max_queue_depth = 0u64;
     let mut compute_uj = 0.0f64;
-    let mut scale_events: Vec<ScaleEvent> = Vec::new();
-    let mut peak_replicas = config.replicas;
-    let mut window_max_wait_ns = 0u64;
+    let trajectory = replay(config, trace, |stage, _, requests| {
+        let cost = &model.stages[stage];
+        compute_uj += cost.energy_uj_per_sample * requests.len() as f64;
+        Ok(cost.latency_ns)
+    })?;
+    let summary = RequestSummary::new(&trajectory, &trace.arrivals_ns, config.slo_ns);
 
-    loop {
-        let completion = replicas
-            .iter()
-            .enumerate()
-            .flat_map(|(i, r)| {
-                r.stages
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(s, slot)| slot.busy_until.map(|t| (t, i, s)))
-            })
-            .map(|(t, i, s)| (t, EventKind::Completion, i, s))
-            .min();
-        let arrival = trace
-            .arrivals_ns
-            .get(next_arrival)
-            .map(|&t| (t.max(now), EventKind::Arrival, next_arrival, 0));
-        let dispatch = replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| {
-                matches!(r.state, ReplicaState::Active | ReplicaState::Draining)
-                    && r.stages[0].is_free()
-                    && !r.requests.is_empty()
-            })
-            .map(|(i, r)| {
-                let close = if config.batching.is_full(r.requests.len()) {
-                    now
-                } else {
-                    let oldest = *r.requests.front().expect("queue checked non-empty");
-                    config.batching.close_deadline_ns(trace.arrivals_ns[oldest])
-                };
-                (close.max(now), EventKind::Dispatch, i, 0)
-            })
-            .min();
-        let work_pending = next_arrival < trace.len()
-            || replicas.iter().any(|r| r.in_fleet() && !r.pipeline_empty());
-        let scale = (next_check_ns != u64::MAX && work_pending)
-            .then(|| (next_check_ns.max(now), EventKind::Scale, usize::MAX, 0));
-
-        // The total order over (time, kind, replica, stage) makes every step
-        // — and therefore the whole scaling trajectory — deterministic.
-        let Some((time, kind, index, stage)) = [completion, arrival, dispatch, scale]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
-            break;
-        };
-        now = time;
-        // Replicas whose warmup elapsed become routable before the event is
-        // handled; nothing can have involved them earlier (arrivals are not
-        // routed to warming replicas, so their pipelines are empty).
-        for replica in &mut replicas {
-            if let ReplicaState::Warming { ready_ns } = replica.state {
-                if ready_ns <= now {
-                    replica.state = ReplicaState::Active;
-                }
-            }
-        }
-
-        match kind {
-            EventKind::Completion => {
-                let slot = &mut replicas[index].stages[stage];
-                let batch = slot.executing.take().expect("completion without a batch");
-                slot.busy_until = None;
-                if stage == last_stage {
-                    for &request in &batch.requests {
-                        completions.push((request, batch.planned_close_ns, batch.dispatch_ns, now));
-                    }
-                } else {
-                    slot.done = Some(batch);
-                }
-                settle(
-                    &mut replicas[index],
-                    now,
-                    model,
-                    config.stage_queue_capacity,
-                    &mut compute_uj,
-                );
-                if replicas[index].state == ReplicaState::Draining
-                    && replicas[index].pipeline_empty()
-                {
-                    replicas[index].state = ReplicaState::Retired;
-                    replicas[index].retired_ns = Some(now);
-                }
-            }
-            EventKind::Arrival => {
-                next_arrival += 1;
-                let routable: Vec<usize> = replicas
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.is_routable())
-                    .map(|(i, _)| i)
-                    .collect();
-                let chosen = match config.routing {
-                    RoutePolicy::RoundRobin => {
-                        let chosen = routable[rr_cursor % routable.len()];
-                        rr_cursor += 1;
-                        chosen
-                    }
-                    RoutePolicy::LeastLoaded => routable
-                        .iter()
-                        .copied()
-                        .min_by_key(|&i| (replicas[i].load(), i))
-                        .expect("at least one active replica"),
-                    RoutePolicy::JoinShortestQueue => routable
-                        .iter()
-                        .copied()
-                        .min_by_key(|&i| (replicas[i].requests.len(), i))
-                        .expect("at least one active replica"),
-                };
-                if replicas[chosen].requests.len() >= config.queue_capacity {
-                    rejected += 1;
-                } else {
-                    replicas[chosen].requests.push_back(index);
-                    let depth: u64 = replicas
-                        .iter()
-                        .filter(|r| r.in_fleet())
-                        .map(|r| r.requests.len() as u64)
-                        .sum();
-                    max_queue_depth = max_queue_depth.max(depth);
-                }
-            }
-            EventKind::Dispatch => {
-                let replica = &mut replicas[index];
-                let size = replica.requests.len().min(config.batching.max_batch_size);
-                let members: Vec<usize> = replica.requests.drain(..size).collect();
-                for &request in &members {
-                    window_max_wait_ns = window_max_wait_ns.max(now - trace.arrivals_ns[request]);
-                }
-                batches_total += 1;
-                batched_samples += members.len() as u64;
-                replica.batches += 1;
-                // When the batching policy decided this batch: the filling
-                // member's arrival when size-triggered, the oldest member's
-                // deadline otherwise. Later dispatch is replica-busy delay.
-                let planned_close_ns = if config.batching.is_full(members.len()) {
-                    trace.arrivals_ns[*members.last().expect("batch is non-empty")]
-                } else {
-                    config
-                        .batching
-                        .close_deadline_ns(trace.arrivals_ns[members[0]])
-                }
-                .min(now);
-                replica.stages[0].queue.push_back(FleetBatch {
-                    requests: members,
-                    planned_close_ns,
-                    dispatch_ns: now,
-                });
-                settle(
-                    replica,
-                    now,
-                    model,
-                    config.stage_queue_capacity,
-                    &mut compute_uj,
-                );
-            }
-            EventKind::Scale => {
-                next_check_ns = now.saturating_add(match config.autoscaler {
-                    AutoscalePolicy::Fixed => unreachable!("fixed fleets schedule no checks"),
-                    AutoscalePolicy::QueueDepth {
-                        check_interval_ns, ..
-                    }
-                    | AutoscalePolicy::SloHeadroom {
-                        check_interval_ns, ..
-                    } => check_interval_ns,
-                });
-                let provisioned = replicas
-                    .iter()
-                    .filter(|r| {
-                        matches!(r.state, ReplicaState::Active | ReplicaState::Warming { .. })
-                    })
-                    .count();
-                let active = replicas.iter().filter(|r| r.is_routable()).count();
-                let (grow, shrink, min, max, warmup_ns) = match config.autoscaler {
-                    AutoscalePolicy::Fixed => unreachable!("fixed fleets schedule no checks"),
-                    AutoscalePolicy::QueueDepth {
-                        up_per_replica,
-                        down_per_replica,
-                        min_replicas,
-                        max_replicas,
-                        warmup_ns,
-                        ..
-                    } => {
-                        let waiting: u64 = replicas
-                            .iter()
-                            .filter(|r| r.in_fleet())
-                            .map(|r| r.requests.len() as u64)
-                            .sum();
-                        (
-                            waiting > up_per_replica * provisioned as u64,
-                            waiting < down_per_replica * provisioned as u64,
-                            min_replicas,
-                            max_replicas,
-                            warmup_ns,
-                        )
-                    }
-                    AutoscalePolicy::SloHeadroom {
-                        up_wait_permille,
-                        down_wait_permille,
-                        min_replicas,
-                        max_replicas,
-                        warmup_ns,
-                        ..
-                    } => {
-                        // The worst wait since the last check: dispatched
-                        // batches plus the age of the oldest request still
-                        // waiting (a stuck queue must count even if nothing
-                        // dispatched).
-                        let oldest_waiting = replicas
-                            .iter()
-                            .filter(|r| r.in_fleet())
-                            .filter_map(|r| r.requests.front())
-                            .map(|&request| now - trace.arrivals_ns[request])
-                            .max()
-                            .unwrap_or(0);
-                        let observed = window_max_wait_ns.max(oldest_waiting) as u128;
-                        let slo = config.slo_ns as u128;
-                        window_max_wait_ns = 0;
-                        (
-                            observed * 1000 > u128::from(up_wait_permille) * slo,
-                            observed * 1000 < u128::from(down_wait_permille) * slo,
-                            min_replicas,
-                            max_replicas,
-                            warmup_ns,
-                        )
-                    }
-                };
-                if grow && provisioned < max {
-                    replicas.push(FleetReplica::new(
-                        stages,
-                        ReplicaState::Warming {
-                            ready_ns: now.saturating_add(warmup_ns),
-                        },
-                        now,
-                    ));
-                    peak_replicas = peak_replicas.max(provisioned + 1);
-                    scale_events.push(ScaleEvent {
-                        time_ns: now,
-                        from_replicas: provisioned,
-                        to_replicas: provisioned + 1,
-                    });
-                } else if shrink && !grow && active > min {
-                    let victim = replicas
-                        .iter()
-                        .enumerate()
-                        .rev()
-                        .find(|(_, r)| r.is_routable())
-                        .map(|(i, _)| i)
-                        .expect("active count checked above");
-                    if replicas[victim].pipeline_empty() {
-                        replicas[victim].state = ReplicaState::Retired;
-                        replicas[victim].retired_ns = Some(now);
-                    } else {
-                        replicas[victim].state = ReplicaState::Draining;
-                    }
-                    scale_events.push(ScaleEvent {
-                        time_ns: now,
-                        from_replicas: provisioned,
-                        to_replicas: provisioned - 1,
-                    });
-                }
-            }
-        }
-    }
-
-    let offered = trace.len() as u64;
-    let completed = completions.len() as u64;
-    let latency = LatencySummary::from_values(
-        completions
-            .iter()
-            .map(|&(request, _, _, completion)| completion - trace.arrivals_ns[request])
-            .collect(),
-    );
-    let queue_wait = LatencySummary::from_values(
-        completions
-            .iter()
-            .map(|&(request, _, dispatch, _)| dispatch - trace.arrivals_ns[request])
-            .collect(),
-    );
-    let phase_samples: Vec<PhaseSample> = completions
-        .iter()
-        .map(|&(request, planned_close, dispatch, completion)| {
-            // A member can arrive after its batch's deadline already passed
-            // while stage 0 was busy; clamp to its own lifetime so the
-            // phases still sum to the end-to-end latency exactly.
-            let arrival = trace.arrivals_ns[request];
-            let close = planned_close.clamp(arrival, dispatch);
-            PhaseSample {
-                queue_wait_ns: close - arrival,
-                batch_wait_ns: dispatch - close,
-                execute_ns: completion - dispatch,
-                merge_ns: 0,
-            }
-        })
-        .collect();
-    let phases = PhaseBreakdown::from_samples(&phase_samples);
-    let makespan_ns = completions
-        .iter()
-        .map(|&(_, _, _, completion)| completion)
-        .max()
-        .unwrap_or(0);
-    let slo_attained = completions
-        .iter()
-        .filter(|&&(request, _, _, completion)| {
-            completion - trace.arrivals_ns[request] <= config.slo_ns
-        })
-        .count() as u64;
-
+    let makespan_ns = summary.makespan_ns;
     let tiles_per_replica = model.tiles_per_replica();
-    let mut tile_ns: u128 = 0;
-    for replica in &replicas {
-        let end = replica.retired_ns.unwrap_or(makespan_ns);
-        tile_ns +=
-            u128::from(end.saturating_sub(replica.started_ns)) * u128::from(tiles_per_replica);
-    }
+    let lifetime_ns = |&(started_ns, retired_ns): &(u64, Option<u64>)| {
+        retired_ns.unwrap_or(makespan_ns).saturating_sub(started_ns)
+    };
+    let tile_ns: u128 = trajectory
+        .lifetimes
+        .iter()
+        .map(|life| u128::from(lifetime_ns(life)) * u128::from(tiles_per_replica))
+        .sum();
     let tile_ns = u64::try_from(tile_ns).unwrap_or(u64::MAX);
     // µW · ns = 1e-15 J = 1e-9 µJ.
     let idle_uj = tile_ns as f64 * config.idle_tile_uw * 1e-9;
     let total_uj = compute_uj + idle_uj;
-    let final_replicas = replicas.iter().filter(|r| r.in_fleet()).count();
+    let final_replicas = trajectory
+        .lifetimes
+        .iter()
+        .filter(|(_, retired_ns)| retired_ns.is_none())
+        .count();
     let mean_replicas = if makespan_ns == 0 {
         final_replicas as f64
     } else {
-        replicas
+        trajectory
+            .lifetimes
             .iter()
-            .map(|r| {
-                r.retired_ns
-                    .unwrap_or(makespan_ns)
-                    .saturating_sub(r.started_ns) as f64
-            })
+            .map(|life| lifetime_ns(life) as f64)
             .sum::<f64>()
             / makespan_ns as f64
     };
@@ -649,46 +586,30 @@ pub fn simulate_fleet(
         stage_latency_ns: model.stages.iter().map(|s| s.latency_ns).collect(),
         stage_tiles: model.stages.iter().map(|s| s.tiles as u64).collect(),
         tiles_per_replica,
-        offered,
-        admitted: offered - rejected,
-        rejected,
-        completed,
-        batches: batches_total,
-        mean_batch_size: if batches_total == 0 {
-            0.0
-        } else {
-            batched_samples as f64 / batches_total as f64
-        },
-        latency,
-        queue_wait,
-        phases,
-        max_queue_depth,
+        offered: summary.offered,
+        admitted: summary.admitted,
+        rejected: summary.rejected,
+        completed: summary.completed,
+        batches: summary.batches,
+        mean_batch_size: summary.mean_batch_size,
+        latency: summary.latency,
+        queue_wait: summary.queue_wait,
+        phases: summary.phases,
+        max_queue_depth: summary.max_queue_depth,
         makespan_ns,
-        samples_per_s: if makespan_ns == 0 {
-            0.0
-        } else {
-            completed as f64 * 1e9 / makespan_ns as f64
-        },
-        slo_attained,
-        slo_attainment: if offered == 0 {
-            0.0
-        } else {
-            slo_attained as f64 / offered as f64
-        },
-        scale_events,
-        peak_replicas,
+        samples_per_s: summary.samples_per_s,
+        slo_attained: summary.slo_attained,
+        slo_attainment: summary.slo_attainment,
+        scale_events: trajectory.scale_events,
+        peak_replicas: trajectory.peak_replicas,
         final_replicas,
         mean_replicas,
-        peak_tiles: peak_replicas as u64 * tiles_per_replica,
+        peak_tiles: trajectory.peak_replicas as u64 * tiles_per_replica,
         tile_ns,
         compute_uj,
         idle_uj,
         total_uj,
-        joules_per_sample: if completed == 0 {
-            0.0
-        } else {
-            total_uj * 1e-6 / completed as f64
-        },
+        joules_per_sample: ratio(total_uj * 1e-6, summary.completed),
     })
 }
 
@@ -696,6 +617,7 @@ pub fn simulate_fleet(
 mod tests {
     use super::*;
     use crate::config::BatchingPolicy;
+    use crate::report::LatencySummary;
 
     /// A hand-built two-stage model: stage 0 takes 1000 ns, stage 1 takes
     /// 500 ns; 1 µJ + 2 tiles vs 0.5 µJ + 1 tile.

@@ -16,7 +16,8 @@
 //!   against a seeded [`TraceSpec`] (Poisson or bursty arrivals): a fixed
 //!   trace seed reproduces the exact same batch compositions, per-request
 //!   logits (bit-identical to solo `run_batch` calls) and latency statistics
-//!   on every run, at any `RAYON_NUM_THREADS`.
+//!   on every run, at any `RAYON_NUM_THREADS`. It runs the [`fleet`] event
+//!   loop as one stage of fixed replicas, routing like the server.
 //! * [`ServeReport`] — p50/p95/p99 latency, queue behaviour, achieved
 //!   samples/s and SLO attainment, with byte-identical JSON for a fixed
 //!   seed.

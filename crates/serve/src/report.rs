@@ -7,8 +7,10 @@
 //! experiment API's `ScenarioRecord`.
 
 use crate::config::ServeConfig;
+use crate::fleet::Trajectory;
 use crate::trace::TraceSpec;
 use serde::{Deserialize, Serialize};
+use telemetry::nearest_rank;
 
 /// Exact summary of a latency (or queue-wait) distribution, in nanoseconds.
 ///
@@ -28,15 +30,6 @@ pub struct LatencySummary {
     pub p99_ns: u64,
     /// Largest observation.
     pub max_ns: u64,
-}
-
-/// The 1-based nearest rank of the `pct`th percentile among `count` sorted
-/// observations: the smallest rank holding at least `pct`% of the mass.
-///
-/// The product is formed in `u128` so fleet-scale counts cannot overflow
-/// (`count * pct` wraps `u64` beyond ~1.8×10^17 observations).
-pub(crate) fn nearest_rank(count: u64, pct: u64) -> u64 {
-    ((u128::from(count) * u128::from(pct)).div_ceil(100).max(1)) as u64
 }
 
 impl LatencySummary {
@@ -156,6 +149,67 @@ impl PhaseBreakdown {
             self.merge.p50_ms(),
             self.merge.p99_ms(),
         )
+    }
+}
+
+/// `numerator / denominator`, or 0 when the denominator is.
+pub(crate) fn ratio(numerator: f64, denominator: u64) -> f64 {
+    if denominator == 0 {
+        0.0
+    } else {
+        numerator / denominator as f64
+    }
+}
+
+/// The fields [`ServeReport`] and [`FleetReport`](crate::fleet::FleetReport)
+/// share, computed one way from a virtual-clock replay.
+pub(crate) struct RequestSummary {
+    pub(crate) offered: u64,
+    pub(crate) admitted: u64,
+    pub(crate) rejected: u64,
+    pub(crate) completed: u64,
+    pub(crate) batches: u64,
+    pub(crate) mean_batch_size: f64,
+    pub(crate) latency: LatencySummary,
+    pub(crate) queue_wait: LatencySummary,
+    pub(crate) phases: PhaseBreakdown,
+    pub(crate) max_queue_depth: u64,
+    pub(crate) makespan_ns: u64,
+    pub(crate) samples_per_s: f64,
+    pub(crate) slo_attained: u64,
+    pub(crate) slo_attainment: f64,
+}
+
+impl RequestSummary {
+    /// Summarises `trajectory`, a replay of a trace arriving at
+    /// `arrivals_ns`, against the end-to-end objective `slo_ns`.
+    pub(crate) fn new(trajectory: &Trajectory, arrivals_ns: &[u64], slo_ns: u64) -> Self {
+        let completions = || trajectory.completions(arrivals_ns);
+        let phases: Vec<PhaseSample> = completions().map(|c| c.phases()).collect();
+        let offered = arrivals_ns.len() as u64;
+        let completed = phases.len() as u64;
+        let batches = trajectory.batches.len() as u64;
+        let rejected = trajectory.rejected.len() as u64;
+        let makespan_ns = completions().map(|c| c.completion_ns).max().unwrap_or(0);
+        let slo_attained = completions().filter(|c| c.latency_ns() <= slo_ns).count() as u64;
+        RequestSummary {
+            offered,
+            admitted: offered - rejected,
+            rejected,
+            completed,
+            batches,
+            mean_batch_size: ratio(completed as f64, batches),
+            latency: LatencySummary::from_values(completions().map(|c| c.latency_ns()).collect()),
+            queue_wait: LatencySummary::from_values(
+                completions().map(|c| c.queue_wait_ns()).collect(),
+            ),
+            phases: PhaseBreakdown::from_samples(&phases),
+            max_queue_depth: trajectory.max_queue_depth,
+            makespan_ns,
+            samples_per_s: ratio(completed as f64 * 1e9, makespan_ns),
+            slo_attained,
+            slo_attainment: ratio(slo_attained as f64, offered),
+        }
     }
 }
 
@@ -283,33 +337,8 @@ mod tests {
         assert_eq!(a.p50_ns, 5);
     }
 
-    #[test]
-    fn nearest_rank_survives_giant_counts() {
-        // Regression: `count * pct` used to be computed in u64, wrapping for
-        // counts beyond ~1.8e17 — exactly the regime of fleet traces.
-        let giant = u64::MAX / 2;
-        assert_eq!(nearest_rank(giant, 100), giant);
-        assert_eq!(nearest_rank(giant, 50), giant.div_ceil(2));
-        assert_eq!(nearest_rank(u64::MAX, 99), {
-            let exact = (u128::from(u64::MAX) * 99).div_ceil(100);
-            u64::try_from(exact).expect("fits")
-        });
-        assert_eq!(nearest_rank(0, 99), 1); // clamp guards the empty edge
-    }
-
-    // Nearest rank stays exact at any count (the *smallest* rank whose prefix
-    // holds at least `pct`% of the observations), and summaries depend only
-    // on the multiset of values, not their order.
+    // Summaries depend only on the multiset of values, not their order.
     proptest::proptest! {
-        #[test]
-        fn nearest_rank_matches_its_definition(count in 1u64..=u64::MAX, pct in 1u64..=100u64) {
-            let rank = nearest_rank(count, pct);
-            proptest::prop_assert!(rank >= 1 && rank <= count);
-            let mass = u128::from(count) * u128::from(pct);
-            proptest::prop_assert!(u128::from(rank) * 100 >= mass);
-            proptest::prop_assert!(rank == 1 || (u128::from(rank) - 1) * 100 < mass);
-        }
-
         #[test]
         fn summaries_are_order_independent(
             values in proptest::collection::vec(0u64..1_000_000_000, 1..200),

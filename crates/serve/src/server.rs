@@ -16,7 +16,7 @@
 //! arrivals interleave into batches, and shutdown drains every admitted
 //! request.
 
-use crate::config::{RoutePolicy, ServeConfig};
+use crate::config::ServeConfig;
 use crate::error::{Result, ServeError};
 use crate::executor::RequestExecutor;
 use crate::report::PhaseSample;
@@ -284,29 +284,17 @@ impl Server {
     }
 
     fn route(&self) -> usize {
-        let replicas = &self.shared.replicas;
-        match self.shared.config.routing {
-            RoutePolicy::RoundRobin => {
-                self.shared.rr_cursor.fetch_add(1, Ordering::SeqCst) % replicas.len()
-            }
-            RoutePolicy::LeastLoaded => replicas
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, r)| {
-                    (
-                        r.waiting.load(Ordering::SeqCst) + r.in_flight.load(Ordering::SeqCst),
-                        *i,
-                    )
-                })
-                .map(|(i, _)| i)
-                .expect("at least one replica"),
-            RoutePolicy::JoinShortestQueue => replicas
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, r)| (r.waiting.load(Ordering::SeqCst), *i))
-                .map(|(i, _)| i)
-                .expect("at least one replica"),
-        }
+        let replicas = self.shared.replicas.iter().enumerate();
+        let candidates = replicas.map(|(i, r)| {
+            (
+                i,
+                r.waiting.load(Ordering::SeqCst),
+                r.in_flight.load(Ordering::SeqCst),
+            )
+        });
+        let mut cursor = self.shared.rr_cursor.fetch_add(1, Ordering::SeqCst);
+        let chosen = self.shared.config.routing.pick(candidates, &mut cursor);
+        chosen.expect("at least one replica")
     }
 
     /// Begins a graceful shutdown: no new requests are admitted, every queued

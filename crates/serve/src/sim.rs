@@ -4,23 +4,24 @@
 //! batching / routing decisions as the threaded server, but time is *virtual*:
 //! arrivals happen at the trace's nanosecond timestamps, and a dispatched
 //! batch occupies its replica for exactly the backend's modeled service
-//! latency. The event loop is sequential with a total order over ties
-//! (completions before arrivals before dispatches, then lowest replica
-//! index), so a fixed trace seed reproduces the exact same batch
-//! compositions, per-request logits (bit-identical to solo `run_batch` calls
-//! — the batch-equivalence invariant) and latency statistics on every run,
-//! at any `RAYON_NUM_THREADS` and on any host.
+//! latency. It runs the fleet's event loop as a one-stage fleet of fixed
+//! replicas, so ties resolve in the fleet's total order (completions before
+//! arrivals before dispatches, then lowest replica index), and a fixed trace
+//! seed reproduces the exact same batch compositions, per-request logits
+//! (bit-identical to solo `run_batch` calls — the batch-equivalence
+//! invariant) and latency statistics on every run, at any
+//! `RAYON_NUM_THREADS` and on any host.
 //!
 //! The backend executes each closed batch *for real* (that is where the
 //! logits and the modeled service time come from); only the waiting is
 //! simulated.
 
-use crate::config::{RoutePolicy, ServeConfig};
+use crate::config::ServeConfig;
 use crate::error::{Result, ServeError};
 use crate::executor::RequestExecutor;
-use crate::report::{LatencySummary, PhaseBreakdown, PhaseSample, ServeReport};
+use crate::fleet::replay;
+use crate::report::{PhaseSample, RequestSummary, ServeReport};
 use crate::trace::{Trace, TraceSpec};
-use std::collections::VecDeque;
 use tnn::Tensor;
 
 /// One dispatched batch of a simulation: which requests, where, and when.
@@ -71,20 +72,17 @@ impl SimCompletion {
         self.dispatch_ns - self.arrival_ns
     }
 
-    /// The batch's planned close, clamped to this request's own lifetime (a
-    /// request can arrive after its batch's deadline already passed while
-    /// the replica was busy).
-    fn effective_close_ns(&self) -> u64 {
-        self.planned_close_ns
-            .clamp(self.arrival_ns, self.dispatch_ns)
-    }
-
     /// This request's exact four-phase decomposition. The phases sum to
     /// [`latency_ns`](Self::latency_ns) exactly, and queue + batch wait sum
     /// to [`queue_wait_ns`](Self::queue_wait_ns); merge is zero on the
     /// virtual clock.
     pub fn phases(&self) -> PhaseSample {
-        let close = self.effective_close_ns();
+        // A request can arrive after its batch's deadline already passed
+        // while the replica was busy: clamp the planned close to the
+        // request's own lifetime.
+        let close = self
+            .planned_close_ns
+            .clamp(self.arrival_ns, self.dispatch_ns);
         PhaseSample {
             queue_wait_ns: close - self.arrival_ns,
             batch_wait_ns: self.dispatch_ns - close,
@@ -113,32 +111,6 @@ impl SimOutcome {
     pub fn completion_for(&self, request: usize) -> Option<&SimCompletion> {
         self.completions.iter().find(|c| c.request == request)
     }
-}
-
-struct Replica {
-    /// Waiting requests (trace indices), oldest first.
-    queue: VecDeque<usize>,
-    /// Completion time of the batch currently executing, if any.
-    busy_until: Option<u64>,
-    /// Samples currently executing (for the least-loaded score).
-    in_flight: usize,
-    batches: u64,
-}
-
-impl Replica {
-    fn load(&self) -> usize {
-        self.queue.len() + self.in_flight
-    }
-}
-
-/// The three event kinds, in tie-break priority order: at equal virtual
-/// times a worker frees first, then arrivals join queues, then batches close
-/// (so an arrival at exactly the close deadline still makes the batch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    Completion,
-    Arrival,
-    Dispatch,
 }
 
 /// Replays `trace` (whose request `i` carries `payloads[i]`) against
@@ -171,212 +143,71 @@ pub fn simulate(
         });
     }
 
-    let mut replicas: Vec<Replica> = (0..config.replicas)
-        .map(|_| Replica {
-            queue: VecDeque::new(),
-            busy_until: None,
-            in_flight: 0,
-            batches: 0,
+    let mut bit_exact: Option<bool> = None;
+    let mut logits = Vec::new();
+    let trajectory = replay(&config.one_stage_fleet(), trace, |_, batch, requests| {
+        let inputs: Vec<Tensor<i64>> = requests.iter().map(|&r| payloads[r].clone()).collect();
+        let executed = executor.execute(&inputs)?;
+        if let Some(b) = executed.bit_exact {
+            bit_exact = Some(bit_exact.unwrap_or(true) && b);
+        }
+        // The one stage starts every batch at its dispatch, in order.
+        assert_eq!(batch, logits.len(), "batches start in dispatch order");
+        logits.push(executed.logits.map(Vec::into_iter));
+        Ok(executed.latency_ns)
+    })?;
+    let summary = RequestSummary::new(&trajectory, &trace.arrivals_ns, config.slo_ns);
+
+    let mut batch_size_counts = vec![0u64; config.batching.max_batch_size];
+    let mut per_replica_batches = vec![0u64; config.replicas];
+    for batch in &trajectory.batches {
+        batch_size_counts[batch.requests.len() - 1] += 1;
+        per_replica_batches[batch.replica] += 1;
+    }
+    // Members come in batch slot order, so each batch hands out its logits
+    // in turn.
+    let completions = trajectory
+        .completions(&trace.arrivals_ns)
+        .map(|mut c| {
+            c.logits = logits[c.batch].as_mut().and_then(Iterator::next);
+            c
         })
         .collect();
-    let mut rr_cursor = 0usize;
-    let mut next_arrival = 0usize;
-    let mut now = 0u64;
-
-    let mut batches = Vec::new();
-    let mut completions = Vec::new();
-    let mut rejected = Vec::new();
-    let mut batch_size_counts = vec![0u64; config.batching.max_batch_size];
-    let mut max_queue_depth = 0u64;
-    let mut bit_exact: Option<bool> = None;
-
-    loop {
-        // Candidate next events; `None` when that kind cannot occur.
-        let completion = replicas
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.busy_until.map(|t| (t, EventKind::Completion, i)))
-            .min();
-        let arrival = trace
-            .arrivals_ns
-            .get(next_arrival)
-            .map(|&t| (t.max(now), EventKind::Arrival, next_arrival));
-        let dispatch = replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.busy_until.is_none() && !r.queue.is_empty())
-            .map(|(i, r)| {
-                let close = if config.batching.is_full(r.queue.len()) {
-                    now
-                } else {
-                    let oldest = *r.queue.front().expect("queue checked non-empty");
-                    config.batching.close_deadline_ns(trace.arrivals_ns[oldest])
-                };
-                (close.max(now), EventKind::Dispatch, i)
-            })
-            .min();
-
-        // The total order over (time, kind, index) makes every step — and
-        // therefore every batch composition — deterministic.
-        let Some((time, kind, index)) = [completion, arrival, dispatch].into_iter().flatten().min()
-        else {
-            break;
-        };
-        now = time;
-        match kind {
-            EventKind::Completion => {
-                let replica = &mut replicas[index];
-                replica.busy_until = None;
-                replica.in_flight = 0;
-            }
-            EventKind::Arrival => {
-                next_arrival += 1;
-                let chosen = match config.routing {
-                    RoutePolicy::RoundRobin => {
-                        let chosen = rr_cursor % replicas.len();
-                        rr_cursor += 1;
-                        chosen
-                    }
-                    RoutePolicy::LeastLoaded => replicas
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(i, r)| (r.load(), *i))
-                        .map(|(i, _)| i)
-                        .expect("at least one replica"),
-                    RoutePolicy::JoinShortestQueue => replicas
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(i, r)| (r.queue.len(), *i))
-                        .map(|(i, _)| i)
-                        .expect("at least one replica"),
-                };
-                if replicas[chosen].queue.len() >= config.queue_capacity {
-                    rejected.push(index);
-                } else {
-                    replicas[chosen].queue.push_back(index);
-                    let depth: u64 = replicas.iter().map(|r| r.queue.len() as u64).sum();
-                    max_queue_depth = max_queue_depth.max(depth);
-                }
-            }
-            EventKind::Dispatch => {
-                let members: Vec<usize> = {
-                    let replica = &mut replicas[index];
-                    let size = replica.queue.len().min(config.batching.max_batch_size);
-                    replica.queue.drain(..size).collect()
-                };
-                // When the batch closed *by policy*: the filling member's
-                // arrival for a size-triggered batch, the oldest member's
-                // deadline otherwise. Dispatch beyond this point is
-                // replica-busy delay, not batching delay.
-                let planned_close_ns = if config.batching.is_full(members.len()) {
-                    trace.arrivals_ns[*members.last().expect("batch is non-empty")]
-                } else {
-                    config
-                        .batching
-                        .close_deadline_ns(trace.arrivals_ns[members[0]])
-                }
-                .min(now);
-                let inputs: Vec<Tensor<i64>> =
-                    members.iter().map(|&r| payloads[r].clone()).collect();
-                let executed = executor.execute(&inputs)?;
-                bit_exact = match (bit_exact, executed.bit_exact) {
-                    (acc, None) => acc,
-                    (None, Some(b)) => Some(b),
-                    (Some(acc), Some(b)) => Some(acc && b),
-                };
-                let completion_ns = now.saturating_add(executed.latency_ns);
-                let replica = &mut replicas[index];
-                replica.busy_until = Some(completion_ns);
-                replica.in_flight = members.len();
-                replica.batches += 1;
-                batch_size_counts[members.len() - 1] += 1;
-                let logits = executed.logits;
-                for (slot, &request) in members.iter().enumerate() {
-                    completions.push(SimCompletion {
-                        request,
-                        arrival_ns: trace.arrivals_ns[request],
-                        planned_close_ns,
-                        dispatch_ns: now,
-                        completion_ns,
-                        replica: index,
-                        batch: batches.len(),
-                        logits: logits.as_ref().map(|l| l[slot].clone()),
-                    });
-                }
-                batches.push(BatchRecord {
-                    replica: index,
-                    dispatch_ns: now,
-                    completion_ns,
-                    requests: members,
-                });
-            }
-        }
-    }
-
-    let offered = trace.len() as u64;
-    let completed = completions.len() as u64;
-    let latency =
-        LatencySummary::from_values(completions.iter().map(SimCompletion::latency_ns).collect());
-    let queue_wait = LatencySummary::from_values(
-        completions
-            .iter()
-            .map(SimCompletion::queue_wait_ns)
-            .collect(),
-    );
-    let phase_samples: Vec<PhaseSample> = completions.iter().map(SimCompletion::phases).collect();
-    let phases = PhaseBreakdown::from_samples(&phase_samples);
-    let makespan_ns = batches.iter().map(|b| b.completion_ns).max().unwrap_or(0);
-    let slo_attained = completions
-        .iter()
-        .filter(|c| c.latency_ns() <= config.slo_ns)
-        .count() as u64;
     let report = ServeReport {
         model: model_name.to_string(),
         backend: executor.name(),
         config: *config,
         trace: *spec,
-        offered,
-        admitted: offered - rejected.len() as u64,
-        rejected: rejected.len() as u64,
-        completed,
-        batches: batches.len() as u64,
+        offered: summary.offered,
+        admitted: summary.admitted,
+        rejected: summary.rejected,
+        completed: summary.completed,
+        batches: summary.batches,
         batch_size_counts,
-        per_replica_batches: replicas.iter().map(|r| r.batches).collect(),
-        mean_batch_size: if batches.is_empty() {
-            0.0
-        } else {
-            completed as f64 / batches.len() as f64
-        },
-        latency,
-        queue_wait,
-        phases,
-        max_queue_depth,
-        makespan_ns,
-        samples_per_s: if makespan_ns == 0 {
-            0.0
-        } else {
-            completed as f64 * 1e9 / makespan_ns as f64
-        },
-        slo_attained,
-        slo_attainment: if offered == 0 {
-            0.0
-        } else {
-            slo_attained as f64 / offered as f64
-        },
+        per_replica_batches,
+        mean_batch_size: summary.mean_batch_size,
+        latency: summary.latency,
+        queue_wait: summary.queue_wait,
+        phases: summary.phases,
+        max_queue_depth: summary.max_queue_depth,
+        makespan_ns: summary.makespan_ns,
+        samples_per_s: summary.samples_per_s,
+        slo_attained: summary.slo_attained,
+        slo_attainment: summary.slo_attainment,
         bit_exact,
     };
     Ok(SimOutcome {
         report,
-        batches,
+        batches: trajectory.batches,
         completions,
-        rejected,
+        rejected: trajectory.rejected,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BatchingPolicy;
+    use crate::config::{BatchingPolicy, RoutePolicy};
     use crate::executor::ExecutedBatch;
 
     /// A synthetic executor with a fixed per-batch latency model:
@@ -536,6 +367,50 @@ mod tests {
                 "{policy}"
             );
         }
+    }
+
+    #[test]
+    fn executor_errors_propagate() {
+        /// Fails its third batch with a recognisable backend error.
+        struct FailingExecutor {
+            calls: std::sync::atomic::AtomicUsize,
+        }
+
+        impl RequestExecutor for FailingExecutor {
+            fn name(&self) -> String {
+                "failing".to_string()
+            }
+
+            fn execute(&self, _inputs: &[Tensor<i64>]) -> Result<ExecutedBatch> {
+                let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                if call == 2 {
+                    return Err(ServeError::Backend(apc::ApcError::InvalidArgument {
+                        reason: "third batch".to_string(),
+                    }));
+                }
+                Ok(ExecutedBatch {
+                    latency_ns: 100,
+                    logits: None,
+                    bit_exact: None,
+                })
+            }
+        }
+
+        let executor = FailingExecutor {
+            calls: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let config = ServeConfig::default().with_batching(BatchingPolicy::single());
+        let (spec, trace, payloads) = hand_trace(&[0, 1_000, 2_000, 3_000, 4_000]);
+        let err = simulate(&executor, &config, &spec, &trace, &payloads, "toy")
+            .expect_err("the third batch fails");
+        assert_eq!(
+            err,
+            ServeError::Backend(apc::ApcError::InvalidArgument {
+                reason: "third batch".to_string(),
+            })
+        );
+        // The replay stopped at the failing batch.
+        assert_eq!(executor.calls.load(std::sync::atomic::Ordering::SeqCst), 3);
     }
 
     #[test]

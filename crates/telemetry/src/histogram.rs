@@ -4,6 +4,14 @@
 
 use std::time::Duration;
 
+/// The 1-based nearest rank of the `pct`th percentile among `count` sorted
+/// observations: the smallest rank holding at least `pct`% of the mass (at
+/// least 1). Exact integers in `u128`, so neither an `f64` product
+/// (`0.07 * 100.0 > 7`) nor a fleet-scale `u64` one can shift the rank.
+pub fn nearest_rank(count: u64, pct: u64) -> u64 {
+    ((u128::from(count) * u128::from(pct)).div_ceil(100).max(1)) as u64
+}
+
 /// Sub-buckets per power of two of the log-linear histogram: values are
 /// resolved to within `1/32` (~3%) of their magnitude.
 const HISTOGRAM_SUB_BUCKETS: u64 = 32;
@@ -30,7 +38,7 @@ const HISTOGRAM_SUB_SHIFT: u32 = 5; // log2(HISTOGRAM_SUB_BUCKETS)
 ///     histogram.record_ns(v);
 /// }
 /// assert_eq!(histogram.count(), 1000);
-/// let p50 = histogram.percentile_ns(50.0);
+/// let p50 = histogram.percentile_ns(50);
 /// assert!((485..=515).contains(&p50), "p50 within 3%: {p50}");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,13 +142,14 @@ impl LatencyHistogram {
         }
     }
 
-    /// The nearest-rank `pct` percentile, resolved to the containing
-    /// bucket's upper bound (within ~3% of the exact value); 0 when empty.
-    pub fn percentile_ns(&self, pct: f64) -> u64 {
+    /// The nearest-rank `pct` percentile ([`nearest_rank`], `pct` in
+    /// `1..=100`), resolved to the containing bucket's upper bound (within
+    /// ~3% of the exact value); 0 when empty.
+    pub fn percentile_ns(&self, pct: u64) -> u64 {
         if self.total == 0 {
             return 0;
         }
-        let rank = ((pct / 100.0 * self.total as f64).ceil() as u64).clamp(1, self.total);
+        let rank = nearest_rank(self.total, pct);
         let mut seen = 0u64;
         for (index, &count) in self.counts.iter().enumerate() {
             seen += count;
@@ -178,9 +187,9 @@ impl LatencyHistogram {
     pub fn summary_ms(&self) -> String {
         format!(
             "p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms (n={})",
-            self.percentile_ns(50.0) as f64 / 1e6,
-            self.percentile_ns(95.0) as f64 / 1e6,
-            self.percentile_ns(99.0) as f64 / 1e6,
+            self.percentile_ns(50) as f64 / 1e6,
+            self.percentile_ns(95) as f64 / 1e6,
+            self.percentile_ns(99) as f64 / 1e6,
             self.max_ns() as f64 / 1e6,
             self.total
         )
@@ -229,7 +238,7 @@ mod tests {
         assert_eq!(histogram.min_ns(), 1);
         assert_eq!(histogram.max_ns(), 10_000);
         assert_eq!(histogram.mean_ns(), 5_000);
-        for (pct, exact) in [(50.0, 5_000u64), (95.0, 9_500), (99.0, 9_900)] {
+        for (pct, exact) in [(50, 5_000u64), (95, 9_500), (99, 9_900)] {
             let got = histogram.percentile_ns(pct);
             let error = got.abs_diff(exact);
             assert!(
@@ -241,9 +250,55 @@ mod tests {
         // An empty histogram reads as zeros.
         let empty = LatencyHistogram::new();
         assert_eq!(
-            (empty.percentile_ns(99.0), empty.mean_ns(), empty.min_ns()),
+            (empty.percentile_ns(99), empty.mean_ns(), empty.min_ns()),
             (0, 0, 0)
         );
+    }
+
+    #[test]
+    fn percentiles_use_exact_integer_ranks() {
+        // Values below 64 have exact buckets, so p7 of 1..=100 is 7. An f64
+        // rank (0.07 * 100.0 = 7.000000000000001, ceiling 8) read 8 here,
+        // and p14, p28, p55 and p56 one too high the same way.
+        let mut histogram = LatencyHistogram::new();
+        for value in 1..=100u64 {
+            histogram.record_ns(value);
+        }
+        assert_eq!(
+            [7, 14, 28, 55, 56].map(|pct| histogram.percentile_ns(pct)),
+            [7, 14, 28, 55, 56]
+        );
+        for pct in 1..=100u64 {
+            let bound = LatencyHistogram::bucket_bound(LatencyHistogram::bucket_index(pct));
+            assert_eq!(histogram.percentile_ns(pct), bound.min(100), "p{pct}");
+        }
+    }
+
+    #[test]
+    fn nearest_rank_survives_giant_counts() {
+        // Regression: `count * pct` used to be computed in u64, wrapping for
+        // counts beyond ~1.8e17 — exactly the regime of fleet traces.
+        let giant = u64::MAX / 2;
+        assert_eq!(nearest_rank(giant, 100), giant);
+        assert_eq!(nearest_rank(giant, 50), giant.div_ceil(2));
+        assert_eq!(nearest_rank(u64::MAX, 99), {
+            let exact = (u128::from(u64::MAX) * 99).div_ceil(100);
+            u64::try_from(exact).expect("fits")
+        });
+        assert_eq!(nearest_rank(0, 99), 1); // clamp guards the empty edge
+    }
+
+    // Nearest rank stays exact at any count: the *smallest* rank whose
+    // prefix holds at least `pct`% of the observations.
+    proptest::proptest! {
+        #[test]
+        fn nearest_rank_matches_its_definition(count in 1u64..=u64::MAX, pct in 1u64..=100u64) {
+            let rank = nearest_rank(count, pct);
+            proptest::prop_assert!(rank >= 1 && rank <= count);
+            let mass = u128::from(count) * u128::from(pct);
+            proptest::prop_assert!(u128::from(rank) * 100 >= mass);
+            proptest::prop_assert!(rank == 1 || (u128::from(rank) - 1) * 100 < mass);
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod registry;
 mod snapshot;
 mod span;
 
-pub use histogram::LatencyHistogram;
+pub use histogram::{nearest_rank, LatencyHistogram};
 pub use registry::{HistogramClass, Registry};
 pub use snapshot::{
     CounterSnapshot, DeterministicSection, GaugeSnapshot, HistogramBucket, HistogramSnapshot,
@@ -274,14 +274,13 @@ mod tests {
     }
 
     /// The sort-based oracle: exact nearest-rank percentile over raw values.
-    fn oracle_percentile(values: &[u64], pct: f64) -> u64 {
+    fn oracle_percentile(values: &[u64], pct: u64) -> u64 {
         if values.is_empty() {
             return 0;
         }
         let mut sorted = values.to_vec();
         sorted.sort_unstable();
-        let rank = ((pct / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        sorted[(nearest_rank(sorted.len() as u64, pct) - 1) as usize]
     }
 
     fn recorded(values: &[u64]) -> LatencyHistogram {
@@ -326,7 +325,7 @@ mod tests {
         #[test]
         fn prop_histogram_percentiles_agree_with_sort_oracle(
             values in proptest::collection::vec(0u64..10_000_000_000, 1..60),
-            pct in 1.0f64..100.0,
+            pct in 1u64..=100,
         ) {
             let histogram = recorded(&values);
             let got = histogram.percentile_ns(pct);

@@ -235,9 +235,9 @@ impl HistogramSnapshot {
             sum_ns: histogram.sum_ns().min(u128::from(u64::MAX)) as u64,
             min_ns: histogram.min_ns(),
             max_ns: histogram.max_ns(),
-            p50_ns: histogram.percentile_ns(50.0),
-            p95_ns: histogram.percentile_ns(95.0),
-            p99_ns: histogram.percentile_ns(99.0),
+            p50_ns: histogram.percentile_ns(50),
+            p95_ns: histogram.percentile_ns(95),
+            p99_ns: histogram.percentile_ns(99),
             buckets: histogram
                 .nonzero_buckets()
                 .into_iter()

@@ -19,9 +19,9 @@ use apc::CompileCache;
 use camdnn::FunctionalBackend;
 use proptest::prelude::*;
 use serve::{
-    simulate, ArrivalProcess, BackendExecutor, BatchingPolicy, ExecutedBatch, PayloadSpec,
-    RequestExecutor, RoutePolicy, ServeConfig, ServeGrid, ServeSession, Server, SimOutcome,
-    TraceSpec,
+    simulate, simulate_fleet, ArrivalProcess, BackendExecutor, BatchingPolicy, ExecutedBatch,
+    FleetConfig, FleetStageModel, PayloadSpec, RequestExecutor, RoutePolicy, ServeConfig,
+    ServeGrid, ServeSession, Server, SimOutcome, StageCost, TraceSpec,
 };
 use std::sync::{Arc, OnceLock};
 use tnn::model::{micro_cnn, ModelGraph};
@@ -588,6 +588,65 @@ fn fixed_latency_simulations_are_pinned() {
         "{rejecting} {full_batches}"
     );
     assert_digests(&got, golden::FIXED_SIMULATIONS);
+}
+
+/// `simulate` is the fleet's case of one stage and fixed replicas: against a
+/// one-stage model of the same service latency, every request statistic and
+/// every admission and batching count agrees.
+#[test]
+fn serving_is_the_one_stage_fleet() {
+    let latency_ns = 30_000;
+    let executor = FixedExecutor {
+        base_ns: latency_ns,
+        per_sample_ns: 0,
+    };
+    let model = FleetStageModel {
+        model: "fixed".to_string(),
+        stages: vec![StageCost {
+            latency_ns,
+            energy_uj_per_sample: 1.0,
+            tiles: 1,
+        }],
+    };
+    for spec in golden_traces() {
+        let trace = spec.generate().expect("trace");
+        let payloads = vec![Tensor::from_vec(vec![1], vec![0]).expect("payload"); trace.len()];
+        for routing in [
+            RoutePolicy::RoundRobin,
+            RoutePolicy::LeastLoaded,
+            RoutePolicy::JoinShortestQueue,
+        ] {
+            for capacity in [2, ServeConfig::default().queue_capacity] {
+                let config = ServeConfig::default()
+                    .with_replicas(2)
+                    .with_batching(BatchingPolicy::new(4, 20))
+                    .with_routing(routing)
+                    .with_queue_capacity(capacity)
+                    .with_slo_ms(0.1);
+                let fleet_config = FleetConfig {
+                    shards: 1,
+                    replicas: config.replicas,
+                    batching: config.batching,
+                    queue_capacity: config.queue_capacity,
+                    routing: config.routing,
+                    slo_ns: config.slo_ns,
+                    ..FleetConfig::default()
+                };
+                let served = simulate(&executor, &config, &spec, &trace, &payloads, "fixed")
+                    .expect("simulate")
+                    .report;
+                let fleet = simulate_fleet(&model, &fleet_config, &spec, &trace).expect("fleet");
+                let label = format!("{} {routing} q{capacity}", spec.process.label());
+                assert_eq!(served.latency, fleet.latency, "{label}");
+                assert_eq!(served.queue_wait, fleet.queue_wait, "{label}");
+                assert_eq!(served.phases, fleet.phases, "{label}");
+                assert_eq!(served.makespan_ns, fleet.makespan_ns, "{label}");
+                assert_eq!(served.rejected, fleet.rejected, "{label}");
+                assert_eq!(served.batches, fleet.batches, "{label}");
+                assert_eq!(served.max_queue_depth, fleet.max_queue_depth, "{label}");
+            }
+        }
+    }
 }
 
 /// Byte-identity pin of a small functional sweep: real logits, modeled
