@@ -229,7 +229,8 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`](crate::ServeError::InvalidConfig)
-    /// when any knob would stall the runtime: zero replicas, a zero batch size, or a zero queue capacity.
+    /// when any knob would stall the runtime: zero replicas, a zero batch
+    /// size, or a zero queue capacity.
     pub fn validate(&self) -> Result<()> {
         // Same checks and messages; the fleet-only knobs are fixed and valid.
         self.one_stage_fleet().validate()

@@ -100,7 +100,6 @@ impl FleetStageModel {
 }
 
 /// Everything one replay decided, for the reports to summarise.
-#[derive(Debug, Clone)]
 pub(crate) struct Trajectory {
     /// Every dispatched batch, in dispatch order, completed by the last stage.
     pub(crate) batches: Vec<BatchRecord>,
