@@ -107,11 +107,25 @@ impl ApEngine {
     ///
     /// Returns a wrapped CAM error when the operand is out of range.
     pub fn read_column(&mut self, operand: &Operand) -> Result<Vec<i64>> {
-        Ok(self.array.read_column_values(
+        let mut values = Vec::with_capacity(self.array.rows());
+        self.read_column_into(operand, &mut values)?;
+        Ok(values)
+    }
+
+    /// [`read_column`](Self::read_column), appending the row values to `out`
+    /// (so one buffer can collect many columns).
+    ///
+    /// # Errors
+    ///
+    /// Returns a wrapped CAM error when the operand is out of range; `out`
+    /// may then hold a prefix of the column.
+    pub fn read_column_into(&mut self, operand: &Operand, out: &mut Vec<i64>) -> Result<()> {
+        Ok(self.array.read_column_values_into(
             operand.col,
             operand.base,
             operand.width,
             operand.signed,
+            out,
         )?)
     }
 

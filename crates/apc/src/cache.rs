@@ -172,10 +172,39 @@ enum CacheSlot {
 /// first (miss) insertion.
 type PlanKey = (u64, PlanGeometry);
 type PlanSlot = Arc<OnceLock<Arc<PassPlan>>>;
+/// Slice-plan tables are keyed by the address of the compiled layer they
+/// resolve; the entry holds that layer's `Arc`, so the address stays
+/// allocated — and cannot be reused by another layer — while the key exists.
+type SlicePlanKey = (usize, PlanGeometry);
+type SlicePlanEntry = (Arc<CompiledLayer>, Arc<[PlanSlot]>);
 /// Partition plans depend on the layer, everything the layout depends on and
 /// the tile grid.
 type PartitionKey = (LayerSignature, CompilerOptions, TileGrid);
 type PartitionSlot = Arc<OnceLock<std::result::Result<Arc<PartitionPlan>, ApcError>>>;
+
+/// One compiled layer's pass plans for one array geometry (see
+/// [`CompileCache::slice_plans`]), indexed by slice.
+#[derive(Debug)]
+pub struct SlicePlans<'c> {
+    cache: &'c CompileCache,
+    layer: Arc<CompiledLayer>,
+    geometry: PlanGeometry,
+    slots: Arc<[PlanSlot]>,
+}
+
+impl SlicePlans<'_> {
+    /// The pass plan of slice `slice` (an index into the layer's
+    /// `slices`), lowered on its first request; books one plan request.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slice` is out of range.
+    pub fn get(&self, slice: usize) -> &PassPlan {
+        let program = &self.layer.slices.as_deref().unwrap_or_default()[slice].program;
+        self.cache
+            .serve_plan(&self.slots[slice], program, self.geometry)
+    }
+}
 
 /// A concurrent memo table for layer compilation.
 ///
@@ -195,6 +224,7 @@ pub struct CompileCache {
     plan_slots: Mutex<HashMap<PlanKey, Vec<(ApProgram, PlanSlot)>>>,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
+    slice_plan_slots: Mutex<HashMap<SlicePlanKey, SlicePlanEntry>>,
     partition_slots: Mutex<HashMap<PartitionKey, PartitionSlot>>,
     partition_hits: AtomicU64,
     partition_misses: AtomicU64,
@@ -337,23 +367,41 @@ impl CompileCache {
     /// [`compile`](Self::compile), so repeated runs of the same program
     /// (batched and served inference) pay the lowering cost once.
     pub fn plan(&self, program: &ApProgram, geometry: PlanGeometry) -> Arc<PassPlan> {
+        let slot = self.plan_slot(program, geometry);
+        Arc::clone(self.serve_plan(&slot, program, geometry))
+    }
+
+    /// The memo cell of `(program, geometry)`, inserted empty on first sight.
+    /// Finding it hashes the whole program and compares it in full, so
+    /// callers that run the same programs many times resolve the cell once
+    /// (see [`slice_plans`](Self::slice_plans)).
+    fn plan_slot(&self, program: &ApProgram, geometry: PlanGeometry) -> PlanSlot {
         let digest = {
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
             program.hash(&mut hasher);
             hasher.finish()
         };
-        let slot = {
-            let mut buckets = self.plan_slots.lock().expect("plan cache poisoned");
-            let bucket = buckets.entry((digest, geometry)).or_default();
-            match bucket.iter().find(|(cached, _)| cached == program) {
-                Some((_, slot)) => Arc::clone(slot),
-                None => {
-                    let slot = PlanSlot::default();
-                    bucket.push((program.clone(), Arc::clone(&slot)));
-                    slot
-                }
+        let mut buckets = self.plan_slots.lock().expect("plan cache poisoned");
+        let bucket = buckets.entry((digest, geometry)).or_default();
+        match bucket.iter().find(|(cached, _)| cached == program) {
+            Some((_, slot)) => Arc::clone(slot),
+            None => {
+                let slot = PlanSlot::default();
+                bucket.push((program.clone(), Arc::clone(&slot)));
+                slot
             }
-        };
+        }
+    }
+
+    /// Serves one plan request from `slot`, the cell of `(program,
+    /// geometry)`: the first request lowers the program and books the miss,
+    /// every later one books a hit.
+    fn serve_plan<'s>(
+        &self,
+        slot: &'s PlanSlot,
+        program: &ApProgram,
+        geometry: PlanGeometry,
+    ) -> &'s Arc<PassPlan> {
         let mut computed = false;
         let plan = slot.get_or_init(|| {
             computed = true;
@@ -373,7 +421,66 @@ impl CompileCache {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
             telemetry::count("apc.plan.hits", 1);
         }
-        Arc::clone(plan)
+        plan
+    }
+
+    /// The pass plans of every slice program of `layer` on arrays of
+    /// `geometry`, as a table indexed like `layer.slices`. The table is
+    /// resolved once per `(layer, geometry)` — each slice's plan cell is
+    /// looked up through the same digest map as [`plan`](Self::plan) — so
+    /// the functional backend, which runs every slice of every unit of
+    /// every batch, stops hashing and comparing whole programs per run.
+    ///
+    /// Each [`SlicePlans::get`] is one plan request with exactly the
+    /// accounting of [`plan`](Self::plan): the first request of a program
+    /// lowers it and books the miss, every other books a hit. So
+    /// [`plan_stats`](Self::plan_stats), [`plan_summary`](Self::plan_summary)
+    /// and the `apc.plan.*` telemetry are those of one `plan` call per slice
+    /// run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ApcError::Internal`] when `layer` was compiled without
+    /// retained programs.
+    pub fn slice_plans(
+        &self,
+        layer: &Arc<CompiledLayer>,
+        geometry: PlanGeometry,
+    ) -> Result<SlicePlans<'_>> {
+        let slices = layer.slices.as_ref().ok_or_else(|| ApcError::Internal {
+            reason: format!("layer {} has no retained slice programs", layer.name),
+        })?;
+        let key = (Arc::as_ptr(layer) as usize, geometry);
+        let cached = self
+            .slice_plan_slots
+            .lock()
+            .expect("slice plan cache poisoned")
+            .get(&key)
+            .map(|(_, slots)| Arc::clone(slots));
+        let slots = match cached {
+            Some(slots) => slots,
+            None => {
+                // Resolved outside the table lock; a concurrent first request
+                // of the same key resolves the same cells, and either table
+                // serves identically.
+                let slots: Arc<[PlanSlot]> = slices
+                    .iter()
+                    .map(|slice| self.plan_slot(&slice.program, geometry))
+                    .collect();
+                self.slice_plan_slots
+                    .lock()
+                    .expect("slice plan cache poisoned")
+                    .entry(key)
+                    .or_insert_with(|| (Arc::clone(layer), Arc::clone(&slots)));
+                slots
+            }
+        };
+        Ok(SlicePlans {
+            cache: self,
+            layer: Arc::clone(layer),
+            geometry,
+            slots,
+        })
     }
 
     /// [`plan`](Self::plan) for a single-instruction program: the
@@ -701,6 +808,43 @@ mod tests {
         assert_eq!(summary.hits, 1);
         assert_eq!(summary.misses, 2);
         assert!(summary.passes_before_fusion > summary.passes_after_fusion);
+    }
+
+    #[test]
+    fn slice_plan_tables_share_the_plan_cells_and_their_accounting() {
+        let model = micro_cnn("micro", 8, 0.8, 1);
+        let layer = &model.conv_like_layers()[1];
+        let cache = CompileCache::new();
+        let geometry = PlanGeometry {
+            rows: 64,
+            cols: 128,
+            domains: 64,
+        };
+        let compiled = cache
+            .compile(
+                &LayerCompiler::new(CompilerOptions::default().with_programs()),
+                layer,
+            )
+            .expect("compile");
+        let program = &compiled.slices.as_ref().expect("programs")[0].program;
+        // Resolving a table lowers nothing and books nothing.
+        let table = cache.slice_plans(&compiled, geometry).expect("table");
+        assert_eq!(cache.plan_stats(), CacheStats::default());
+        // Each request is one `plan` request on the same cell.
+        let first = table.get(0) as *const PassPlan;
+        assert_eq!(cache.plan_stats(), CacheStats { hits: 0, misses: 1 });
+        let again = cache.slice_plans(&compiled, geometry).expect("table");
+        assert_eq!(again.get(0) as *const PassPlan, first);
+        assert!(std::ptr::eq(cache.plan(program, geometry).as_ref(), first));
+        assert_eq!(cache.plan_stats(), CacheStats { hits: 2, misses: 1 });
+        // A layer compiled without programs has no table.
+        let analytic = cache
+            .compile(&LayerCompiler::new(CompilerOptions::default()), layer)
+            .expect("compile");
+        let error = cache
+            .slice_plans(&analytic, geometry)
+            .expect_err("no programs");
+        assert!(matches!(error, ApcError::Internal { .. }), "{error:?}");
     }
 
     #[test]

@@ -39,6 +39,14 @@ fn words_for(rows: usize) -> usize {
     rows.div_ceil(WORD_BITS).max(1)
 }
 
+/// Bit `bit` of each of the eight bytes of `bytes`, gathered into the low
+/// eight bits (byte `j`'s bit lands at bit `j`). The multiplier moves byte
+/// `j`'s bit to position `56 + j` and every other product term to a distinct
+/// position outside the top byte, so no carry reaches it.
+fn gather_byte_bits(bytes: u64, bit: usize) -> u64 {
+    ((bytes >> bit) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
 /// Set bits of packed `words` within the row range `start..end` (the caller
 /// guarantees the range lies inside the packed words).
 fn count_mask_range(words: &[u64], start: usize, end: usize) -> u64 {
@@ -1022,15 +1030,31 @@ impl BitPlaneArray {
             }
             return Ok(());
         }
-        for bit in 0..width as usize {
-            let start = self.plane_index(col, base + bit);
-            let planes = &mut self.planes[start..start + self.words];
-            for (word, chunk) in values.chunks(WORD_BITS).enumerate() {
-                let mut packed = 0u64;
-                for (lane, &value) in chunk.iter().enumerate() {
-                    packed |= (((value >> bit) & 1) as u64) << lane;
+        // One sweep over the values per 64-row word packs all `width` planes
+        // of that word (the fast path guarantees `width <= 63`, and the low
+        // `width` bits of an in-range value are its stored bits).
+        let first = self.plane_index(col, base);
+        let planes = usize::from(width);
+        let mut packed = [0u64; WORD_BITS];
+        for (word, chunk) in values.chunks(WORD_BITS).enumerate() {
+            let packed = &mut packed[..planes];
+            packed.fill(0);
+            // Eight lanes at a time: gather each lane's byte of bits into one
+            // word, then pull one bit plane's eight lane bits out per multiply.
+            for (block, lanes) in chunk.chunks(8).enumerate() {
+                for low in (0..planes).step_by(8) {
+                    // Byte `j` holds bits `low..low + 8` of lane `j`'s value.
+                    let bytes = lanes.iter().enumerate().fold(0u64, |bytes, (j, &value)| {
+                        bytes | ((value as u64 >> low) & 0xff) << (8 * j)
+                    });
+                    for (bit, plane_word) in packed[low..planes.min(low + 8)].iter_mut().enumerate()
+                    {
+                        *plane_word |= gather_byte_bits(bytes, bit) << (8 * block);
+                    }
                 }
-                planes[word] = packed;
+            }
+            for (bit, &plane_word) in packed.iter().enumerate() {
+                self.planes[first + bit * self.words + word] = plane_word;
             }
         }
         self.account_column_walk(col, base, width, true);
@@ -1052,29 +1076,58 @@ impl BitPlaneArray {
         width: u8,
         signed: bool,
     ) -> Result<Vec<i64>> {
+        let mut values = Vec::with_capacity(self.rows);
+        self.read_column_values_into(col, base, width, signed, &mut values)?;
+        Ok(values)
+    }
+
+    /// [`read_column_values`](Self::read_column_values), appending the row
+    /// values to `out` instead of allocating a vector — so a caller sensing
+    /// many columns can collect them in one buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns an index error when the location is out of range; `out` may
+    /// then hold the values of the rows read before the failing one.
+    pub fn read_column_values_into(
+        &mut self,
+        col: usize,
+        base: usize,
+        width: u8,
+        signed: bool,
+        out: &mut Vec<i64>,
+    ) -> Result<()> {
         if col >= self.cols || width == 0 || base + (width as usize) > self.domains {
-            return (0..self.rows)
-                .map(|row| self.read_value(col, row, base, width, signed))
-                .collect();
+            for row in 0..self.rows {
+                out.push(self.read_value(col, row, base, width, signed)?);
+            }
+            return Ok(());
         }
-        let mut values = vec![0i64; self.rows];
+        let start = out.len();
+        out.resize(start + self.rows, 0);
+        let values = &mut out[start..];
+        // Unpack a 64-row word at a time: shift each plane word's lanes out
+        // into consecutive rows.
         for bit in 0..width as usize {
-            let start = self.plane_index(col, base + bit);
-            let planes = &self.planes[start..start + self.words];
-            for (row, value) in values.iter_mut().enumerate() {
-                *value |= (((planes[row / WORD_BITS] >> (row % WORD_BITS)) & 1) as i64) << bit;
+            let plane = self.plane(col, base + bit);
+            for (&word, chunk) in plane.iter().zip(values.chunks_mut(WORD_BITS)) {
+                let mut lanes = word;
+                for value in chunk {
+                    *value |= ((lanes & 1) as i64) << bit;
+                    lanes >>= 1;
+                }
             }
         }
         if signed {
             let sign = 1i64 << (width - 1);
-            for value in &mut values {
+            for value in values {
                 if *value & sign != 0 {
                     *value -= 1 << width;
                 }
             }
         }
         self.account_column_walk(col, base, width, false);
-        Ok(values)
+        Ok(())
     }
 
     /// Books the counters of one whole-column fast-path access: the global
@@ -1438,6 +1491,76 @@ mod tests {
             let tags = cam.search(&SearchKey::new().with(0, key_bit)).expect("search");
             for (row, &bit) in bits.iter().enumerate() {
                 prop_assert_eq!(tags.is_set(row), bit == key_bit);
+            }
+        }
+
+        #[test]
+        fn prop_column_fast_paths_match_the_per_row_loops(
+            segments in 1usize..=4,
+            segment_rows in 1usize..=75,
+            width in 1u8..=24,
+            signed in any::<bool>(),
+            start_domain in 0usize..32,
+            seed in any::<u64>(),
+            corrupt in any::<bool>(),
+            bad_row in 0usize..300,
+        ) {
+            // Rows 1..=300 (so ragged last words), segment tracking on, and a
+            // column whose ports start away from the staged range.
+            let rows = segments * segment_rows;
+            let domains = 32usize;
+            let base = (seed % (domains as u64 - u64::from(width) + 1)) as usize;
+            let (low, span) = if signed {
+                (-(1i64 << (width - 1)), 1i64 << width)
+            } else {
+                (0, 1i64 << width)
+            };
+            let mut state = seed;
+            let mut values: Vec<i64> = (0..rows)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    low + ((state >> 11) % span as u64) as i64
+                })
+                .collect();
+            if corrupt {
+                // One value just outside the width's range.
+                values[bad_row % rows] = if signed { low - 1 } else { span };
+            }
+            let mut fast = array(rows, 3, domains);
+            let mut slow = array(rows, 3, domains);
+            for cam in [&mut fast, &mut slow] {
+                cam.track_segments(segment_rows).expect("segments");
+                cam.align_column(1, start_domain).expect("align");
+            }
+            let written = fast.write_column_values(1, base, width, &values);
+            let reference = values
+                .iter()
+                .enumerate()
+                .try_for_each(|(row, &value)| slow.write_value(1, row, base, width, value));
+            prop_assert_eq!(&written, &reference);
+            prop_assert_eq!(written.is_err(), corrupt);
+            prop_assert_eq!(fast.stats(), slow.stats());
+            prop_assert_eq!(fast.segment_stats(), slow.segment_stats());
+            for col in 0..3 {
+                prop_assert_eq!(
+                    fast.column_digest(col, 0, domains as u8).expect("digest"),
+                    slow.column_digest(col, 0, domains as u8).expect("digest")
+                );
+            }
+            if !corrupt {
+                // Read back, appending to a buffer that already holds a value.
+                let mut sensed = vec![-1i64];
+                fast.read_column_values_into(1, base, width, signed, &mut sensed)
+                    .expect("read");
+                let reference: Vec<i64> = (0..rows)
+                    .map(|row| slow.read_value(1, row, base, width, signed).expect("read"))
+                    .collect();
+                prop_assert_eq!(&sensed[1..], &reference[..]);
+                prop_assert_eq!(&reference, &values);
+                prop_assert_eq!(fast.stats(), slow.stats());
+                prop_assert_eq!(fast.segment_stats(), slow.segment_stats());
             }
         }
     }

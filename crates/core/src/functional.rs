@@ -45,15 +45,25 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tnn::im2col::{im2col_channel, Im2colSpec};
+use tnn::im2col::{GatherMap, Im2colSpec};
 use tnn::layer::LayerOp;
 use tnn::model::{ConvLayerInfo, ModelGraph, Source};
-use tnn::Tensor;
+use tnn::{Tensor, TnnError};
 
-/// One batched unit's outcome: the accumulator columns per sample
-/// (`[sample][output][row]`), the per-sample (as-if-solo) counter
+/// One batched unit's outcome: the sensed accumulator columns in one flat
+/// `[output][sample][row]` buffer, the per-sample (as-if-solo) counter
 /// attributions, and the unit's physical counters.
-type UnitOutcome = (Vec<Vec<Vec<i64>>>, Vec<CamStats>, CamStats);
+type UnitOutcome = (Vec<i64>, Vec<CamStats>, CamStats);
+
+/// What every unit job of one batched weighted layer shares.
+struct LayerJob<'a> {
+    compiled: &'a Arc<CompiledLayer>,
+    slices: &'a [apc::CompiledSlice],
+    /// Where each im2col element of a channel plane comes from.
+    gather: GatherMap,
+    /// Each sample's activations, flattened `[cin][h][w]`.
+    inputs: Vec<&'a [i64]>,
+}
 
 /// Identity of the unit being traced, threaded into the per-unit jobs when an
 /// execution-trace recorder is attached to the batch run.
@@ -165,12 +175,17 @@ impl QualityAccum {
     /// into the running totals. Returns the layer's modeled tile-parallel
     /// latency contribution in nanoseconds: the busiest tile's serial share
     /// plus the layer's transfer time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ApcError::Internal`] when an executed tile is missing from
+    /// the plan's report.
     fn absorb_layer(
         &mut self,
         plan: &PartitionPlan,
         tile_stats: &[(usize, CamStats)],
         arch: &ArchConfig,
-    ) -> f64 {
+    ) -> apc::Result<f64> {
         let report = &plan.report;
         self.layers += 1;
         self.units += report.units;
@@ -201,7 +216,9 @@ impl QualityAccum {
                 .per_tile
                 .iter()
                 .find(|t| t.tile == tile)
-                .expect("executed tile is in the plan report");
+                .ok_or_else(|| ApcError::Internal {
+                    reason: format!("executed tile {tile} is missing from the plan report"),
+                })?;
             match self.per_tile.iter_mut().find(|t| t.tile == tile) {
                 Some(usage) => {
                     usage.units += load.units;
@@ -220,7 +237,7 @@ impl QualityAccum {
                 }),
             }
         }
-        busiest_ns + route_ns
+        Ok(busiest_ns + route_ns)
     }
 
     fn finish(mut self, grid: TileGrid) -> PartitionQuality {
@@ -550,13 +567,12 @@ impl FunctionalBackend {
     fn execute_layer_batch(
         &self,
         info: &ConvLayerInfo,
-        compiled: &CompiledLayer,
+        compiled: &Arc<CompiledLayer>,
         inputs: &[&Tensor<i64>],
         cache: &CompileCache,
         trace_node: Option<usize>,
     ) -> apc::Result<LayerOutcome> {
         let _layer_span = telemetry::span("functional.layer");
-        let layout = &compiled.layout;
         let slices = compiled.slices.as_ref().ok_or_else(|| ApcError::Internal {
             reason: "functional backend requires retained programs".to_string(),
         })?;
@@ -565,34 +581,34 @@ impl FunctionalBackend {
             telemetry::count("functional.layers", 1);
             telemetry::count("functional.units", plan.units.len() as u64);
         }
+        // Units stage their packed columns straight from the samples'
+        // activations through one gather map. Fully connected layers arrive
+        // as (1, 1)-kernel convolutions over the flattened input, so an input
+        // only has to hold `cin·h·w` values, whatever its shape.
+        let pack_span = telemetry::span("functional.pack");
         let spec = Im2colSpec {
             fh: info.kernel.0,
             fw: info.kernel.1,
             stride: info.stride,
             padding: info.padding,
         };
-        // One im2col matrix per (sample, input channel), shared by all units.
-        // Fully connected layers arrive as (1, 1)-kernel convolutions over a
-        // flattened input; reshape the activation tensors accordingly.
-        let pack_span = telemetry::span("functional.pack");
-        let patches: Vec<Vec<Tensor<i64>>> = inputs
-            .iter()
-            .map(|&input| {
-                let staged;
-                let input = if input.shape() == [info.cin, info.input_hw.0, info.input_hw.1] {
-                    input
-                } else {
-                    staged = Tensor::from_vec(
-                        vec![info.cin, info.input_hw.0, info.input_hw.1],
-                        input.as_slice().to_vec(),
-                    )?;
-                    &staged
-                };
-                (0..info.cin)
-                    .map(|channel| im2col_channel(input, channel, spec))
-                    .collect::<tnn::Result<Vec<_>>>()
-            })
-            .collect::<tnn::Result<_>>()?;
+        let shape = vec![info.cin, info.input_hw.0, info.input_hw.1];
+        let values = shape.iter().product::<usize>();
+        let job = LayerJob {
+            compiled,
+            slices,
+            gather: spec.gather(info.input_hw),
+            inputs: inputs
+                .iter()
+                .map(|input| match input.as_slice() {
+                    data if data.len() == values => Ok(data),
+                    data => Err(TnnError::ShapeMismatch {
+                        shape: shape.clone(),
+                        data_len: data.len(),
+                    }),
+                })
+                .collect::<tnn::Result<_>>()?,
+        };
         drop(pack_span);
 
         // Spans opened on rayon workers adopt this layer's span path so the
@@ -605,7 +621,7 @@ impl FunctionalBackend {
                 let _parent = span_context.adopt();
                 let _unit_span = telemetry::span("functional.unit");
                 let ctx = trace_node.map(|node_id| UnitTraceCtx { node_id, ordinal });
-                self.execute_unit_batch(layout, slices, &patches, unit, cache, ctx)
+                self.execute_unit_batch(&job, unit, cache, ctx)
             })
             .collect();
         let outcomes: Vec<(UnitOutcome, Vec<u8>)> =
@@ -624,7 +640,7 @@ impl FunctionalBackend {
         // any `RAYON_NUM_THREADS`.
         let mut trace_bytes = Vec::new();
         let positions = info.output_hw.0 * info.output_hw.1;
-        for (unit, ((per_sample, unit_attributed, unit_physical), fragment)) in
+        for (unit, ((sensed, unit_attributed, unit_physical), fragment)) in
             plan.units.iter().zip(outcomes)
         {
             trace_bytes.extend_from_slice(&fragment);
@@ -633,24 +649,25 @@ impl FunctionalBackend {
                 Some((_, stats)) => *stats += unit_physical,
                 None => tile_stats.push((unit.tile, unit_physical)),
             }
-            for (sample, values) in per_sample.into_iter().enumerate() {
-                attributed[sample] += unit_attributed[sample];
-                // Rows of one group are consecutive output positions of each
-                // output channel's plane, so a column lands as one contiguous
-                // run. Channel-split units carry partial sums over disjoint
-                // input-channel ranges; integer addition into the zeroed
-                // output merges them in any order.
-                let out_data = outputs[sample].as_mut_slice();
-                for (offset, column) in values.into_iter().enumerate() {
-                    let target = &mut out_data
-                        [(unit.outputs.start + offset) * positions + unit.rows.start..]
-                        [..column.len()];
-                    if plan.channel_splits == 1 {
-                        target.copy_from_slice(&column);
-                    } else {
-                        for (out, partial) in target.iter_mut().zip(column) {
-                            *out += partial;
-                        }
+            for (total, unit_share) in attributed.iter_mut().zip(unit_attributed) {
+                *total += unit_share;
+            }
+            // The sensed buffer is `[output][sample][row]`, and rows of one
+            // group are consecutive output positions of each output
+            // channel's plane, so every column lands as one contiguous run.
+            // Channel-split units carry partial sums over disjoint
+            // input-channel ranges; integer addition into the zeroed output
+            // merges them in any order.
+            let rows = unit.rows.len();
+            for (index, column) in sensed.chunks_exact(rows).enumerate() {
+                let (output, sample) = (index / batch, index % batch);
+                let target = &mut outputs[sample].as_mut_slice()
+                    [(unit.outputs.start + output) * positions + unit.rows.start..][..rows];
+                if plan.channel_splits == 1 {
+                    target.copy_from_slice(column);
+                } else {
+                    for (out, partial) in target.iter_mut().zip(column) {
+                        *out += partial;
                     }
                 }
             }
@@ -671,20 +688,28 @@ impl FunctionalBackend {
     /// slice program touches only its own channel's domains), producing
     /// partial sums the caller merges.
     ///
-    /// Returns one accumulator column per output channel per sample, the
+    /// Returns the accumulator columns (`[output][sample][row]`), the
     /// per-sample counter attributions, and the unit's physical counters.
     fn execute_unit_batch(
         &self,
-        layout: &apc::layout::LayerLayout,
-        slices: &[apc::CompiledSlice],
-        patches: &[Vec<Tensor<i64>>],
+        job: &LayerJob<'_>,
         unit: &PartitionUnit,
         cache: &CompileCache,
         trace_ctx: Option<UnitTraceCtx>,
     ) -> apc::Result<(UnitOutcome, Vec<u8>)> {
-        let batch = patches.len();
+        let layout = &job.compiled.layout;
+        let gather = &job.gather;
+        let batch = job.inputs.len();
         let rows = unit.rows.len();
-        let start = unit.rows.start;
+        if unit.rows.end > gather.positions() {
+            return Err(ApcError::Internal {
+                reason: format!(
+                    "row range {:?} exceeds the {} output positions",
+                    unit.rows,
+                    gather.positions()
+                ),
+            });
+        }
         let mut array = BitPlaneArray::new(
             rows * batch,
             layout.geometry.cols,
@@ -694,12 +719,6 @@ impl FunctionalBackend {
         .map_err(ap::ApError::from)?;
         array.track_segments(rows).map_err(ap::ApError::from)?;
         let mut engine = ApEngine::new(array);
-        // Unit programs repeat across units, row groups, batches and served
-        // requests; the plan path lowers each distinct program once into the
-        // shared cache and re-executes the specialized form, while the
-        // interpreter path re-derives every pass list per run (retained as
-        // the differential reference).
-        let use_plans = self.engine_mode == EngineMode::Plan;
         let geometry = PlanGeometry::of(engine.array());
         // With a trace context attached, every program executes one
         // instruction at a time through `trace::trace_program` (per-pass
@@ -724,10 +743,20 @@ impl FunctionalBackend {
             });
             recorder
         });
+        // Unit programs repeat across units, row groups, batches and served
+        // requests; the plan path lowers each distinct program once into the
+        // shared cache and runs the untraced slices from the layer's
+        // slice-plan table, while the interpreter path re-derives every pass
+        // list per run (retained as the differential reference).
+        let use_plans = self.engine_mode == EngineMode::Plan;
         let trace_mode = if use_plans {
             TraceEngine::Plan(cache)
         } else {
             TraceEngine::Interpreter
+        };
+        let slice_plans = match (&recorder, use_plans) {
+            (None, true) => Some(cache.slice_plans(job.compiled, geometry)?),
+            _ => None,
         };
         let prologue = apc::codegen::tile_prologue(layout, unit.outputs.len());
         match recorder.as_mut() {
@@ -737,30 +766,22 @@ impl FunctionalBackend {
             None if use_plans => engine.run_plan(&cache.plan(&prologue, geometry))?,
             None => engine.run(&prologue)?,
         }
+        let plane_len = gather.plane_len();
         let mut column = Vec::with_capacity(rows * batch);
-        for slice in slices
+        for (index, slice) in job
+            .slices
             .iter()
-            .filter(|s| s.tile == unit.col_split && unit.channels.contains(&s.channel))
+            .enumerate()
+            .filter(|(_, s)| s.tile == unit.col_split && unit.channels.contains(&s.channel))
         {
             for k in 0..layout.patch_size {
                 // Segment s holds sample s's rows, in row order, so the
                 // packed column is the sample-major concatenation of each
-                // sample's im2col row `k` slice.
+                // sample's im2col row `k` over the unit's positions.
                 column.clear();
-                for sample_patches in patches {
-                    let channel_patches = &sample_patches[slice.channel];
-                    let positions = channel_patches.shape()[1];
-                    if start + rows > positions {
-                        return Err(ApcError::Internal {
-                            reason: format!(
-                                "row range {:?} exceeds the {positions} output positions",
-                                unit.rows
-                            ),
-                        });
-                    }
-                    column.extend_from_slice(
-                        &channel_patches.as_slice()[k * positions + start..][..rows],
-                    );
+                for input in &job.inputs {
+                    let plane = &input[slice.channel * plane_len..][..plane_len];
+                    gather.stage(k, unit.rows.clone(), plane, &mut column);
                 }
                 let operand = Operand::new(
                     k,
@@ -773,28 +794,25 @@ impl FunctionalBackend {
                     None => engine.load_column(&operand, &column)?,
                 }
             }
-            match recorder.as_mut() {
-                Some(recorder) => {
+            match (recorder.as_mut(), &slice_plans) {
+                (Some(recorder), _) => {
                     trace::trace_program(&mut engine, &slice.program, trace_mode, recorder, None)?
                 }
-                None if use_plans => engine.run_plan(&cache.plan(&slice.program, geometry))?,
-                None => engine.run(&slice.program)?,
+                (None, Some(plans)) => engine.run_plan(plans.get(index))?,
+                (None, None) => engine.run(&slice.program)?,
             }
         }
-        let mut values: Vec<Vec<Vec<i64>>> = vec![Vec::with_capacity(unit.outputs.len()); batch];
+        let mut sensed = Vec::with_capacity(unit.outputs.len() * rows * batch);
         for output in 0..unit.outputs.len() {
             let acc = Operand::new(layout.acc_col_start + output, 0, layout.acc_bits, true);
-            let packed = match recorder.as_mut() {
-                Some(recorder) => trace::traced_read(&mut engine, &acc, recorder)?,
-                None => engine.read_column(&acc)?,
-            };
-            for (sample, chunk) in packed.chunks(rows).enumerate() {
-                values[sample].push(chunk.to_vec());
+            match recorder.as_mut() {
+                Some(recorder) => trace::traced_read(&mut engine, &acc, recorder, &mut sensed)?,
+                None => engine.read_column_into(&acc, &mut sensed)?,
             }
         }
         let attributed = engine.array().segment_stats();
         let fragment = recorder.map(TraceRecorder::into_bytes).unwrap_or_default();
-        Ok(((values, attributed, engine.stats()), fragment))
+        Ok(((sensed, attributed, engine.stats()), fragment))
     }
 
     /// Executes `model` end to end for a batch of explicit inputs, reusing
@@ -968,7 +986,7 @@ impl FunctionalBackend {
                         sink.append_fragment(&frag);
                     }
                     physical += layer_physical;
-                    let layer_ns = quality.absorb_layer(&plan, &tile_stats, &self.arch);
+                    let layer_ns = quality.absorb_layer(&plan, &tile_stats, &self.arch)?;
                     modeled_ns += layer_ns;
                     if let Some(costs) = collector.as_deref_mut() {
                         let route_uj = plan
@@ -1419,6 +1437,21 @@ mod tests {
         assert_eq!(degenerate.route_energy_uj, 0.0);
         assert_eq!(degenerate.per_tile.len(), 1);
         assert_eq!(degenerate.tile_stats_total(), solo.stats);
+    }
+
+    #[test]
+    fn a_tile_missing_from_the_plan_report_is_a_typed_error() {
+        let model = micro_cnn("micro-q", 4, 0.8, 3);
+        let layer = &model.conv_like_layers()[0];
+        let options = CompilerOptions::default().with_programs();
+        let plan = CompileCache::new()
+            .partition(layer, &options, TileGrid::default())
+            .expect("partition plan");
+        let error = QualityAccum::default()
+            .absorb_layer(&plan, &[(99, CamStats::new())], &ArchConfig::default())
+            .expect_err("tile 99 is not in a 1x1 plan");
+        assert!(matches!(error, ApcError::Internal { .. }), "{error:?}");
+        assert!(error.to_string().contains("tile 99"), "{error}");
     }
 
     #[test]

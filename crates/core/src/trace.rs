@@ -737,7 +737,8 @@ pub fn traced_load(
     Ok(())
 }
 
-/// [`ApEngine::read_column`] plus a read record in `recorder`.
+/// [`ApEngine::read_column_into`] plus a read record in `recorder`: the
+/// sensed column is appended to `out`.
 ///
 /// # Errors
 ///
@@ -746,11 +747,13 @@ pub fn traced_read(
     engine: &mut ApEngine,
     operand: &Operand,
     recorder: &mut TraceRecorder,
-) -> ap::Result<Vec<i64>> {
+    out: &mut Vec<i64>,
+) -> ap::Result<()> {
     let before = engine.stats();
-    let values = engine.read_column(operand)?;
-    recorder.record_read(operand, &values, stats_delta(before, engine.stats()));
-    Ok(values)
+    let start = out.len();
+    engine.read_column_into(operand, out)?;
+    recorder.record_read(operand, &out[start..], stats_delta(before, engine.stats()));
+    Ok(())
 }
 
 /// The first point where two traces disagree, with enough context to act on:

@@ -329,6 +329,20 @@ fn pass_plans_are_compiled_exactly_once_per_program_across_batches() {
     let after_first = cache.plan_stats();
     let summary = cache.plan_summary();
     assert!(after_first.misses > 0, "the batch must compile pass plans");
+    // Exact counts: one plan request per unit prologue and per slice run,
+    // whichever way the backend resolves its plans; one partition request
+    // per weighted layer.
+    assert_eq!(
+        after_first,
+        apc::CacheStats {
+            hits: 15,
+            misses: 127
+        }
+    );
+    assert_eq!(
+        cache.partition_stats(),
+        apc::CacheStats { hits: 0, misses: 3 }
+    );
     assert_eq!(
         after_first.misses, summary.plans,
         "every plan cache miss is one lowered plan"
@@ -358,6 +372,17 @@ fn pass_plans_are_compiled_exactly_once_per_program_across_batches() {
     assert!(
         after_second.hits > after_first.hits,
         "reuse must hit the plan cache"
+    );
+    assert_eq!(
+        after_second,
+        apc::CacheStats {
+            hits: 157,
+            misses: 127
+        }
+    );
+    assert_eq!(
+        cache.partition_stats(),
+        apc::CacheStats { hits: 3, misses: 3 }
     );
     assert_eq!(cache.plan_summary().plans, summary.plans);
 }
