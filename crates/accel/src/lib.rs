@@ -8,10 +8,10 @@
 //! write endurance.
 //!
 //! The [`NetworkSimulator`] here is the *analytic* evaluation path: it prices a
-//! compiled network with the closed-form [`ap::CostModel`] and scales to
+//! compiled network with the closed-form `ap::CostModel` and scales to
 //! ImageNet. Its execution counterpart is the `functional` backend of the
 //! `camdnn` crate, which runs the same compiled programs bit-serially on the
-//! word-parallel [`ap::ApEngine`] over the same [`ArchConfig`] geometry and
+//! word-parallel `ap::ApEngine` over the same [`ArchConfig`] geometry and
 //! technology — use that path when counters must come from execution rather
 //! than a model.
 //!

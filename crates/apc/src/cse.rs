@@ -19,7 +19,7 @@
 //! live one. One greedy step costs work proportional to the terms of the rewritten
 //! expressions, plus a logarithmic heap operation per changed count.
 //!
-//! A [`Workspace`] holds all of that state. The compiler's slice walk keeps one
+//! A `Workspace` holds all of that state. The compiler's slice walk keeps one
 //! across slices, so after the first few slices a CSE run allocates nothing.
 
 use crate::expr::{LinearExpr, SignalId, SignalTable};

@@ -6,16 +6,16 @@
 //! between tiles to stitch the pieces back together. The pipeline has the
 //! same three-pass shape as a place-and-route compiler:
 //!
-//! 1. **Split-point selection** ([`split`]) — choose output-channel,
+//! 1. **Split-point selection** (`split`) — choose output-channel,
 //!    output-position and input-channel split points against the
 //!    [`CamGeometry`](crate::layout::CamGeometry) capacity. Row and column
 //!    splits follow the layout's capacity boundaries exactly; the
 //!    input-channel dimension is split only as far as the grid has idle
 //!    tiles, so a 1×1 grid always yields the unpartitioned execution.
-//! 2. **Placement** ([`place`]) — assign every sub-layer unit to a grid tile
+//! 2. **Placement** (`place`) — assign every sub-layer unit to a grid tile
 //!    (deterministic round-robin in unit order, so partial-sum merge groups
 //!    occupy consecutive tiles).
-//! 3. **Routing** ([`route`]) — derive the explicit inter-tile
+//! 3. **Routing** (`route`) — derive the explicit inter-tile
 //!    operand-movement schedule: input scatter from the I/O tile, partial-sum
 //!    gathers to each merge tile, and the merged-output writeback, each with
 //!    its Manhattan hop count on the grid.

@@ -713,10 +713,11 @@ impl BitPlaneArray {
     /// Closed-form equivalent of a column's whole-program align subsequence:
     /// one charge of `distance(current, first) + intra` lockstep shifts that
     /// leaves the port at `last`. Produces exactly the counters and shadow
-    /// positions that replaying the summarized [`align_column`]
-    /// (Self::align_column) calls one by one would — the align sequence of a
-    /// program is data-independent, so a plan compiler can fold each column's
-    /// walk into `(first, intra, last)` at lowering time.
+    /// positions that replaying the summarized
+    /// [`align_column`](Self::align_column) calls one by one would — the
+    /// align sequence of a program is data-independent, so a plan compiler
+    /// can fold each column's walk into `(first, intra, last)` at lowering
+    /// time.
     ///
     /// # Errors
     ///
@@ -749,8 +750,8 @@ impl BitPlaneArray {
     /// call: `search_cycles` searches totalling `key_bits` key bits per row,
     /// and `write_cycles` writes of which the all-rows-tagged ones (clears,
     /// carry resets) write `allset_pattern_bits` pattern bits per row.
-    /// Identical to summing the per-pass accounting of [`search`]
-    /// (Self::search) / [`write_tagged`](Self::write_tagged) over the
+    /// Identical to summing the per-pass accounting of
+    /// [`search`](Self::search) / [`write_tagged`](Self::write_tagged) over the
     /// sequence; the data-dependent tagged-write bits are booked separately
     /// through [`bulk_tagged_bits`](Self::bulk_tagged_bits).
     pub fn bulk_pass_events(

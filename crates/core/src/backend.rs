@@ -38,7 +38,6 @@ use baseline::{CrossbarModel, CrossbarReport, DeepCamModel, DeepCamReport};
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 use tnn::model::ModelGraph;
-use tnn::Tensor;
 
 /// The global [`BackendId`] intern table: every distinct identifier string is
 /// leaked exactly once, so ids are `Copy` and comparisons touch a `&'static
@@ -310,8 +309,8 @@ impl BackendReport {
     }
 }
 
-/// The modeled cost of one weighted layer, as profiled by a backend that can
-/// attribute execution per layer.
+/// The modeled cost of one weighted layer, as profiled by
+/// [`FunctionalBackend::profile`](crate::functional::FunctionalBackend::profile).
 ///
 /// This is the raw material of pipeline-stage planning
 /// ([`apc::plan_stages`]): a fleet simulator cuts the layer sequence into
@@ -425,56 +424,6 @@ pub trait InferenceBackend: Send + Sync {
         }
         self.evaluate_cached(model, cache)
     }
-
-    /// Evaluates one batch of *caller-provided* request payloads — the hook
-    /// the serving runtime (`camdnn-serve`) dispatches each closed batch
-    /// through.
-    ///
-    /// The default forwards to
-    /// [`evaluate_batch_cached`](Self::evaluate_batch_cached) with the
-    /// payload count: analytic backends price inference by the model alone,
-    /// so the payload *values* cannot change their report and no per-request
-    /// outputs are produced. Backends that really execute data (the
-    /// [`FunctionalBackend`](crate::functional::FunctionalBackend)) override
-    /// this to run exactly the given inputs; their per-request logits must be
-    /// value-identical to solo `run_batch` calls of the same payloads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`apc::ApcError::InvalidArgument`] for an empty batch, and
-    /// otherwise the same errors as
-    /// [`evaluate_batch_cached`](Self::evaluate_batch_cached).
-    fn evaluate_requests_cached(
-        &self,
-        model: &ModelGraph,
-        inputs: &[Tensor<i64>],
-        cache: &CompileCache,
-    ) -> apc::Result<BackendReport> {
-        self.evaluate_batch_cached(model, inputs.len(), cache)
-    }
-
-    /// Profiles `model` per weighted layer, when the backend can attribute
-    /// execution to individual layers.
-    ///
-    /// The default returns `Ok(None)` — analytic baselines price the whole
-    /// model in closed form and have no per-layer story. The
-    /// [`FunctionalBackend`](crate::functional::FunctionalBackend) overrides
-    /// this with the layer costs of a real single-sample execution; the sum
-    /// of the profiled latencies/energies is consistent with its whole-model
-    /// report.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`evaluate_cached`](Self::evaluate_cached), for backends that
-    /// profile by executing.
-    fn profile_layers(
-        &self,
-        model: &ModelGraph,
-        cache: &CompileCache,
-    ) -> apc::Result<Option<ModelProfile>> {
-        let _ = (model, cache);
-        Ok(None)
-    }
 }
 
 impl InferenceBackend for NetworkSimulator {
@@ -537,7 +486,7 @@ mod tests {
     use super::*;
     use accel::ArchConfig;
     use apc::CompilerOptions;
-    use tnn::model::vgg9;
+    use tnn::model::{micro_cnn, vgg9};
 
     #[test]
     fn trait_dispatch_matches_direct_calls() {
@@ -562,6 +511,40 @@ mod tests {
         let direct = simulator.evaluate(&model).expect("evaluate");
         assert_eq!(cached, direct);
         assert!(cache.stats().misses > 0);
+    }
+
+    #[test]
+    fn default_batch_evaluation_rejects_an_empty_batch() {
+        let model = micro_cnn("micro-empty", 4, 0.8, 1);
+        let error = DeepCamModel::default()
+            .evaluate_batch_cached(&model, 0, &CompileCache::new())
+            .expect_err("empty batch");
+        assert!(
+            matches!(error, apc::ApcError::InvalidArgument { .. }),
+            "{error:?}"
+        );
+        assert!(error.to_string().contains("at least one sample"), "{error}");
+    }
+
+    #[test]
+    fn analytic_batches_report_the_single_sample_cost() {
+        let model = micro_cnn("micro-batch", 8, 0.8, 2);
+        let backends: [Box<dyn InferenceBackend>; 3] = [
+            Box::new(NetworkSimulator::new(
+                ArchConfig::default(),
+                CompilerOptions::default(),
+            )),
+            Box::new(CrossbarModel::default().with_act_bits(4)),
+            Box::new(DeepCamModel::default()),
+        ];
+        let cache = CompileCache::new();
+        for backend in &backends {
+            let single = backend.evaluate_cached(&model, &cache).expect("single");
+            let batch = backend
+                .evaluate_batch_cached(&model, 3, &cache)
+                .expect("batch");
+            assert_eq!(batch, single, "{}", backend.name());
+        }
     }
 
     #[test]

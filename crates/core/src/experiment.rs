@@ -18,7 +18,7 @@
 //! * [`ResultSet`] — deterministic, registration-ordered records
 //!   ([`ScenarioRecord`]) with JSON-lines serialization
 //!   ([`ResultSet::to_json`]), table rendering, and a
-//!   [`PipelineReport`](crate::PipelineReport) compatibility view.
+//!   [`PipelineReport`] compatibility view.
 //!
 //! The result set and the runner are shared one layer up the stack: the
 //! serving and fleet sweeps of `camdnn-serve` collect their own
@@ -49,11 +49,8 @@
 //! println!("{}", results.to_table());
 //! ```
 //!
-//! Migrating from [`FullStackPipeline`](crate::FullStackPipeline): a pipeline
-//! is exactly a one-scenario session — `FullStackPipeline::run` is now
-//! implemented as one — so replace per-configuration pipeline loops with one
-//! grid and read the same numbers out of
-//! [`ResultSet::pipeline`].
+//! A single configuration is a one-point grid: run it through a [`Session`]
+//! and read the Table II view of a scenario out of [`ResultSet::pipeline`].
 
 use crate::backend::{BackendId, BackendKind, BackendReport, InferenceBackend};
 use crate::functional::PartitionQuality;
@@ -191,8 +188,8 @@ impl BackendPlan {
         })
     }
 
-    /// The four comparison points of the bundled pipeline, in the order
-    /// [`FullStackPipeline`](crate::FullStackPipeline) registers them.
+    /// The four comparison points of Table II, in the order
+    /// [`ResultSet::pipeline`] reads them.
     pub fn standard() -> Vec<BackendPlan> {
         vec![
             BackendPlan::rtm_ap(),
@@ -224,11 +221,8 @@ pub struct ScenarioSpec {
     pub workload: Workload,
     /// Activation precision in bits.
     pub act_bits: u8,
-    /// Target CAM geometry.
-    pub geometry: CamGeometry,
-    /// Accelerator configuration (used exactly as given — callers that sweep
-    /// geometries are responsible for keeping `arch.geometry` in sync, which
-    /// [`SweepGrid`] does automatically).
+    /// Accelerator configuration; `arch.geometry` is the scenario's target
+    /// CAM geometry.
     pub arch: ArchConfig,
     /// Number of samples evaluated together (1 = classic single-sample
     /// evaluation; larger batches go through
@@ -240,7 +234,7 @@ pub struct ScenarioSpec {
     /// The backends evaluated on this scenario, in registration order.
     pub backends: Vec<BackendPlan>,
     /// Template for the remaining compiler knobs (CSE temp budget, retained
-    /// programs, …); `act_bits` and `geometry` above override its
+    /// programs, …); `act_bits` and `arch.geometry` above override its
     /// corresponding fields, and the CSE flag is set per backend plan.
     pub compiler_template: CompilerOptions,
 }
@@ -255,7 +249,6 @@ impl ScenarioSpec {
             label: workload.label.clone(),
             workload,
             act_bits: template.act_bits,
-            geometry: template.geometry,
             arch: ArchConfig::default(),
             batch_size: 1,
             tile_grid: TileGrid::default(),
@@ -269,7 +262,7 @@ impl ScenarioSpec {
     pub fn compiler_options(&self) -> CompilerOptions {
         CompilerOptions {
             act_bits: self.act_bits,
-            geometry: self.geometry,
+            geometry: self.arch.geometry,
             ..self.compiler_template
         }
     }
@@ -446,7 +439,6 @@ impl SweepGrid {
                                     label,
                                     workload: workload.clone(),
                                     act_bits,
-                                    geometry,
                                     arch: arch.with_geometry(geometry),
                                     batch_size,
                                     tile_grid,
@@ -746,7 +738,7 @@ impl Session {
                     network: model.name().to_string(),
                     sparsity: sparsities[index],
                     act_bits: spec.act_bits,
-                    geometry: spec.geometry,
+                    geometry: spec.arch.geometry,
                     backend: plan.id(),
                     backend_name: backend.name(),
                     energy_uj: report.energy_uj(),
@@ -931,6 +923,18 @@ mod tests {
         // The extended record shape still round-trips as JSON lines.
         let parsed = ResultSet::from_json(&results.to_json()).expect("parse");
         assert_eq!(parsed, results);
+    }
+
+    #[test]
+    fn run_ordered_rejects_duplicate_labels_before_any_job_runs() {
+        let jobs = [0usize, 1, 2];
+        let result: Result<Vec<()>, String> = run_ordered(
+            ["a", "b", "a"],
+            |label| format!("duplicate `{label}`"),
+            &jobs,
+            |_| panic!("no job may run when a label repeats"),
+        );
+        assert_eq!(result, Err("duplicate `a`".to_string()));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! accuracy" claim, now end-to-end instead of per-layer.
 //!
 //! The backend registers under the open [`BackendId`](crate::BackendId) space
-//! as [`BackendKind::Functional`] (`"functional"`), so sweeps put its records
+//! as [`BackendKind::Functional`](crate::BackendKind::Functional) (`"functional"`), so sweeps put its records
 //! next to `rtm-ap`/`crossbar`/`deepcam` columns. Its energy/latency figures
 //! come from the [`cam::CamStats`] the execution actually accumulated, not
 //! from an analytic model — use it when you need measured-by-construction
@@ -819,7 +819,7 @@ impl FunctionalBackend {
     /// previously compiled layers from `cache`.
     ///
     /// Every weighted layer packs the batch into shared per-unit arrays (see
-    /// [`execute_unit_batch`](Self::execute_unit_batch)); non-weighted
+    /// `execute_unit_batch`); non-weighted
     /// operators run per sample on the reference integer engine. The logits
     /// of every sample are value-identical to a single-sample run of the same
     /// input at any batch size and thread count, and each sample's
@@ -1188,28 +1188,6 @@ impl InferenceBackend for FunctionalBackend {
             cache,
         )?))
     }
-
-    fn profile_layers(
-        &self,
-        model: &ModelGraph,
-        cache: &CompileCache,
-    ) -> apc::Result<Option<ModelProfile>> {
-        self.profile(model, cache).map(Some)
-    }
-
-    fn evaluate_requests_cached(
-        &self,
-        model: &ModelGraph,
-        inputs: &[Tensor<i64>],
-        cache: &CompileCache,
-    ) -> apc::Result<BackendReport> {
-        // The serving hook executes exactly the caller's payloads, so each
-        // request's logits are value-identical to a solo `run_batch` of its
-        // input (the batch-equivalence invariant).
-        Ok(BackendReport::FunctionalBatch(
-            self.run_batch(model, inputs, cache)?,
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -1266,12 +1244,7 @@ mod tests {
             profile.total_energy_uj(),
             report.energy_uj()
         );
-        // The trait hook surfaces the same profile; replays are identical.
-        let hooked = backend
-            .profile_layers(&model, &cache)
-            .expect("hook")
-            .expect("functional profiles");
-        assert_eq!(hooked, profile);
+        // Replays are identical.
         assert_eq!(backend.profile(&model, &cache).expect("replay"), profile);
     }
 

@@ -7,7 +7,7 @@
 //! * [`apc`] — the compilation flow that turns them into associative-processor
 //!   programs (loop transformations, constant folding, CSE, bitwidth annotation,
 //!   column allocation, in-/out-of-place code generation),
-//! * [`ap`] / [`cam`] / [`rtm`] — the RTM-based associative-processor substrate,
+//! * [`ap`] / [`cam`] / `rtm` — the RTM-based associative-processor substrate,
 //! * [`accel`] — the bank/tile/AP accelerator model that produces energy, latency,
 //!   data-movement and endurance reports, and
 //! * [`baseline`] — the DNN+NeuroSim-style crossbar and DeepCAM-style comparison
@@ -20,20 +20,23 @@
 //! [`BackendPlan::custom`](experiment::BackendPlan::custom) without touching
 //! this crate. The [`experiment`] module turns the paper's grid of
 //! configurations into a first-class object: declare a
-//! [`SweepGrid`](experiment::SweepGrid) (workloads × activation bits ×
+//! [`SweepGrid`] (workloads × activation bits ×
 //! geometries × architectures), run it through a
-//! [`Session`](experiment::Session) — one flat parallel job pool over
+//! [`Session`] — one flat parallel job pool over
 //! *scenario × backend* with a shared [`apc::CompileCache`] — and collect a
-//! serializable [`ResultSet`](experiment::ResultSet).
+//! serializable [`ResultSet`].
 //!
-//! For a single configuration, [`FullStackPipeline`] remains the convenience
-//! entry point (now a one-scenario session under the hood):
+//! A single configuration is a one-point grid; [`ResultSet::pipeline`]
+//! reads its Table II view:
 //!
 //! ```
-//! use camdnn::FullStackPipeline;
+//! use camdnn::{Session, SweepGrid};
 //! use tnn::model::vgg9;
 //!
-//! let report = FullStackPipeline::new(vgg9(0.9, 1)).run().expect("pipeline");
+//! let results = Session::new()
+//!     .run(&SweepGrid::new().workload(vgg9(0.9, 1)))
+//!     .expect("session");
+//! let report = results.pipeline(results.scenarios()[0]).expect("pipeline view");
 //! assert!(report.rtm_ap.energy_uj() > 0.0);
 //! assert!(report.crossbar.energy_uj() > report.rtm_ap.energy_uj() * 0.1);
 //! println!("{}", report.table_row());
@@ -58,7 +61,7 @@ pub use experiment::{
     BackendPlan, ResultSet, ScenarioRecord, ScenarioSpec, Session, SweepGrid, Workload,
 };
 pub use functional::{BatchReport, EngineMode, FunctionalBackend, FunctionalReport, SampleReport};
-pub use pipeline::{FullStackPipeline, PipelineReport};
+pub use pipeline::PipelineReport;
 pub use trace::{Divergence, ExecutionTrace, TraceDiff, TraceError, TraceHeader, TraceRecorder};
 
 /// The telemetry spine (`camdnn-telemetry`, re-exported): span tracing, the

@@ -1,11 +1,9 @@
-use crate::experiment::{ScenarioSpec, Session};
-use accel::{ArchConfig, NetworkReport};
-use apc::CompilerOptions;
+use accel::NetworkReport;
 use baseline::{CrossbarReport, DeepCamReport};
 use serde::{Deserialize, Serialize};
-use tnn::model::ModelGraph;
 
-/// The combined result of running the full stack and the baselines on one model.
+/// The combined result of running the full stack and the baselines on one
+/// scenario, as assembled by [`ResultSet::pipeline`](crate::ResultSet::pipeline).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineReport {
     /// RTM-AP result (compiled with the configured options).
@@ -62,116 +60,19 @@ impl PipelineReport {
     }
 }
 
-/// Builder for the end-to-end flow: model → compilation → RTM-AP simulation →
-/// baseline comparison.
-///
-/// This is the *one-scenario* convenience wrapper around the experiment API:
-/// [`run`](Self::run) materialises a single
-/// [`ScenarioSpec`](crate::experiment::ScenarioSpec) with the four standard
-/// backends and executes it through a fresh
-/// [`Session`](crate::experiment::Session). Code that evaluates a *grid* of
-/// configurations should build a [`SweepGrid`](crate::experiment::SweepGrid)
-/// instead — one session shares layer compilation across all scenarios and
-/// returns machine-readable records (see the
-/// [`experiment`](crate::experiment) module for the migration path).
-///
-/// # Example
-///
-/// ```
-/// use camdnn::{ArchConfig, CompilerOptions, FullStackPipeline};
-/// use tnn::model::vgg9;
-///
-/// let report = FullStackPipeline::new(vgg9(0.9, 1))
-///     .with_activation_bits(8)
-///     .run()
-///     .expect("pipeline");
-/// assert_eq!(report.rtm_ap.act_bits, 8);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FullStackPipeline {
-    model: ModelGraph,
-    arch: ArchConfig,
-    options: CompilerOptions,
-}
-
-impl FullStackPipeline {
-    /// Creates a pipeline for `model` with the default architecture and compiler
-    /// options (4-bit activations, CSE enabled).
-    pub fn new(model: ModelGraph) -> Self {
-        FullStackPipeline {
-            model,
-            arch: ArchConfig::default(),
-            options: CompilerOptions::default(),
-        }
-    }
-
-    /// Sets the activation precision (the paper evaluates 4 and 8 bits).
-    #[must_use]
-    pub fn with_activation_bits(mut self, act_bits: u8) -> Self {
-        self.options.act_bits = act_bits;
-        self
-    }
-
-    /// Replaces the accelerator configuration.
-    #[must_use]
-    pub fn with_arch(mut self, arch: ArchConfig) -> Self {
-        self.arch = arch;
-        self
-    }
-
-    /// Replaces the compiler options.
-    #[must_use]
-    pub fn with_compiler_options(mut self, options: CompilerOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// The model being evaluated.
-    pub fn model(&self) -> &ModelGraph {
-        &self.model
-    }
-
-    /// The one-scenario [`ScenarioSpec`] this pipeline corresponds to: the
-    /// model at the configured compiler options and architecture, with the
-    /// four standard backends.
-    pub fn scenario(&self) -> ScenarioSpec {
-        let mut spec = ScenarioSpec::new(self.model.clone());
-        spec.act_bits = self.options.act_bits;
-        spec.geometry = self.options.geometry;
-        spec.arch = self.arch;
-        spec.compiler_template = self.options;
-        spec
-    }
-
-    /// Runs the full stack (both `unroll` and `unroll+CSE` configurations) and the
-    /// baselines as parallel [`InferenceBackend`](crate::InferenceBackend) jobs —
-    /// implemented as a one-scenario [`Session`] run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors (for example a layer that does not fit the
-    /// configured CAM geometry).
-    pub fn run(&self) -> apc::Result<PipelineReport> {
-        let spec = self.scenario();
-        let results = Session::new().run_scenarios(std::slice::from_ref(&spec))?;
-        results
-            .pipeline(&spec.label)
-            .ok_or_else(|| apc::ApcError::Internal {
-                reason: "one-scenario session produced an incomplete pipeline view".to_string(),
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiment::{Session, SweepGrid};
     use tnn::model::vgg9;
 
     #[test]
     fn pipeline_produces_consistent_reports() {
-        let report = FullStackPipeline::new(vgg9(0.9, 5))
-            .run()
-            .expect("pipeline");
+        let results = Session::new()
+            .run(&SweepGrid::new().workload(vgg9(0.9, 5)))
+            .expect("session");
+        let report = results
+            .pipeline(results.scenarios()[0])
+            .expect("pipeline view");
         assert!(report.rtm_ap.energy_uj() > 0.0);
         assert!(report.rtm_ap_unroll.adds_subs_k() >= report.rtm_ap.adds_subs_k());
         assert!(report.cse_reduction() >= 0.0);
@@ -181,15 +82,5 @@ mod tests {
         let row = report.table_row();
         assert!(row.contains("vgg9"));
         assert!(row.contains("uJ"));
-    }
-
-    #[test]
-    fn builder_setters_apply() {
-        let pipeline = FullStackPipeline::new(vgg9(0.85, 1))
-            .with_activation_bits(8)
-            .with_arch(ArchConfig::default())
-            .with_compiler_options(CompilerOptions::default().with_act_bits(8));
-        assert_eq!(pipeline.options.act_bits, 8);
-        assert_eq!(pipeline.model().name(), "vgg9");
     }
 }

@@ -3,15 +3,15 @@
 //! The queueing/batching layer is backend-agnostic: a closed batch of request
 //! payloads goes to a [`RequestExecutor`], which returns per-request outputs
 //! plus the *modeled* service latency the hardware model assigns the batch.
-//! The canonical executor, [`BackendExecutor`], dispatches through
-//! [`camdnn::InferenceBackend::evaluate_requests_cached`] against a shared
-//! [`apc::CompileCache`], so every replica and every scenario of a sweep
-//! compiles each distinct layer exactly once.
+//! The canonical executor, [`BackendExecutor`], runs each batch through
+//! [`FunctionalBackend::run_batch`] against a shared [`apc::CompileCache`],
+//! so every replica and every scenario of a sweep compiles each distinct
+//! layer exactly once.
 
 use crate::config::ms_to_ns;
 use crate::error::Result;
 use apc::CompileCache;
-use camdnn::{BackendReport, FunctionalBackend, InferenceBackend};
+use camdnn::{FunctionalBackend, InferenceBackend};
 use std::sync::Arc;
 use tnn::model::ModelGraph;
 use tnn::Tensor;
@@ -23,12 +23,11 @@ pub struct ExecutedBatch {
     /// nanoseconds. This is the virtual-clock service time of the simulation
     /// mode and the `latency_ns` reported per completion.
     pub latency_ns: u64,
-    /// Per-request logits, in batch order — present when the backend really
-    /// executes data (the functional backend), absent for analytic cost
-    /// models.
+    /// Per-request logits, in batch order — present when the executor really
+    /// executes data, absent for executors that only model the cost.
     pub logits: Option<Vec<Vec<i64>>>,
     /// Whether every executed value matched the reference integer inference
-    /// (`None` when the backend does not check).
+    /// (`None` when the executor does not check).
     pub bit_exact: Option<bool>,
 }
 
@@ -51,16 +50,16 @@ pub trait RequestExecutor: Send + Sync {
     fn execute(&self, inputs: &[Tensor<i64>]) -> Result<ExecutedBatch>;
 }
 
-/// The canonical executor: one model served by one [`InferenceBackend`]
-/// through a shared [`CompileCache`].
+/// The canonical executor: one model served by a bit-level
+/// [`FunctionalBackend`] through a shared [`CompileCache`].
 ///
-/// For the [`FunctionalBackend`] the per-request logits are value-identical
-/// to solo `run_batch` calls of the same payloads (the batch-equivalence
-/// invariant), which is what makes serving results reproducible at any batch
-/// composition. Analytic backends yield latency-only batches.
+/// The per-request logits are value-identical to solo `run_batch` calls of
+/// the same payloads (the batch-equivalence invariant), which is what makes
+/// serving results reproducible at any batch composition. Executors with
+/// another cost model implement [`RequestExecutor`] themselves.
 #[derive(Clone)]
 pub struct BackendExecutor {
-    backend: Arc<dyn InferenceBackend>,
+    backend: Arc<FunctionalBackend>,
     model: Arc<ModelGraph>,
     cache: Arc<CompileCache>,
 }
@@ -78,7 +77,7 @@ impl BackendExecutor {
     /// Wraps `backend` serving `model`, memoising layer compilation in
     /// `cache`.
     pub fn new(
-        backend: Arc<dyn InferenceBackend>,
+        backend: Arc<FunctionalBackend>,
         model: Arc<ModelGraph>,
         cache: Arc<CompileCache>,
     ) -> Self {
@@ -89,8 +88,7 @@ impl BackendExecutor {
         }
     }
 
-    /// The usual serving stack: a [`FunctionalBackend`] executing `model`
-    /// bit-level with a fresh private cache.
+    /// `backend` serving `model` with a fresh private cache.
     pub fn functional(backend: FunctionalBackend, model: Arc<ModelGraph>) -> Self {
         BackendExecutor::new(Arc::new(backend), model, Arc::new(CompileCache::new()))
     }
@@ -112,20 +110,11 @@ impl RequestExecutor for BackendExecutor {
     }
 
     fn execute(&self, inputs: &[Tensor<i64>]) -> Result<ExecutedBatch> {
-        let report = self
-            .backend
-            .evaluate_requests_cached(&self.model, inputs, &self.cache)?;
-        Ok(match report {
-            BackendReport::FunctionalBatch(batch) => ExecutedBatch {
-                latency_ns: ms_to_ns(batch.latency_ms),
-                bit_exact: Some(batch.is_bit_exact()),
-                logits: Some(batch.samples.into_iter().map(|s| s.logits).collect()),
-            },
-            other => ExecutedBatch {
-                latency_ns: ms_to_ns(other.latency_ms()),
-                logits: None,
-                bit_exact: None,
-            },
+        let batch = self.backend.run_batch(&self.model, inputs, &self.cache)?;
+        Ok(ExecutedBatch {
+            latency_ns: ms_to_ns(batch.latency_ms),
+            bit_exact: Some(batch.is_bit_exact()),
+            logits: Some(batch.samples.into_iter().map(|s| s.logits).collect()),
         })
     }
 }
@@ -133,7 +122,6 @@ impl RequestExecutor for BackendExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baseline::DeepCamModel;
     use tnn::model::micro_cnn;
 
     fn micro_executor() -> BackendExecutor {
@@ -162,22 +150,6 @@ mod tests {
                 .expect("solo");
             assert_eq!(got, &solo.samples[0].logits);
         }
-    }
-
-    #[test]
-    fn analytic_backends_yield_latency_only_batches() {
-        let model = Arc::new(micro_cnn("exec-deepcam", 4, 0.8, 2));
-        let executor = BackendExecutor::new(
-            Arc::new(DeepCamModel::default()),
-            model.clone(),
-            Arc::new(CompileCache::new()),
-        );
-        let inputs = vec![FunctionalBackend::input_for(&model, 4, 0); 2];
-        let executed = executor.execute(&inputs).expect("execute");
-        assert!(executed.latency_ns > 0);
-        assert_eq!(executed.logits, None);
-        assert_eq!(executed.bit_exact, None);
-        assert!(executor.name().starts_with("deepcam"));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! collects one record per scenario in expansion order with JSON-lines
 //! serialization.
 //!
-//! All scenarios share one [`apc::CompileCache`] through the session, so a
-//! sweep compiles each distinct layer exactly once no matter how many traffic
-//! points replay the same model.
+//! Every scenario is served by the bit-level [`FunctionalBackend`] through
+//! a [`BackendExecutor`]. All scenarios share one [`apc::CompileCache`]
+//! through the session, so a sweep compiles each distinct layer exactly once
+//! no matter how many traffic points replay the same model.
 
 use crate::config::{BatchingPolicy, RoutePolicy, ServeConfig};
 use crate::error::{Result, ServeError};
@@ -23,11 +24,9 @@ use crate::trace::{PayloadSpec, TraceSpec};
 use accel::ArchConfig;
 use apc::{CompileCache, CompilerOptions};
 use camdnn::experiment::{run_ordered, ResultSet, SweepRecord, Workload};
-use camdnn::{FunctionalBackend, InferenceBackend};
+use camdnn::FunctionalBackend;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-type ServeBackendBuilder = dyn Fn(&ServeScenario) -> Box<dyn InferenceBackend> + Send + Sync;
 
 /// One serving evaluation point: a workload served under one configuration
 /// against one trace.
@@ -80,9 +79,9 @@ impl ServeScenario {
 /// Unset axes default to a single point: one Poisson trace of 64 requests at
 /// 2000 req/s, the default batching window, one replica, round-robin
 /// routing, seeded payloads, the default architecture and 4-bit activations.
-/// The backend defaults to the bit-level [`FunctionalBackend`] (the only
-/// bundled backend with per-request outputs); [`ServeGrid::backend`] swaps in
-/// any other [`InferenceBackend`] factory.
+/// Every scenario is served by the bit-level [`FunctionalBackend`], the one
+/// bundled backend with per-request outputs; other executors run through
+/// [`simulate`] with a custom [`RequestExecutor`](crate::RequestExecutor).
 #[derive(Clone)]
 pub struct ServeGrid {
     workloads: Vec<Workload>,
@@ -96,7 +95,6 @@ pub struct ServeGrid {
     act_bits: u8,
     arch: ArchConfig,
     compiler_template: CompilerOptions,
-    backend: Arc<ServeBackendBuilder>,
 }
 
 impl std::fmt::Debug for ServeGrid {
@@ -126,12 +124,6 @@ impl Default for ServeGrid {
             act_bits: template.act_bits,
             arch: ArchConfig::default(),
             compiler_template: template,
-            backend: Arc::new(|scenario: &ServeScenario| {
-                Box::new(FunctionalBackend::new(
-                    scenario.arch,
-                    scenario.compiler_options(),
-                ))
-            }),
         }
     }
 }
@@ -218,17 +210,6 @@ impl ServeGrid {
     #[must_use]
     pub fn arch(mut self, arch: ArchConfig) -> Self {
         self.arch = arch;
-        self
-    }
-
-    /// Replaces the backend factory (defaults to the bit-level functional
-    /// backend).
-    #[must_use]
-    pub fn backend(
-        mut self,
-        build: impl Fn(&ServeScenario) -> Box<dyn InferenceBackend> + Send + Sync + 'static,
-    ) -> Self {
-        self.backend = Arc::new(build);
         self
     }
 
@@ -351,39 +332,26 @@ impl ServeSession {
         &self.cache
     }
 
-    /// Runs one scenario with the default bit-level functional backend:
-    /// generates its trace and payloads, then simulates on the virtual
-    /// clock. The full [`SimOutcome`] (batch boundaries, per-request logits)
-    /// is returned — [`run`](Self::run) keeps only the reports.
+    /// Runs one scenario on the bit-level functional backend: generates its
+    /// trace and payloads, then simulates on the virtual clock. The full
+    /// [`SimOutcome`] (batch boundaries, per-request logits) is returned —
+    /// [`run`](Self::run) keeps only the reports.
     ///
     /// # Errors
     ///
     /// Propagates trace/payload generation and backend errors.
     pub fn run_scenario(&self, scenario: &ServeScenario) -> Result<SimOutcome> {
-        self.run_scenario_with(scenario, |s| {
-            Box::new(FunctionalBackend::new(s.arch, s.compiler_options()))
-        })
-    }
-
-    /// [`run_scenario`](Self::run_scenario) with an explicit backend factory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates trace/payload generation and backend errors.
-    pub fn run_scenario_with(
-        &self,
-        scenario: &ServeScenario,
-        build: impl Fn(&ServeScenario) -> Box<dyn InferenceBackend>,
-    ) -> Result<SimOutcome> {
         let trace = scenario.trace.generate()?;
         let payloads = scenario.payloads.materialize(
             &scenario.workload.model,
             scenario.act_bits,
             trace.len(),
         )?;
-        let backend: Arc<dyn InferenceBackend> = Arc::from(build(scenario));
         let executor = BackendExecutor::new(
-            backend,
+            Arc::new(FunctionalBackend::new(
+                scenario.arch,
+                scenario.compiler_options(),
+            )),
             Arc::clone(&scenario.workload.model),
             Arc::clone(&self.cache),
         );
@@ -417,7 +385,7 @@ impl ServeSession {
             },
             &scenarios,
             |scenario| {
-                let outcome = self.run_scenario_with(scenario, |s| (grid.backend)(s))?;
+                let outcome = self.run_scenario(scenario)?;
                 Ok(ServeRecord {
                     scenario: scenario.label.clone(),
                     workload: scenario.workload.label.clone(),

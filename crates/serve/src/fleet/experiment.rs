@@ -10,9 +10,10 @@
 //! [`pareto`] picks the frontier over SLO attainment vs joules/sample — the
 //! capacity-planning deliverable.
 //!
-//! A session profiles each distinct (workload, precision, grid) point exactly
-//! once: the per-layer cost profile a [`FunctionalBackend`] measures is
-//! memoized and re-cut into stages for every shard count that asks for it.
+//! A session profiles each distinct (model, compiler options, architecture,
+//! tile grid) point exactly once: the per-layer cost profile a
+//! [`FunctionalBackend`] measures is memoized and re-cut into stages for
+//! every shard count that asks for it.
 
 use super::report::FleetReport;
 use super::sim::{simulate_fleet, FleetStageModel};
@@ -23,10 +24,11 @@ use crate::trace::TraceSpec;
 use accel::ArchConfig;
 use apc::{CompileCache, CompilerOptions, TileGrid};
 use camdnn::experiment::{run_ordered, ResultSet, SweepRecord, Workload};
-use camdnn::FunctionalBackend;
+use camdnn::{FunctionalBackend, ModelProfile};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
+use tnn::model::ModelGraph;
 
 /// One fleet evaluation point: a workload served by a pipelined fleet under
 /// one configuration against one trace.
@@ -71,16 +73,27 @@ impl FleetScenario {
             ..self.compiler_template
         }
     }
+}
 
-    /// The memoization key of the scenario's cost profile: everything the
-    /// profile depends on, nothing the fleet knobs change.
-    fn profile_key(&self) -> String {
-        format!(
-            "{}|{}|{}",
-            self.workload.label,
-            self.act_bits,
-            self.tile_grid.label()
-        )
+/// A memoized cost profile and everything it depends on: the model, the
+/// effective compiler options, the architecture and the tile grid — nothing
+/// the fleet knobs change. The entry holds the model's [`Arc`], so no other
+/// model can reuse the address [`ProfileEntry::matches`] compares.
+#[derive(Debug)]
+struct ProfileEntry {
+    model: Arc<ModelGraph>,
+    options: CompilerOptions,
+    arch: ArchConfig,
+    tile_grid: TileGrid,
+    profile: Arc<ModelProfile>,
+}
+
+impl ProfileEntry {
+    fn matches(&self, scenario: &FleetScenario) -> bool {
+        Arc::ptr_eq(&self.model, &scenario.workload.model)
+            && self.options == scenario.compiler_options()
+            && self.arch == scenario.arch
+            && self.tile_grid == scenario.tile_grid
     }
 }
 
@@ -390,7 +403,7 @@ impl SweepRecord for FleetRecord {
 #[derive(Debug, Default)]
 pub struct FleetSession {
     cache: Arc<CompileCache>,
-    profiles: Mutex<HashMap<String, Arc<camdnn::ModelProfile>>>,
+    profiles: Mutex<Vec<ProfileEntry>>,
 }
 
 impl FleetSession {
@@ -404,17 +417,17 @@ impl FleetSession {
         &self.cache
     }
 
-    /// The scenario's per-layer cost profile, measured once per
-    /// (workload, precision, tile grid) and memoized across the sweep.
-    fn profile(&self, scenario: &FleetScenario) -> Result<Arc<camdnn::ModelProfile>> {
-        let key = scenario.profile_key();
-        if let Some(profile) = self
+    /// The scenario's per-layer cost profile, measured once per distinct
+    /// [`ProfileEntry`] point and memoized across the session.
+    fn profile(&self, scenario: &FleetScenario) -> Result<Arc<ModelProfile>> {
+        if let Some(entry) = self
             .profiles
             .lock()
             .expect("profile cache poisoned")
-            .get(&key)
+            .iter()
+            .find(|entry| entry.matches(scenario))
         {
-            return Ok(Arc::clone(profile));
+            return Ok(Arc::clone(&entry.profile));
         }
         let backend = FunctionalBackend::new(scenario.arch, scenario.compiler_options())
             .with_tile_grid(scenario.tile_grid);
@@ -423,12 +436,18 @@ impl FleetSession {
                 .profile(&scenario.workload.model, &self.cache)
                 .map_err(ServeError::Backend)?,
         );
-        // Two threads may race to profile the same key; both produce the
-        // same deterministic profile, so either insert is fine.
+        // Two threads may race to profile the same point; both produce the
+        // same deterministic profile, so either entry is fine.
         self.profiles
             .lock()
             .expect("profile cache poisoned")
-            .insert(key, Arc::clone(&profile));
+            .push(ProfileEntry {
+                model: Arc::clone(&scenario.workload.model),
+                options: scenario.compiler_options(),
+                arch: scenario.arch,
+                tile_grid: scenario.tile_grid,
+                profile: Arc::clone(&profile),
+            });
         Ok(profile)
     }
 

@@ -1,8 +1,8 @@
 //! `camdnn-serve`: a deterministic dynamic-batching inference server for the
 //! CAM/RTM stack.
 //!
-//! PR 4 gave every backend a batch dimension; this crate adds the layer that
-//! decides *which* requests form a batch under live load:
+//! The functional backend executes a batch of samples at once; this crate
+//! adds the layer that decides *which* requests form a batch under live load:
 //!
 //! * [`Server`] — a threaded serving runtime (hand-rolled on `std::thread`,
 //!   channels and condvars; no async crates exist in the vendored build):
@@ -32,12 +32,12 @@
 //!   [`FleetGrid`] sweeps shards × replicas × autoscaler policy into a
 //!   pareto table over SLO attainment vs energy.
 //!
-//! Batches dispatch through
-//! [`camdnn::InferenceBackend::evaluate_requests_cached`] against a shared
-//! [`apc::CompileCache`]; the bit-level
-//! [`FunctionalBackend`](camdnn::FunctionalBackend) is the canonical serving
-//! backend because its per-request logits are value-identical to solo runs at
-//! any batch composition (the batch-equivalence invariant of PR 4).
+//! Batches run through [`BackendExecutor`], which calls
+//! [`FunctionalBackend::run_batch`](camdnn::FunctionalBackend::run_batch)
+//! against a shared [`apc::CompileCache`]. The bit-level functional backend
+//! is the serving backend because its per-request logits are value-identical
+//! to solo runs at any batch composition (the batch-equivalence invariant).
+//! Other cost models plug in as a custom [`RequestExecutor`].
 
 #![warn(missing_docs)]
 

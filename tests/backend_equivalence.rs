@@ -1,8 +1,8 @@
 //! Integration test: the trait-based evaluation stack is a pure refactor.
 //!
-//! `FullStackPipeline::run` dispatches through `InferenceBackend` trait
-//! objects in a one-scenario `Session` and compiles layers in parallel; these
-//! tests pin down that the resulting `PipelineReport` is **bit-identical** to
+//! A `Session` dispatches through `InferenceBackend` trait objects and
+//! compiles layers in parallel; these tests pin down that the
+//! `ResultSet::pipeline` view of each scenario is **bit-identical** to
 //! direct concrete-type evaluation, and that parallel layer compilation
 //! matches sequential compilation exactly. CI additionally runs this test
 //! file with `RAYON_NUM_THREADS=1` to prove the results are independent of
@@ -12,17 +12,17 @@ use accel::{ArchConfig, NetworkSimulator};
 use apc::{CompilerOptions, LayerCompiler};
 use baseline::{CrossbarModel, DeepCamModel};
 use camdnn::experiment::{BackendPlan, Session, SweepGrid};
-use camdnn::{BackendKind, BackendReport, FullStackPipeline, InferenceBackend};
+use camdnn::{BackendKind, BackendReport, InferenceBackend};
 use tnn::model::{vgg11, vgg9};
 
 #[test]
 fn pipeline_reports_match_direct_backend_calls_bit_for_bit() {
-    for act_bits in [4u8, 8] {
-        let model = vgg9(0.9, 2);
-        let report = FullStackPipeline::new(model.clone())
-            .with_activation_bits(act_bits)
-            .run()
-            .expect("pipeline");
+    let model = vgg9(0.9, 2);
+    let grid = SweepGrid::new().workload(model.clone()).act_bits([4, 8]);
+    let results = Session::new().run(&grid).expect("session");
+    for spec in grid.scenarios() {
+        let act_bits = spec.act_bits;
+        let report = results.pipeline(&spec.label).expect("pipeline view");
 
         let arch = ArchConfig::default();
         let with_cse = CompilerOptions::default().with_act_bits(act_bits);

