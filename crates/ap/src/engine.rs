@@ -36,13 +36,19 @@ use cam::{BitPlaneArray, CamStats, PackedTags, SearchKey};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ApEngine {
-    array: BitPlaneArray,
+    pub(crate) array: BitPlaneArray,
+    /// Union-mask buffer of compiled plan sweeps, one word per row word,
+    /// reused across [`run_plan`](Self::run_plan) calls.
+    pub(crate) sweep_union: Vec<u64>,
 }
 
 impl ApEngine {
     /// Creates an engine driving `array`.
     pub fn new(array: BitPlaneArray) -> Self {
-        ApEngine { array }
+        ApEngine {
+            array,
+            sweep_union: Vec::new(),
+        }
     }
 
     /// Number of SIMD rows of the underlying array.

@@ -86,20 +86,39 @@ macro_rules! write_word {
     };
 }
 
+/// Most passes any fused sweep issues (the out-of-place `ab` tables).
+const MAX_PASSES: usize = 5;
+
+/// What one fused sweep reports for its data-dependent written bits.
+///
+/// Every kernel table's passes are mutually exclusive: a row one pass
+/// rewrites matches no later pass of the same table, and a row no pass has
+/// touched matches at most one (pinned exhaustively by
+/// `kernel_passes_are_mutually_exclusive`). The sweep's written bits
+/// `Σₚ pattern_bits · popcount(mₚ)` therefore equal `pattern_bits ·
+/// popcount(∪ₚ mₚ)`, so one booking of the union replaces one per pass.
+struct SweepTags<'a> {
+    /// Per row word, the union of the sweep's pass match masks.
+    union: &'a mut [u64],
+    /// Per pass, its tagged-row population for the pass log; filled only by
+    /// the `LOG` kernel instances and never booked into the counters.
+    populations: [u64; MAX_PASSES],
+}
+
 /// Monomorphizes one in-place LUT kernel from its filtered pass table
 /// (`key_carry, key_acc [, key_a] => write_carry, write_acc`). One call
 /// sweeps every pass of one accumulator bit over all rows, updating the
 /// carry/accumulator registers between passes exactly like the interpreter's
-/// sequential search/write pairs, and stores each pass's match mask into
-/// `scratch` for the data-dependent written-bits accounting.
+/// sequential search/write pairs, and stores the union of the pass match
+/// masks (plus, when `LOG`, each pass's population) into `tags`.
 macro_rules! in_place_kernel {
     ($name:ident, with_a, $(($kc:tt, $kb:tt, $ka:tt => $wc:tt, $wb:tt)),+ $(,)?) => {
-        fn $name(
+        fn $name<const LOG: bool>(
             access: &mut PlaneAccess<'_>,
             carry: usize,
             acc: usize,
             a: usize,
-            scratch: &mut [u64],
+            tags: &mut SweepTags<'_>,
         ) -> usize {
             let words = access.words();
             for w in 0..words {
@@ -107,18 +126,23 @@ macro_rules! in_place_kernel {
                 let mut cr = access.word(carry, w);
                 let mut br = access.word(acc, w);
                 let ar = access.word(a, w);
+                let mut any = 0u64;
                 let mut pass = 0usize;
                 $(
                     let m = valid
                         & key_word!(cr, $kc)
                         & key_word!(br, $kb)
                         & key_word!(ar, $ka);
-                    scratch[pass * words + w] = m;
+                    any |= m;
+                    if LOG {
+                        tags.populations[pass] += u64::from(m.count_ones());
+                    }
                     write_word!(cr, m, $wc);
                     write_word!(br, m, $wb);
                     pass += 1;
                 )+
                 let _ = pass;
+                tags.union[w] = any;
                 access.set_word(carry, w, cr);
                 access.set_word(acc, w, br);
             }
@@ -126,26 +150,31 @@ macro_rules! in_place_kernel {
         }
     };
     ($name:ident, no_a, $(($kc:tt, $kb:tt => $wc:tt, $wb:tt)),+ $(,)?) => {
-        fn $name(
+        fn $name<const LOG: bool>(
             access: &mut PlaneAccess<'_>,
             carry: usize,
             acc: usize,
-            scratch: &mut [u64],
+            tags: &mut SweepTags<'_>,
         ) -> usize {
             let words = access.words();
             for w in 0..words {
                 let valid = access.valid_mask(w);
                 let mut cr = access.word(carry, w);
                 let mut br = access.word(acc, w);
+                let mut any = 0u64;
                 let mut pass = 0usize;
                 $(
                     let m = valid & key_word!(cr, $kc) & key_word!(br, $kb);
-                    scratch[pass * words + w] = m;
+                    any |= m;
+                    if LOG {
+                        tags.populations[pass] += u64::from(m.count_ones());
+                    }
                     write_word!(cr, m, $wc);
                     write_word!(br, m, $wb);
                     pass += 1;
                 )+
                 let _ = pass;
+                tags.union[w] = any;
                 access.set_word(carry, w, cr);
                 access.set_word(acc, w, br);
             }
@@ -159,16 +188,17 @@ macro_rules! in_place_kernel {
 /// variant per operand-presence regime (zero/sign extension drops absent
 /// operand bits from the keys). The carry register is updated between
 /// passes; the sources are read-only and the result bit is written to every
-/// destination plane.
+/// destination plane. Match masks are reported through `tags` as in
+/// [`in_place_kernel!`].
 macro_rules! out_of_place_kernel {
     ($name:ident, ab, $(($kc:tt, $kb:tt, $ka:tt => $wc:tt, $wr:tt)),+ $(,)?) => {
-        fn $name(
+        fn $name<const LOG: bool>(
             access: &mut PlaneAccess<'_>,
             carry: usize,
             b: usize,
             a: usize,
             dests: &[usize],
-            scratch: &mut [u64],
+            tags: &mut SweepTags<'_>,
         ) -> usize {
             let words = access.words();
             for w in 0..words {
@@ -176,13 +206,17 @@ macro_rules! out_of_place_kernel {
                 let mut cr = access.word(carry, w);
                 let br = access.word(b, w);
                 let ar = access.word(a, w);
+                let mut any = 0u64;
                 let mut pass = 0usize;
                 $(
                     let m = valid
                         & key_word!(cr, $kc)
                         & key_word!(br, $kb)
                         & key_word!(ar, $ka);
-                    scratch[pass * words + w] = m;
+                    any |= m;
+                    if LOG {
+                        tags.populations[pass] += u64::from(m.count_ones());
+                    }
                     write_word!(cr, m, $wc);
                     for &dest in dests {
                         let cur = access.word(dest, w);
@@ -193,28 +227,33 @@ macro_rules! out_of_place_kernel {
                     pass += 1;
                 )+
                 let _ = pass;
+                tags.union[w] = any;
                 access.set_word(carry, w, cr);
             }
             [$(($kc)),+].len()
         }
     };
     ($name:ident, a_only, $(($kc:tt, $ka:tt => $wc:tt, $wr:tt)),+ $(,)?) => {
-        fn $name(
+        fn $name<const LOG: bool>(
             access: &mut PlaneAccess<'_>,
             carry: usize,
             a: usize,
             dests: &[usize],
-            scratch: &mut [u64],
+            tags: &mut SweepTags<'_>,
         ) -> usize {
             let words = access.words();
             for w in 0..words {
                 let valid = access.valid_mask(w);
                 let mut cr = access.word(carry, w);
                 let ar = access.word(a, w);
+                let mut any = 0u64;
                 let mut pass = 0usize;
                 $(
                     let m = valid & key_word!(cr, $kc) & key_word!(ar, $ka);
-                    scratch[pass * words + w] = m;
+                    any |= m;
+                    if LOG {
+                        tags.populations[pass] += u64::from(m.count_ones());
+                    }
                     write_word!(cr, m, $wc);
                     for &dest in dests {
                         let cur = access.word(dest, w);
@@ -225,28 +264,33 @@ macro_rules! out_of_place_kernel {
                     pass += 1;
                 )+
                 let _ = pass;
+                tags.union[w] = any;
                 access.set_word(carry, w, cr);
             }
             [$(($kc)),+].len()
         }
     };
     ($name:ident, b_only, $(($kc:tt, $kb:tt => $wc:tt, $wr:tt)),+ $(,)?) => {
-        fn $name(
+        fn $name<const LOG: bool>(
             access: &mut PlaneAccess<'_>,
             carry: usize,
             b: usize,
             dests: &[usize],
-            scratch: &mut [u64],
+            tags: &mut SweepTags<'_>,
         ) -> usize {
             let words = access.words();
             for w in 0..words {
                 let valid = access.valid_mask(w);
                 let mut cr = access.word(carry, w);
                 let br = access.word(b, w);
+                let mut any = 0u64;
                 let mut pass = 0usize;
                 $(
                     let m = valid & key_word!(cr, $kc) & key_word!(br, $kb);
-                    scratch[pass * words + w] = m;
+                    any |= m;
+                    if LOG {
+                        tags.populations[pass] += u64::from(m.count_ones());
+                    }
                     write_word!(cr, m, $wc);
                     for &dest in dests {
                         let cur = access.word(dest, w);
@@ -257,26 +301,31 @@ macro_rules! out_of_place_kernel {
                     pass += 1;
                 )+
                 let _ = pass;
+                tags.union[w] = any;
                 access.set_word(carry, w, cr);
             }
             [$(($kc)),+].len()
         }
     };
     ($name:ident, neither, $(($kc:tt => $wc:tt, $wr:tt)),+ $(,)?) => {
-        fn $name(
+        fn $name<const LOG: bool>(
             access: &mut PlaneAccess<'_>,
             carry: usize,
             dests: &[usize],
-            scratch: &mut [u64],
+            tags: &mut SweepTags<'_>,
         ) -> usize {
             let words = access.words();
             for w in 0..words {
                 let valid = access.valid_mask(w);
                 let mut cr = access.word(carry, w);
+                let mut any = 0u64;
                 let mut pass = 0usize;
                 $(
                     let m = valid & key_word!(cr, $kc);
-                    scratch[pass * words + w] = m;
+                    any |= m;
+                    if LOG {
+                        tags.populations[pass] += u64::from(m.count_ones());
+                    }
                     write_word!(cr, m, $wc);
                     for &dest in dests {
                         let cur = access.word(dest, w);
@@ -287,6 +336,7 @@ macro_rules! out_of_place_kernel {
                     pass += 1;
                 )+
                 let _ = pass;
+                tags.union[w] = any;
                 access.set_word(carry, w, cr);
             }
             [$(($kc)),+].len()
@@ -339,21 +389,25 @@ out_of_place_kernel!(sub_oop_b, b_only, (0, 1 => 0, 1), (1, 0 => 1, 1), (1, 1 =>
 out_of_place_kernel!(sub_oop_neither, neither, (1 => 1, 1));
 
 /// Fused copy sweep: both passes of one copied bit (`src == 0` → write 0,
-/// `src == 1` → write 1) in one walk over the words.
-fn copy_kernel(
+/// `src == 1` → write 1) in one walk over the words. The two passes tag
+/// every row between them, so the sweep's written bits are the
+/// data-independent `dests × rows` booked at lowering time; only the `LOG`
+/// instance reports the per-pass populations.
+fn copy_kernel<const LOG: bool>(
     access: &mut PlaneAccess<'_>,
     src: usize,
     dests: &[usize],
-    scratch: &mut [u64],
+    populations: &mut [u64; MAX_PASSES],
 ) -> usize {
-    let words = access.words();
-    for w in 0..words {
+    for w in 0..access.words() {
         let valid = access.valid_mask(w);
         let s = access.word(src, w);
         let m_zero = valid & !s;
         let m_one = valid & s;
-        scratch[w] = m_zero;
-        scratch[words + w] = m_one;
+        if LOG {
+            populations[0] += u64::from(m_zero.count_ones());
+            populations[1] += u64::from(m_one.count_ones());
+        }
         for &dest in dests {
             let cur = access.word(dest, w);
             access.set_word(dest, w, (cur & !m_zero) | m_one);
@@ -379,61 +433,6 @@ enum KernelId {
     SubOopNeither,
 }
 
-/// Dispatches one fused LUT group to its monomorphized kernel, returning the
-/// number of passes swept.
-macro_rules! dispatch_pass {
-    ($group:expr, $access:expr, $scratch:expr) => {
-        match $group.kernel {
-            KernelId::AddInPlaceFull => {
-                add_in_place_full($access, $group.carry, $group.b, $group.a, $scratch)
-            }
-            KernelId::AddInPlaceZeroA => {
-                add_in_place_zero_a($access, $group.carry, $group.b, $scratch)
-            }
-            KernelId::SubInPlaceFull => {
-                sub_in_place_full($access, $group.carry, $group.b, $group.a, $scratch)
-            }
-            KernelId::SubInPlaceZeroA => {
-                sub_in_place_zero_a($access, $group.carry, $group.b, $scratch)
-            }
-            KernelId::AddOopAb => add_oop_ab(
-                $access,
-                $group.carry,
-                $group.b,
-                $group.a,
-                &$group.dests,
-                $scratch,
-            ),
-            KernelId::AddOopA => {
-                add_oop_a($access, $group.carry, $group.a, &$group.dests, $scratch)
-            }
-            KernelId::AddOopB => {
-                add_oop_b($access, $group.carry, $group.b, &$group.dests, $scratch)
-            }
-            KernelId::AddOopNeither => {
-                add_oop_neither($access, $group.carry, &$group.dests, $scratch)
-            }
-            KernelId::SubOopAb => sub_oop_ab(
-                $access,
-                $group.carry,
-                $group.b,
-                $group.a,
-                &$group.dests,
-                $scratch,
-            ),
-            KernelId::SubOopA => {
-                sub_oop_a($access, $group.carry, $group.a, &$group.dests, $scratch)
-            }
-            KernelId::SubOopB => {
-                sub_oop_b($access, $group.carry, $group.b, &$group.dests, $scratch)
-            }
-            KernelId::SubOopNeither => {
-                sub_oop_neither($access, $group.carry, &$group.dests, $scratch)
-            }
-        }
-    };
-}
-
 /// One fused LUT sweep: every pass of one processed bit of a binary
 /// instruction, with all operands pre-resolved to absolute plane bases.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -450,6 +449,32 @@ struct LutGroup {
     /// Write-pattern bits per pass (2 in place, 1 + destinations out of
     /// place) — the per-pass multiplier of the data-dependent written bits.
     pattern_bits: u64,
+}
+
+impl LutGroup {
+    /// Runs this group's monomorphized kernel over all rows, returning the
+    /// number of passes swept.
+    fn sweep<const LOG: bool>(
+        &self,
+        access: &mut PlaneAccess<'_>,
+        tags: &mut SweepTags<'_>,
+    ) -> usize {
+        let (carry, b, a, dests) = (self.carry, self.b, self.a, &self.dests);
+        match self.kernel {
+            KernelId::AddInPlaceFull => add_in_place_full::<LOG>(access, carry, b, a, tags),
+            KernelId::AddInPlaceZeroA => add_in_place_zero_a::<LOG>(access, carry, b, tags),
+            KernelId::SubInPlaceFull => sub_in_place_full::<LOG>(access, carry, b, a, tags),
+            KernelId::SubInPlaceZeroA => sub_in_place_zero_a::<LOG>(access, carry, b, tags),
+            KernelId::AddOopAb => add_oop_ab::<LOG>(access, carry, b, a, dests, tags),
+            KernelId::AddOopA => add_oop_a::<LOG>(access, carry, a, dests, tags),
+            KernelId::AddOopB => add_oop_b::<LOG>(access, carry, b, dests, tags),
+            KernelId::AddOopNeither => add_oop_neither::<LOG>(access, carry, dests, tags),
+            KernelId::SubOopAb => sub_oop_ab::<LOG>(access, carry, b, a, dests, tags),
+            KernelId::SubOopA => sub_oop_a::<LOG>(access, carry, a, dests, tags),
+            KernelId::SubOopB => sub_oop_b::<LOG>(access, carry, b, dests, tags),
+            KernelId::SubOopNeither => sub_oop_neither::<LOG>(access, carry, dests, tags),
+        }
+    }
 }
 
 /// One pre-resolved plan operation.
@@ -483,13 +508,12 @@ struct FastPlan {
     aligns: Vec<ColumnAlign>,
     ops: Vec<PlanOp>,
     /// Data-independent accounting: search cycles, searched key bits per
-    /// row, write cycles, and all-rows-tagged pattern bits per row.
+    /// row, write cycles, and the pattern bits written to every row (clears,
+    /// carry resets and the two passes of each copied bit together).
     search_cycles: u64,
     key_bits: u64,
     write_cycles: u64,
     allset_pattern_bits: u64,
-    /// Largest pass count of any group (scratch sizing).
-    max_passes: usize,
     words: usize,
 }
 
@@ -571,7 +595,6 @@ impl PlanCompiler {
                         key_bits: lowering.key_bits,
                         write_cycles: lowering.write_cycles,
                         allset_pattern_bits: lowering.allset_pattern_bits,
-                        max_passes: lowering.max_passes,
                         words: BitPlaneArray::words_for_rows(self.geometry.rows),
                     }),
                 }
@@ -635,7 +658,6 @@ struct Lowering {
     write_cycles: u64,
     allset_pattern_bits: u64,
     passes_before: u64,
-    max_passes: usize,
 }
 
 impl Lowering {
@@ -650,7 +672,6 @@ impl Lowering {
             write_cycles: 0,
             allset_pattern_bits: 0,
             passes_before: 0,
-            max_passes: 0,
         }
     }
 
@@ -714,7 +735,6 @@ impl Lowering {
         self.key_bits += passes * key_len;
         self.write_cycles += passes;
         self.passes_before += passes;
-        self.max_passes = self.max_passes.max(passes as usize);
         self.ops.push(PlanOp::Lut(group));
     }
 
@@ -907,12 +927,13 @@ impl Lowering {
                 Some(domain) => {
                     self.align(src.col, domain)?;
                     // Two single-key passes (src == 0, src == 1), fused into
-                    // one sweep.
+                    // one sweep. Between them they tag every row once, so
+                    // each destination plane is written in every row.
                     self.search_cycles += 2;
                     self.key_bits += 2;
                     self.write_cycles += 2;
+                    self.allset_pattern_bits += dests.len() as u64;
                     self.passes_before += 2;
-                    self.max_passes = self.max_passes.max(2);
                     self.ops.push(PlanOp::Copy {
                         src: self.plane(src.col, domain),
                         dests: dest_planes,
@@ -926,8 +947,15 @@ impl Lowering {
 }
 
 impl PassPlan {
-    /// Executes a fast plan over `array` (geometry already checked).
-    fn run_fast(fast: &FastPlan, array: &mut BitPlaneArray) -> Result<()> {
+    /// Executes a fast plan over `array` (geometry already checked), with
+    /// `union` (one word per row word) holding each sweep's union mask.
+    /// `LOG` instances also feed the array's pass log, which must be
+    /// enabled exactly when `LOG` is set.
+    fn run_fast<const LOG: bool>(
+        fast: &FastPlan,
+        array: &mut BitPlaneArray,
+        union: &mut [u64],
+    ) -> Result<()> {
         for align in &fast.aligns {
             array.bulk_align(align.col, align.first, align.intra, align.last)?;
         }
@@ -937,14 +965,19 @@ impl PassPlan {
             fast.write_cycles,
             fast.allset_pattern_bits,
         );
-        let words = fast.words;
-        let mut scratch = vec![0u64; fast.max_passes.max(1) * words];
+        let mut tags = SweepTags {
+            union,
+            populations: [0; MAX_PASSES],
+        };
         for op in &fast.ops {
-            match op {
+            if LOG {
+                tags.populations = [0; MAX_PASSES];
+            }
+            let passes = match op {
                 PlanOp::Zero { planes } => {
                     let mut access = array.plane_access();
                     for &plane in planes {
-                        for w in 0..words {
+                        for w in 0..fast.words {
                             let cleared = access.word(plane, w) & !access.valid_mask(w);
                             access.set_word(plane, w, cleared);
                         }
@@ -953,25 +986,22 @@ impl PassPlan {
                     // pass log still needs the interpreter's per-plane all-set
                     // write entries (no-op unless logging is enabled).
                     array.log_allset_writes(planes.len() as u64);
+                    continue;
                 }
-                PlanOp::Copy { src, dests } => {
-                    let passes = copy_kernel(&mut array.plane_access(), *src, dests, &mut scratch);
-                    for pass in 0..passes {
-                        array.bulk_tagged_bits(
-                            &scratch[pass * words..(pass + 1) * words],
-                            dests.len() as u64,
-                        );
-                    }
-                }
+                PlanOp::Copy { src, dests } => copy_kernel::<LOG>(
+                    &mut array.plane_access(),
+                    *src,
+                    dests,
+                    &mut tags.populations,
+                ),
                 PlanOp::Lut(group) => {
-                    let passes = dispatch_pass!(group, &mut array.plane_access(), &mut scratch);
-                    for pass in 0..passes {
-                        array.bulk_tagged_bits(
-                            &scratch[pass * words..(pass + 1) * words],
-                            group.pattern_bits,
-                        );
-                    }
+                    let passes = group.sweep::<LOG>(&mut array.plane_access(), &mut tags);
+                    array.bulk_tagged_bits(tags.union, group.pattern_bits);
+                    passes
                 }
+            };
+            if LOG {
+                array.log_tagged_writes(&tags.populations[..passes]);
             }
         }
         Ok(())
@@ -1045,7 +1075,15 @@ impl ApEngine {
         }
         match &plan.mode {
             PlanMode::Fallback(program) => self.run(program),
-            PlanMode::Fast(fast) => PassPlan::run_fast(fast, self.array_mut()),
+            PlanMode::Fast(fast) => {
+                // Sized once per engine: a warm plan run allocates nothing.
+                self.sweep_union.resize(fast.words, 0);
+                if self.array.pass_log_enabled() {
+                    PassPlan::run_fast::<true>(fast, &mut self.array, &mut self.sweep_union)
+                } else {
+                    PassPlan::run_fast::<false>(fast, &mut self.array, &mut self.sweep_union)
+                }
+            }
         }
     }
 }
@@ -1147,6 +1185,78 @@ mod tests {
             planned.array().segment_stats(),
             reference.array().segment_stats()
         );
+    }
+
+    /// Runs one sweep on a one-row array whose planes 0, 1 and 2 (carry,
+    /// `b`/accumulator or copy source, `a`) hold the three bits of `state`,
+    /// returning the per-pass populations and the union word.
+    fn sweep_state(
+        state: u64,
+        sweep: impl FnOnce(&mut PlaneAccess<'_>, &mut SweepTags<'_>) -> usize,
+    ) -> (Vec<u64>, u64) {
+        let mut array = BitPlaneArray::new(1, 4, 1, CamTechnology::default()).expect("geometry");
+        let mut access = array.plane_access();
+        for plane in 0..3 {
+            access.set_word(plane, 0, (state >> plane) & 1);
+        }
+        let mut union = [0u64];
+        let mut tags = SweepTags {
+            union: &mut union,
+            populations: [0; MAX_PASSES],
+        };
+        let passes = sweep(&mut access, &mut tags);
+        (tags.populations[..passes].to_vec(), union[0])
+    }
+
+    #[test]
+    fn kernel_passes_are_mutually_exclusive() {
+        // Booking one union mask per sweep is exact only if no row is tagged
+        // by two passes of one table: push every key state through each
+        // table in pass order and count the passes it matches.
+        let kernels = [
+            KernelId::AddInPlaceFull,
+            KernelId::AddInPlaceZeroA,
+            KernelId::SubInPlaceFull,
+            KernelId::SubInPlaceZeroA,
+            KernelId::AddOopAb,
+            KernelId::AddOopA,
+            KernelId::AddOopB,
+            KernelId::AddOopNeither,
+            KernelId::SubOopAb,
+            KernelId::SubOopA,
+            KernelId::SubOopB,
+            KernelId::SubOopNeither,
+        ];
+        for kernel in kernels {
+            let group = LutGroup {
+                kernel,
+                carry: 0,
+                b: 1,
+                a: 2,
+                dests: vec![3],
+                pattern_bits: 2,
+            };
+            for state in 0..8 {
+                let (populations, union) =
+                    sweep_state(state, |access, tags| group.sweep::<true>(access, tags));
+                let matched: u64 = populations.iter().sum();
+                assert!(
+                    matched <= 1,
+                    "{kernel:?}: state {state:03b} matched {matched} passes {populations:?}"
+                );
+                assert_eq!(matched, u64::from(union.count_ones()), "{kernel:?}");
+            }
+        }
+        for state in 0..8 {
+            let (populations, _) = sweep_state(state, |access, tags| {
+                copy_kernel::<true>(access, 1, &[3], &mut tags.populations)
+            });
+            assert_eq!(
+                populations.iter().sum::<u64>(),
+                1,
+                "copy: state {state:03b}"
+            );
+        }
     }
 
     #[test]

@@ -655,17 +655,16 @@ impl BitPlaneArray {
                 stats.written_bits += pattern_bits * count;
             }
         } else if WORD_BITS.is_multiple_of(segment_rows) {
-            let per_word = WORD_BITS / segment_rows;
-            let lane_mask = (1u64 << segment_rows) - 1;
+            // Sub-word segments: walk the set bits, so the cost follows the
+            // tagged rows instead of the 64 / `segment_rows` lanes. A divisor
+            // of 64 is a power of two, so a row's segment is a shift away.
+            let shift = segment_rows.trailing_zeros();
             for (word_index, &word) in mask.iter().enumerate() {
-                let mut word = word;
-                for lane in 0..per_word {
-                    let segment = word_index * per_word + lane;
-                    let Some(stats) = tracker.individual.get_mut(segment) else {
-                        break;
-                    };
-                    stats.written_bits += pattern_bits * u64::from((word & lane_mask).count_ones());
-                    word >>= segment_rows;
+                let mut bits = word;
+                while bits != 0 {
+                    let row = word_index * WORD_BITS + bits.trailing_zeros() as usize;
+                    tracker.individual[row >> shift].written_bits += pattern_bits;
+                    bits &= bits - 1;
                 }
             }
         } else {
@@ -748,8 +747,9 @@ impl BitPlaneArray {
 
     /// Books the data-independent counters of a compiled pass sequence in one
     /// call: `search_cycles` searches totalling `key_bits` key bits per row,
-    /// and `write_cycles` writes of which the all-rows-tagged ones (clears,
-    /// carry resets) write `allset_pattern_bits` pattern bits per row.
+    /// and `write_cycles` writes, of which the ones that together tag every
+    /// row (clears, carry resets, the two passes of a copied bit) write
+    /// `allset_pattern_bits` pattern bits per row.
     /// Identical to summing the per-pass accounting of
     /// [`search`](Self::search) / [`write_tagged`](Self::write_tagged) over the
     /// sequence; the data-dependent tagged-write bits are booked separately
@@ -777,24 +777,24 @@ impl BitPlaneArray {
         }
     }
 
-    /// Books the data-dependent written bits of one tagged write whose
-    /// matching rows are `mask` (packed like [`PackedTags::as_words`], rows
-    /// beyond the array zero): the global counter pays `pattern_bits ×
-    /// popcount(mask)` and each tracked segment its own rows' share — exactly
-    /// the accounting of [`write_tagged`](Self::write_tagged).
+    /// Books the data-dependent written bits of tagged writes whose matching
+    /// rows are `mask` (packed like [`PackedTags::as_words`], rows beyond the
+    /// array zero): the global counter pays `pattern_bits × popcount(mask)`
+    /// and each tracked segment its own rows' share — exactly the accounting
+    /// of [`write_tagged`](Self::write_tagged). `mask` may be the union of
+    /// several passes' tags when no row is tagged by more than one of them;
+    /// one call then books them all. Records nothing in the pass log (see
+    /// [`log_tagged_writes`](Self::log_tagged_writes)).
     pub fn bulk_tagged_bits(&mut self, mask: &[u64], pattern_bits: u64) {
         let count: u64 = mask.iter().map(|w| u64::from(w.count_ones())).sum();
         self.stats.written_bits += pattern_bits * count;
-        if let Some(log) = self.pass_log.as_mut() {
-            log.push(count);
-        }
         self.split_tagged_bits(mask, pattern_bits);
     }
 
     /// Starts (or restarts) recording the tagged-row population of every
     /// write pass into an in-order log: [`write_tagged`](Self::write_tagged)
-    /// appends its tag count, [`bulk_tagged_bits`](Self::bulk_tagged_bits)
-    /// the popcount of its mask, and compiled-plan clears report through
+    /// appends its tag count, and compiled plans report their passes through
+    /// [`log_tagged_writes`](Self::log_tagged_writes) and
     /// [`log_allset_writes`](Self::log_allset_writes). The interpreter and
     /// the plan engine produce the identical sequence for the same program —
     /// the substrate of the execution-trace recorder. Disabled by default;
@@ -819,6 +819,17 @@ impl BitPlaneArray {
         match self.pass_log.as_mut() {
             Some(log) => std::mem::take(log),
             None => Vec::new(),
+        }
+    }
+
+    /// Records the tagged-row populations of write passes a compiled plan
+    /// swept itself, in pass order, in the pass log. Their counters are booked
+    /// separately through [`bulk_tagged_bits`](Self::bulk_tagged_bits) and
+    /// [`bulk_pass_events`](Self::bulk_pass_events). No-op when logging is
+    /// disabled; charges no counters.
+    pub fn log_tagged_writes(&mut self, populations: &[u64]) {
+        if let Some(log) = self.pass_log.as_mut() {
+            log.extend_from_slice(populations);
         }
     }
 

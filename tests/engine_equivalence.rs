@@ -347,33 +347,46 @@ proptest! {
         prop_assert_eq!(planned.stats(), reference.stats(), "read-out counters diverged");
     }
 
-    // Per-segment attribution of the plan path matches the interpreter.
+    // Per-segment attribution of the plan path matches the interpreter, for
+    // arbitrary segment heights and for the production shapes: word-aligned
+    // 64- and 128-row segments (conv units) and one-row segments, up to
+    // eight of them (the fc unit at batch <= 8).
     #[test]
     fn plan_segment_attribution_matches_interpreter(
         segments in 1usize..5,
         segment_rows in 1usize..40,
+        one_row_segments in 1usize..9,
         instructions in 1usize..5,
         seed in 0u64..10_000,
     ) {
-        let rows = segments * segment_rows;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let array =
-            BitPlaneArray::new(rows, COLS, DOMAINS, CamTechnology::default()).expect("packed");
-        let mut reference = ApEngine::new(array);
-        let operands = stage_engine_operands(&mut reference, rows, &mut rng);
-        let mut planned = reference.clone();
-        reference.array_mut().track_segments(segment_rows).expect("segments");
-        planned.array_mut().track_segments(segment_rows).expect("segments");
+        for (segments, segment_rows) in [
+            (segments, segment_rows),
+            (segments, 64),
+            (segments, 128),
+            (one_row_segments, 1),
+        ] {
+            let rows = segments * segment_rows;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let array =
+                BitPlaneArray::new(rows, COLS, DOMAINS, CamTechnology::default()).expect("packed");
+            let mut reference = ApEngine::new(array);
+            let operands = stage_engine_operands(&mut reference, rows, &mut rng);
+            let mut planned = reference.clone();
+            reference.array_mut().track_segments(segment_rows).expect("segments");
+            planned.array_mut().track_segments(segment_rows).expect("segments");
 
-        let program = random_program_with_fusion_runs(&operands, instructions, &mut rng);
-        let plan = planned.compile_plan(&program);
-        reference.run(&program).expect("interpreter run");
-        planned.run_plan(&plan).expect("plan run");
-        prop_assert_eq!(
-            planned.array().segment_stats(),
-            reference.array().segment_stats(),
-            "per-segment attribution diverged"
-        );
+            let program = random_program_with_fusion_runs(&operands, instructions, &mut rng);
+            let plan = planned.compile_plan(&program);
+            reference.run(&program).expect("interpreter run");
+            planned.run_plan(&plan).expect("plan run");
+            prop_assert_eq!(
+                planned.array().segment_stats(),
+                reference.array().segment_stats(),
+                "per-segment attribution diverged at {} x {}-row segments",
+                segments,
+                segment_rows
+            );
+        }
     }
 
     // Malformed programs compile to fallback plans that fail with the
