@@ -11,7 +11,9 @@
 //! * every bit of every instruction becomes one *fused group* executed by a
 //!   kernel monomorphized per (LUT kind × operand addressing pattern) — the
 //!   full search/write pass sequence of that bit runs as straight-line word
-//!   operations with the LUT baked into the code via `dispatch_pass!`,
+//!   operations with the LUT baked into the code,
+//! * each fused sweep books its data-dependent written bits once, from the
+//!   union of its pass masks (no row matches two passes of one table),
 //! * adjacent all-rows zero writes (carry resets, destination clears) that
 //!   share the same all-set key are merged into a single combined sweep by
 //!   the fusion pass, and

@@ -110,6 +110,34 @@ impl LayerSignature {
     }
 }
 
+/// A weighted layer bundled with its [`LayerSignature`], computed once. A
+/// caller that compiles and partitions the same layer for many batches
+/// passes it to [`CompileCache::compile_signed`] and
+/// [`CompileCache::partition_signed`], which then hash no weights.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SignedLayer {
+    layer: ConvLayerInfo,
+    signature: Arc<LayerSignature>,
+}
+
+impl SignedLayer {
+    /// Signs `layer`.
+    pub fn new(layer: ConvLayerInfo) -> Self {
+        let signature = Arc::new(LayerSignature::of(&layer));
+        SignedLayer { layer, signature }
+    }
+
+    /// The layer description.
+    pub fn layer(&self) -> &ConvLayerInfo {
+        &self.layer
+    }
+
+    /// The layer's signature.
+    pub fn signature(&self) -> &LayerSignature {
+        &self.signature
+    }
+}
+
 /// Hit/miss counters of a [`CompileCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -156,7 +184,7 @@ pub struct PlanSummary {
     pub misses: u64,
 }
 
-type CacheKey = (LayerSignature, CompilerOptions);
+type CacheKey = (Arc<LayerSignature>, CompilerOptions);
 type Compiled = std::result::Result<Arc<CompiledLayer>, ApcError>;
 /// The memo cell behind one `(layer, options)` key.
 #[derive(Clone)]
@@ -179,7 +207,7 @@ type SlicePlanKey = (usize, PlanGeometry);
 type SlicePlanEntry = (Arc<CompiledLayer>, Arc<[PlanSlot]>);
 /// Partition plans depend on the layer, everything the layout depends on and
 /// the tile grid.
-type PartitionKey = (LayerSignature, CompilerOptions, TileGrid);
+type PartitionKey = (Arc<LayerSignature>, CompilerOptions, TileGrid);
 type PartitionSlot = Arc<OnceLock<std::result::Result<Arc<PartitionPlan>, ApcError>>>;
 
 /// One compiled layer's pass plans for one array geometry (see
@@ -263,8 +291,30 @@ impl CompileCache {
         compiler: &LayerCompiler,
         layer: &ConvLayerInfo,
     ) -> Result<Arc<CompiledLayer>> {
+        self.compile_keyed(compiler, layer, Arc::new(LayerSignature::of(layer)))
+    }
+
+    /// [`compile`](Self::compile) of a pre-signed layer.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`compile`](Self::compile).
+    pub fn compile_signed(
+        &self,
+        compiler: &LayerCompiler,
+        layer: &SignedLayer,
+    ) -> Result<Arc<CompiledLayer>> {
+        self.compile_keyed(compiler, &layer.layer, Arc::clone(&layer.signature))
+    }
+
+    fn compile_keyed(
+        &self,
+        compiler: &LayerCompiler,
+        layer: &ConvLayerInfo,
+        signature: Arc<LayerSignature>,
+    ) -> Result<Arc<CompiledLayer>> {
         let options = *compiler.options();
-        let key = (LayerSignature::of(layer), options);
+        let key = (signature, options);
         let (slot, first_request) = {
             let mut slots = self.slots.lock().expect("compile cache poisoned");
             match slots.get(&key) {
@@ -516,7 +566,31 @@ impl CompileCache {
         options: &CompilerOptions,
         grid: TileGrid,
     ) -> Result<Arc<PartitionPlan>> {
-        let key = (LayerSignature::of(layer), *options, grid);
+        self.partition_keyed(layer, Arc::new(LayerSignature::of(layer)), options, grid)
+    }
+
+    /// [`partition`](Self::partition) of a pre-signed layer.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`partition`](Self::partition).
+    pub fn partition_signed(
+        &self,
+        layer: &SignedLayer,
+        options: &CompilerOptions,
+        grid: TileGrid,
+    ) -> Result<Arc<PartitionPlan>> {
+        self.partition_keyed(&layer.layer, Arc::clone(&layer.signature), options, grid)
+    }
+
+    fn partition_keyed(
+        &self,
+        layer: &ConvLayerInfo,
+        signature: Arc<LayerSignature>,
+        options: &CompilerOptions,
+        grid: TileGrid,
+    ) -> Result<Arc<PartitionPlan>> {
+        let key = (signature, *options, grid);
         let slot = {
             let mut slots = self
                 .partition_slots

@@ -36,7 +36,7 @@ use accel::ArchConfig;
 use ap::{ApEngine, Operand, PlanGeometry};
 use apc::{
     ApcError, CompileCache, CompiledLayer, CompilerOptions, LayerCompiler, PartitionPlan,
-    PartitionUnit, TileGrid,
+    PartitionUnit, SignedLayer, TileGrid,
 };
 use cam::{BitPlaneArray, CamStats};
 use rand::{RngCore, SeedableRng};
@@ -47,7 +47,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tnn::im2col::{GatherMap, Im2colSpec};
 use tnn::layer::LayerOp;
-use tnn::model::{ConvLayerInfo, ModelGraph, Source};
+use tnn::model::{ModelGraph, Source};
 use tnn::{Tensor, TnnError};
 
 /// One batched unit's outcome: the sensed accumulator columns in one flat
@@ -86,6 +86,39 @@ type LayerOutcome = (
     Vec<(usize, CamStats)>,
     Vec<u8>,
 );
+
+/// A model's weighted layers, each described and signed once, by node id.
+type WeightedLayers = HashMap<usize, SignedLayer>;
+
+fn weighted_layers(model: &ModelGraph) -> WeightedLayers {
+    model
+        .conv_like_layers()
+        .into_iter()
+        .map(|layer| (layer.node_id, SignedLayer::new(layer)))
+        .collect()
+}
+
+/// A model readied for many batches: its weighted layers are described and
+/// signed once, so [`FunctionalBackend::run_batch_prepared`] clones no
+/// weights and hashes none per batch.
+#[derive(Debug, Clone)]
+pub struct PreparedModel {
+    model: Arc<ModelGraph>,
+    layers: WeightedLayers,
+}
+
+impl PreparedModel {
+    /// Describes and signs every weighted layer of `model`.
+    pub fn new(model: Arc<ModelGraph>) -> Self {
+        let layers = weighted_layers(&model);
+        PreparedModel { model, layers }
+    }
+
+    /// The prepared model.
+    pub fn model(&self) -> &Arc<ModelGraph> {
+        &self.model
+    }
+}
 
 /// One grid tile's share of a partitioned functional inference, summed over
 /// every weighted layer.
@@ -566,7 +599,7 @@ impl FunctionalBackend {
     /// tile.
     fn execute_layer_batch(
         &self,
-        info: &ConvLayerInfo,
+        signed: &SignedLayer,
         compiled: &Arc<CompiledLayer>,
         inputs: &[&Tensor<i64>],
         cache: &CompileCache,
@@ -576,7 +609,8 @@ impl FunctionalBackend {
         let slices = compiled.slices.as_ref().ok_or_else(|| ApcError::Internal {
             reason: "functional backend requires retained programs".to_string(),
         })?;
-        let plan = cache.partition(info, &self.options, self.tile_grid)?;
+        let info = signed.layer();
+        let plan = cache.partition_signed(signed, &self.options, self.tile_grid)?;
         if telemetry::enabled() {
             telemetry::count("functional.layers", 1);
             telemetry::count("functional.units", plan.units.len() as u64);
@@ -841,6 +875,23 @@ impl FunctionalBackend {
         self.run_batch_seeded(model, inputs, None, cache)
     }
 
+    /// [`run_batch`](Self::run_batch) of a prepared model, whose weighted
+    /// layers were described and signed once: a warm batch clones no
+    /// weights and hashes none.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run_batch`](Self::run_batch).
+    pub fn run_batch_prepared(
+        &self,
+        prepared: &PreparedModel,
+        inputs: &[Tensor<i64>],
+        cache: &CompileCache,
+    ) -> apc::Result<BatchReport> {
+        let model = &prepared.model;
+        self.run_batch_collected(model, &prepared.layers, inputs, None, cache, None, None)
+    }
+
     /// [`run_batch`](Self::run_batch) with the seed provenance of
     /// backend-staged inputs: `base_seed` is recorded in the report and slot
     /// `i` is attributed `sample_input_seed(base_seed, i)`.
@@ -851,7 +902,8 @@ impl FunctionalBackend {
         base_seed: Option<u64>,
         cache: &CompileCache,
     ) -> apc::Result<BatchReport> {
-        self.run_batch_collected(model, inputs, base_seed, cache, None, None)
+        let layers = weighted_layers(model);
+        self.run_batch_collected(model, &layers, inputs, base_seed, cache, None, None)
     }
 
     /// [`run_batch`](Self::run_batch) plus an execution trace: every weighted
@@ -876,8 +928,16 @@ impl FunctionalBackend {
             batch: inputs.len(),
             grid: (self.tile_grid.rows, self.tile_grid.cols),
         });
-        let report =
-            self.run_batch_collected(model, inputs, None, cache, None, Some(&mut recorder))?;
+        let layers = weighted_layers(model);
+        let report = self.run_batch_collected(
+            model,
+            &layers,
+            inputs,
+            None,
+            cache,
+            None,
+            Some(&mut recorder),
+        )?;
         let digests: Vec<u64> = report
             .samples
             .iter()
@@ -903,6 +963,7 @@ impl FunctionalBackend {
         let mut layers = Vec::new();
         self.run_batch_collected(
             model,
+            &weighted_layers(model),
             std::slice::from_ref(&input),
             Some(self.input_seed),
             cache,
@@ -918,9 +979,11 @@ impl FunctionalBackend {
     /// [`run_batch_seeded`](Self::run_batch_seeded), optionally pushing one
     /// [`LayerCost`] per weighted layer into `collector` (the whole-batch
     /// physical cost — profile with a batch of one for per-sample numbers).
+    #[allow(clippy::too_many_arguments)]
     fn run_batch_collected(
         &self,
         model: &ModelGraph,
+        weighted: &WeightedLayers,
         inputs: &[Tensor<i64>],
         base_seed: Option<u64>,
         cache: &CompileCache,
@@ -941,11 +1004,6 @@ impl FunctionalBackend {
         let compiler = LayerCompiler::new(self.options);
         let act_bits = self.options.act_bits;
         let references = tnn::infer::run_batch(model, inputs, Some(act_bits))?;
-        let weighted: HashMap<usize, ConvLayerInfo> = model
-            .conv_like_layers()
-            .into_iter()
-            .map(|layer| (layer.node_id, layer))
-            .collect();
 
         let mut physical = CamStats::new();
         let mut attributed = vec![CamStats::new(); batch];
@@ -974,14 +1032,15 @@ impl FunctionalBackend {
                 .collect();
             let results: Vec<Tensor<i64>> = match &node.op {
                 LayerOp::Conv2d(_) | LayerOp::Linear(_) => {
-                    let info = weighted.get(&id).ok_or_else(|| ApcError::Internal {
+                    let signed = weighted.get(&id).ok_or_else(|| ApcError::Internal {
                         reason: format!("weighted node {id} has no layer description"),
                     })?;
-                    let compiled = cache.compile(&compiler, info)?;
+                    let info = signed.layer();
+                    let compiled = cache.compile_signed(&compiler, signed)?;
                     arrays = arrays.max(compiled.layout.row_groups);
                     let trace_node = trace_sink.as_ref().map(|_| id);
                     let (layer_outputs, layer_attributed, layer_physical, plan, tile_stats, frag) =
-                        self.execute_layer_batch(info, &compiled, &firsts, cache, trace_node)?;
+                        self.execute_layer_batch(signed, &compiled, &firsts, cache, trace_node)?;
                     if let Some(sink) = trace_sink.as_deref_mut() {
                         sink.append_fragment(&frag);
                     }

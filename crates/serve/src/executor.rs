@@ -4,14 +4,14 @@
 //! payloads goes to a [`RequestExecutor`], which returns per-request outputs
 //! plus the *modeled* service latency the hardware model assigns the batch.
 //! The canonical executor, [`BackendExecutor`], runs each batch through
-//! [`FunctionalBackend::run_batch`] against a shared [`apc::CompileCache`],
+//! [`FunctionalBackend::run_batch_prepared`] against a shared [`apc::CompileCache`],
 //! so every replica and every scenario of a sweep compiles each distinct
 //! layer exactly once.
 
 use crate::config::ms_to_ns;
 use crate::error::Result;
 use apc::CompileCache;
-use camdnn::{FunctionalBackend, InferenceBackend};
+use camdnn::{FunctionalBackend, InferenceBackend, PreparedModel};
 use std::sync::Arc;
 use tnn::model::ModelGraph;
 use tnn::Tensor;
@@ -60,7 +60,7 @@ pub trait RequestExecutor: Send + Sync {
 #[derive(Clone)]
 pub struct BackendExecutor {
     backend: Arc<FunctionalBackend>,
-    model: Arc<ModelGraph>,
+    model: Arc<PreparedModel>,
     cache: Arc<CompileCache>,
 }
 
@@ -68,14 +68,15 @@ impl std::fmt::Debug for BackendExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackendExecutor")
             .field("backend", &self.backend.name())
-            .field("model", &self.model.name())
+            .field("model", &self.model.model().name())
             .finish()
     }
 }
 
 impl BackendExecutor {
     /// Wraps `backend` serving `model`, memoising layer compilation in
-    /// `cache`.
+    /// `cache`. The model's weighted layers are prepared here, once, so a
+    /// served batch clones and hashes no weights.
     pub fn new(
         backend: Arc<FunctionalBackend>,
         model: Arc<ModelGraph>,
@@ -83,7 +84,7 @@ impl BackendExecutor {
     ) -> Self {
         BackendExecutor {
             backend,
-            model,
+            model: Arc::new(PreparedModel::new(model)),
             cache,
         }
     }
@@ -95,7 +96,7 @@ impl BackendExecutor {
 
     /// The served model.
     pub fn model(&self) -> &Arc<ModelGraph> {
-        &self.model
+        self.model.model()
     }
 
     /// The shared compile cache.
@@ -110,7 +111,9 @@ impl RequestExecutor for BackendExecutor {
     }
 
     fn execute(&self, inputs: &[Tensor<i64>]) -> Result<ExecutedBatch> {
-        let batch = self.backend.run_batch(&self.model, inputs, &self.cache)?;
+        let batch = self
+            .backend
+            .run_batch_prepared(&self.model, inputs, &self.cache)?;
         Ok(ExecutedBatch {
             latency_ns: ms_to_ns(batch.latency_ms),
             bit_exact: Some(batch.is_bit_exact()),
