@@ -638,12 +638,12 @@ impl BitPlaneArray {
     /// Per-segment split of one tagged write's data-dependent bit count: the
     /// written bits are pattern bits × the tagged rows of each segment, so
     /// they are the one per-segment charge of a write pass. `mask` is packed
-    /// like [`PackedTags::as_words`].
-    fn split_tagged_bits(&mut self, mask: &[u64], pattern_bits: u64) {
-        let Some(tracker) = self.tracker.as_mut() else {
-            return;
-        };
+    /// like [`PackedTags::as_words`]. Returns the tagged rows of all segments
+    /// (which cover the array), or `None` when segments are not tracked.
+    fn split_tagged_bits(&mut self, mask: &[u64], pattern_bits: u64) -> Option<u64> {
+        let tracker = self.tracker.as_mut()?;
         let segment_rows = tracker.segment_rows;
+        let mut tagged = 0;
         if segment_rows.is_multiple_of(WORD_BITS) {
             let words_per_segment = segment_rows / WORD_BITS;
             for (stats, chunk) in tracker
@@ -653,6 +653,7 @@ impl BitPlaneArray {
             {
                 let count: u64 = chunk.iter().map(|w| u64::from(w.count_ones())).sum();
                 stats.written_bits += pattern_bits * count;
+                tagged += count;
             }
         } else if WORD_BITS.is_multiple_of(segment_rows) {
             // Sub-word segments: walk the set bits, so the cost follows the
@@ -664,16 +665,19 @@ impl BitPlaneArray {
                 while bits != 0 {
                     let row = word_index * WORD_BITS + bits.trailing_zeros() as usize;
                     tracker.individual[row >> shift].written_bits += pattern_bits;
+                    tagged += 1;
                     bits &= bits - 1;
                 }
             }
         } else {
             for (segment, stats) in tracker.individual.iter_mut().enumerate() {
                 let start = segment * segment_rows;
-                stats.written_bits +=
-                    pattern_bits * count_mask_range(mask, start, start + segment_rows);
+                let count = count_mask_range(mask, start, start + segment_rows);
+                stats.written_bits += pattern_bits * count;
+                tagged += count;
             }
         }
+        Some(tagged)
     }
 
     /// Packed words per plane for an array of `rows` rows — the plane stride
@@ -786,9 +790,10 @@ impl BitPlaneArray {
     /// one call then books them all. Records nothing in the pass log (see
     /// [`log_tagged_writes`](Self::log_tagged_writes)).
     pub fn bulk_tagged_bits(&mut self, mask: &[u64], pattern_bits: u64) {
-        let count: u64 = mask.iter().map(|w| u64::from(w.count_ones())).sum();
+        let count = self
+            .split_tagged_bits(mask, pattern_bits)
+            .unwrap_or_else(|| mask.iter().map(|w| u64::from(w.count_ones())).sum());
         self.stats.written_bits += pattern_bits * count;
-        self.split_tagged_bits(mask, pattern_bits);
     }
 
     /// Starts (or restarts) recording the tagged-row population of every
