@@ -114,7 +114,7 @@ impl LayerSignature {
 /// caller that compiles and partitions the same layer for many batches
 /// passes it to [`CompileCache::compile_signed`] and
 /// [`CompileCache::partition_signed`], which then hash no weights.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SignedLayer {
     layer: ConvLayerInfo,
     signature: Arc<LayerSignature>,
@@ -130,11 +130,6 @@ impl SignedLayer {
     /// The layer description.
     pub fn layer(&self) -> &ConvLayerInfo {
         &self.layer
-    }
-
-    /// The layer's signature.
-    pub fn signature(&self) -> &LayerSignature {
-        &self.signature
     }
 }
 
