@@ -657,8 +657,9 @@ impl BitPlaneArray {
             }
         } else if WORD_BITS.is_multiple_of(segment_rows) {
             // Sub-word segments: walk the set bits, so the cost follows the
-            // tagged rows instead of the 64 / `segment_rows` lanes. A divisor
-            // of 64 is a power of two, so a row's segment is a shift away.
+            // tagged rows (at most B per sweep for one-row segments). A
+            // divisor of 64 is a power of two, so a row's segment is a shift
+            // away.
             let shift = segment_rows.trailing_zeros();
             for (word_index, &word) in mask.iter().enumerate() {
                 let mut bits = word;

@@ -4,9 +4,9 @@
 //! payloads goes to a [`RequestExecutor`], which returns per-request outputs
 //! plus the *modeled* service latency the hardware model assigns the batch.
 //! The canonical executor, [`BackendExecutor`], runs each batch through
-//! [`FunctionalBackend::run_batch_prepared`] against a shared [`apc::CompileCache`],
-//! so every replica and every scenario of a sweep compiles each distinct
-//! layer exactly once.
+//! [`FunctionalBackend::run_batch_prepared`] against a shared
+//! [`apc::CompileCache`], so every replica and every scenario of a sweep
+//! compiles each distinct layer exactly once.
 
 use crate::config::ms_to_ns;
 use crate::error::Result;
