@@ -95,12 +95,15 @@ impl ApEngine {
                 found: values.len(),
             });
         }
-        if !operand.signed {
-            if let Some(&bad) = values.iter().find(|&&v| v < 0) {
-                return Err(ApError::InvalidOperand {
-                    reason: format!("negative value {bad} loaded into unsigned operand"),
-                });
-            }
+        // The OR of the values is negative exactly when some value is.
+        if !operand.signed && values.iter().fold(0, |any, &v| any | v) < 0 {
+            let bad = values
+                .iter()
+                .find(|&&v| v < 0)
+                .expect("some value is negative");
+            return Err(ApError::InvalidOperand {
+                reason: format!("negative value {bad} loaded into unsigned operand"),
+            });
         }
         self.array
             .write_column_values(operand.col, operand.base, operand.width, values)?;
@@ -523,6 +526,17 @@ mod tests {
                 found: 2
             })
         ));
+        // The first negative value is named, and nothing is staged.
+        let err = ap.load_column(&a, &[3, -2, 5, -7]).expect_err("negative");
+        assert_eq!(
+            err,
+            ApError::InvalidOperand {
+                reason: "negative value -2 loaded into unsigned operand".to_string()
+            }
+        );
+        assert_eq!(ap.stats(), CamStats::new());
+        let signed = Operand::new(0, 0, 4, true);
+        ap.load_column(&signed, &[3, -2, 5, -7]).expect("signed");
     }
 
     proptest! {

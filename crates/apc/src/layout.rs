@@ -181,6 +181,15 @@ impl LayerLayout {
         self.row_groups * self.channel_groups
     }
 
+    /// Number of leading columns the layer's programs address: the patch
+    /// inputs, carry, chain, temporaries and one output tile of accumulators
+    /// (`acc_col_start + cout_tile`). Every operand column of a slice program
+    /// and of its tile prologue lies below it; the rest of the geometry's
+    /// columns are never touched.
+    pub fn columns_used(&self) -> usize {
+        self.acc_col_start + self.cout_tile
+    }
+
     /// Domain offset of the activation bits of resident channel `index` inside the
     /// input cells.
     pub fn channel_domain_base(&self, index: usize) -> usize {

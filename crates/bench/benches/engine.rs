@@ -15,7 +15,9 @@
 use ap::{ApController, ApEngine, Operand, PassPlan, PlanGeometry};
 use apc::{CompileCache, CompiledLayer, CompilerOptions, LayerCompiler};
 use cam::{BitPlaneArray, CamArray, CamTechnology};
-use camdnn_bench::{append_bench_record, bench_smoke, utc_date_string, EngineBenchRecord};
+use camdnn_bench::{
+    append_bench_record, bench_smoke, utc_date_string, EngineBenchRecord, SampleRange,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -167,10 +169,25 @@ fn bench_plan_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// Interleaved timing rounds of `engine_speedup`.
+const ROUNDS: usize = 5;
+
+/// The median and range of an odd number of samples.
+fn median_and_range(samples: impl Iterator<Item = f64>) -> (f64, SampleRange) {
+    let mut sorted: Vec<f64> = samples.collect();
+    sorted.sort_by(f64::total_cmp);
+    let range = SampleRange {
+        min: sorted[0],
+        max: sorted[sorted.len() - 1],
+    };
+    (sorted[sorted.len() / 2], range)
+}
+
 /// Times all three substrates head to head on the identical work list and
 /// prints both acceptance ratios: scalar→interpreter (the ≥20× bit-plane
-/// figure) and interpreter→plan (the ≥3× pass-plan figure). Appends the
-/// measurements as one dated record to `BENCH_engine.json` at the repo root.
+/// figure) and interpreter→plan (the ≥3× pass-plan figure), each the median
+/// over [`ROUNDS`] interleaved rounds. Appends the medians and ranges as one
+/// dated record to `BENCH_engine.json` at the repo root.
 fn engine_speedup(_c: &mut Criterion) {
     let smoke = bench_smoke();
     let (layer, compiled) = compiled_conv_layer();
@@ -190,45 +207,53 @@ fn engine_speedup(_c: &mut Criterion) {
         engine.run(program).expect("run");
         engine.run_plan(plan).expect("run");
     }
-    let scalar_iters = if smoke { 1u32 } else { 3 };
-    let start = Instant::now();
-    for _ in 0..scalar_iters {
-        for program in &programs {
-            controller.run(black_box(program)).expect("run");
+    // Interleaved rounds: each times all three substrates back to back, so
+    // a burst of machine noise hits one round's columns together and the
+    // per-round ratios stay comparable; the gates read their medians.
+    let (scalar_iters, packed_iters) = if smoke { (1u32, 5u32) } else { (3, 50) };
+    let mut rounds: Vec<[f64; 3]> = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
+        let start = Instant::now();
+        for _ in 0..scalar_iters {
+            for program in &programs {
+                controller.run(black_box(program)).expect("run");
+            }
         }
-    }
-    let scalar = start.elapsed().as_secs_f64() / f64::from(scalar_iters);
-    let packed_iters = if smoke { 5u32 } else { 50 };
-    let start = Instant::now();
-    for _ in 0..packed_iters {
-        for program in &programs {
-            engine.run(black_box(program)).expect("run");
+        let scalar = start.elapsed().as_secs_f64() / f64::from(scalar_iters);
+        let start = Instant::now();
+        for _ in 0..packed_iters {
+            for program in &programs {
+                engine.run(black_box(program)).expect("run");
+            }
         }
-    }
-    let packed = start.elapsed().as_secs_f64() / f64::from(packed_iters);
-    let plan_iters = if smoke { 5u32 } else { 50 };
-    let start = Instant::now();
-    for _ in 0..plan_iters {
-        for plan in &plans {
-            engine.run_plan(black_box(plan)).expect("run");
+        let packed = start.elapsed().as_secs_f64() / f64::from(packed_iters);
+        let start = Instant::now();
+        for _ in 0..packed_iters {
+            for plan in &plans {
+                engine.run_plan(black_box(plan)).expect("run");
+            }
         }
+        let planned = start.elapsed().as_secs_f64() / f64::from(packed_iters);
+        rounds.push([scalar * 1e3, packed * 1e3, planned * 1e3]);
     }
-    let planned = start.elapsed().as_secs_f64() / f64::from(plan_iters);
-    let speedup = scalar / packed;
-    let plan_speedup = packed / planned;
+    let column = |pick: fn(&[f64; 3]) -> f64| median_and_range(rounds.iter().map(pick));
+    let (scalar, scalar_ms_range) = column(|r| r[0]);
+    let (packed, interpreter_ms_range) = column(|r| r[1]);
+    let (planned, plan_ms_range) = column(|r| r[2]);
+    let (speedup, engine_speedup_range) = column(|r| r[0] / r[1]);
+    let (plan_speedup, plan_speedup_range) = column(|r| r[1] / r[2]);
     let summary = cache.plan_summary();
     println!(
-        "engine_speedup: scalar {:.3} ms/iter, bit-plane {:.3} ms/iter -> {:.1}x",
-        scalar * 1e3,
-        packed * 1e3,
-        speedup
+        "engine_speedup (median of {ROUNDS} rounds): scalar {scalar:.3} ms/iter, \
+         bit-plane {packed:.3} ms/iter -> {speedup:.1}x (range {:.1}-{:.1}x)",
+        engine_speedup_range.min, engine_speedup_range.max
     );
     println!(
-        "plan_speedup: interpreter {:.3} ms/iter, pass plans {:.3} ms/iter -> {:.1}x \
-         ({} plans, {} -> {} passes after fusion)",
-        packed * 1e3,
-        planned * 1e3,
-        plan_speedup,
+        "plan_speedup (median of {ROUNDS} rounds): interpreter {packed:.3} ms/iter, \
+         pass plans {planned:.3} ms/iter -> {plan_speedup:.1}x (range {:.1}-{:.1}x; \
+         {} plans, {} -> {} passes after fusion)",
+        plan_speedup_range.min,
+        plan_speedup_range.max,
         summary.plans,
         summary.passes_before_fusion,
         summary.passes_after_fusion,
@@ -238,13 +263,19 @@ fn engine_speedup(_c: &mut Criterion) {
         &EngineBenchRecord {
             date: utc_date_string(),
             bench: "engine".to_string(),
-            scalar_ms_per_iter: scalar * 1e3,
-            interpreter_ms_per_iter: packed * 1e3,
-            plan_ms_per_iter: planned * 1e3,
+            scalar_ms_per_iter: scalar,
+            interpreter_ms_per_iter: packed,
+            plan_ms_per_iter: planned,
             engine_speedup: speedup,
             plan_speedup,
             smoke,
             plan_cache: summary,
+            rounds: ROUNDS,
+            scalar_ms_range,
+            interpreter_ms_range,
+            plan_ms_range,
+            engine_speedup_range,
+            plan_speedup_range,
         },
     );
     // The acceptance criteria, enforced whenever the bench actually runs

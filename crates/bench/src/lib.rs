@@ -105,6 +105,15 @@ pub fn append_bench_record<T: Serialize>(file_name: &str, record: &T) {
     eprintln!("appended bench record to {}", path.display());
 }
 
+/// The smallest and largest of a set of timing samples.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct SampleRange {
+    /// Smallest sample.
+    pub min: f64,
+    /// Largest sample.
+    pub max: f64,
+}
+
 /// One dated `BENCH_engine.json` record: the two engine acceptance ratios
 /// (scalar→interpreter, interpreter→plan) plus the plan compiler's fusion
 /// and cache statistics (schema: `BENCH_schema.md`).
@@ -114,7 +123,8 @@ pub struct EngineBenchRecord {
     pub date: String,
     /// Record discriminator, always `"engine"`.
     pub bench: String,
-    /// Scalar `ApController` wall-clock per work-list iteration, ms.
+    /// Scalar `ApController` wall-clock per work-list iteration, ms (median
+    /// over `rounds`, as are the four fields below).
     pub scalar_ms_per_iter: f64,
     /// Interpreter `ApEngine::run` wall-clock per iteration, ms.
     pub interpreter_ms_per_iter: f64,
@@ -128,6 +138,18 @@ pub struct EngineBenchRecord {
     pub smoke: bool,
     /// Plan cache and fusion statistics of the measured work list.
     pub plan_cache: apc::PlanSummary,
+    /// Interleaved timing rounds the medians and ranges are taken over.
+    pub rounds: usize,
+    /// Min and max of the per-round scalar timings, ms.
+    pub scalar_ms_range: SampleRange,
+    /// Min and max of the per-round interpreter timings, ms.
+    pub interpreter_ms_range: SampleRange,
+    /// Min and max of the per-round plan timings, ms.
+    pub plan_ms_range: SampleRange,
+    /// Min and max of the per-round scalar / interpreter ratios.
+    pub engine_speedup_range: SampleRange,
+    /// Min and max of the per-round interpreter / plan ratios.
+    pub plan_speedup_range: SampleRange,
 }
 
 /// One dated `BENCH_throughput.json` record: wall-clock and modeled batched
@@ -319,12 +341,25 @@ mod tests {
             plan_speedup: 5.0,
             smoke: false,
             plan_cache: apc::PlanSummary::default(),
+            rounds: 5,
+            scalar_ms_range: SampleRange {
+                min: 90.0,
+                max: 110.0,
+            },
+            interpreter_ms_range: SampleRange { min: 4.0, max: 6.0 },
+            plan_ms_range: SampleRange { min: 0.9, max: 1.1 },
+            engine_speedup_range: SampleRange {
+                min: 18.0,
+                max: 22.0,
+            },
+            plan_speedup_range: SampleRange { min: 4.0, max: 6.0 },
         };
         let json = serde_json::to_string(&record).expect("serialize");
         for field in [
             "\"date\"",
             "\"bench\"",
             "\"plan_speedup\"",
+            "\"plan_speedup_range\"",
             "\"passes_before_fusion\"",
             "\"passes_after_fusion\"",
             "\"hits\"",

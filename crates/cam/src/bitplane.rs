@@ -39,12 +39,25 @@ fn words_for(rows: usize) -> usize {
     rows.div_ceil(WORD_BITS).max(1)
 }
 
-/// Bit `bit` of each of the eight bytes of `bytes`, gathered into the low
-/// eight bits (byte `j`'s bit lands at bit `j`). The multiplier moves byte
-/// `j`'s bit to position `56 + j` and every other product term to a distinct
-/// position outside the top byte, so no carry reaches it.
-fn gather_byte_bits(bytes: u64, bit: usize) -> u64 {
-    ((bytes >> bit) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+/// Transposes the 8×8 bit matrix held in `x` (row `i` in byte `i`, column
+/// `j` at bit `j` of the byte): bit `8i + j` moves to bit `8j + i`. Three
+/// delta swaps exchange the off-diagonal 1×1, 2×2 and 4×4 blocks.
+fn transpose8(mut x: u64) -> u64 {
+    let mut t = (x ^ (x >> 7)) & 0x00aa_00aa_00aa_00aa;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000_cccc_0000_cccc;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x0000_0000_f0f0_f0f0;
+    x ^ t ^ (t << 28)
+}
+
+/// Reads the low `width` bits of `value` as a two's-complement number
+/// (widths of 0 or of 64 and more are returned unchanged).
+fn sign_extend(value: i64, width: u8) -> i64 {
+    match 64u32.checked_sub(u32::from(width)) {
+        Some(unused @ 1..=63) => (value << unused) >> unused,
+        _ => value,
+    }
 }
 
 /// Set bits of packed `words` within the row range `start..end` (the caller
@@ -809,11 +822,6 @@ impl BitPlaneArray {
         self.pass_log = Some(Vec::new());
     }
 
-    /// Stops recording pass populations and discards any pending entries.
-    pub fn disable_pass_log(&mut self) {
-        self.pass_log = None;
-    }
-
     /// Whether pass-population logging is currently enabled.
     pub fn pass_log_enabled(&self) -> bool {
         self.pass_log.is_some()
@@ -984,8 +992,8 @@ impl BitPlaneArray {
         }
         self.stats.read_ops += 1;
         self.charge_row(row, |stats| stats.read_ops += 1);
-        if signed && width > 0 && (value >> (width - 1)) & 1 == 1 {
-            value -= 1 << width;
+        if signed {
+            value = sign_extend(value, width);
         }
         Ok(value)
     }
@@ -1009,12 +1017,15 @@ impl BitPlaneArray {
     /// when it cannot, the caller falls back to the per-row loop so error
     /// ordering and partial-write semantics stay bit-identical.
     fn column_fast_path(&self, col: usize, base: usize, width: u8, values: &[i64]) -> bool {
+        // The accepted values form one interval, so its extremes decide.
+        let (low, high) = values.iter().fold((i64::MAX, i64::MIN), |(low, high), &v| {
+            (low.min(v), high.max(v))
+        });
         col < self.cols
             && width > 0
             && base + (width as usize) <= self.domains
-            && values
-                .iter()
-                .all(|&value| validate_width(width, value).is_ok())
+            && validate_width(width, low).is_ok()
+            && validate_width(width, high).is_ok()
     }
 
     /// Stages one value per row into `col` (the common case when loading an im2col
@@ -1048,8 +1059,8 @@ impl BitPlaneArray {
             }
             return Ok(());
         }
-        // One sweep over the values per 64-row word packs all `width` planes
-        // of that word (the fast path guarantees `width <= 63`, and the low
+        // Each 8-lane block of a 64-row word packs eight planes per 8×8 bit
+        // transpose (the fast path guarantees `width <= 63`, and the low
         // `width` bits of an in-range value are its stored bits).
         let first = self.plane_index(col, base);
         let planes = usize::from(width);
@@ -1057,17 +1068,16 @@ impl BitPlaneArray {
         for (word, chunk) in values.chunks(WORD_BITS).enumerate() {
             let packed = &mut packed[..planes];
             packed.fill(0);
-            // Eight lanes at a time: gather each lane's byte of bits into one
-            // word, then pull one bit plane's eight lane bits out per multiply.
             for (block, lanes) in chunk.chunks(8).enumerate() {
                 for low in (0..planes).step_by(8) {
-                    // Byte `j` holds bits `low..low + 8` of lane `j`'s value.
+                    // Byte `j` holds bits `low..low + 8` of lane `j`; after
+                    // the transpose byte `b` holds plane `low + b`'s lanes.
                     let bytes = lanes.iter().enumerate().fold(0u64, |bytes, (j, &value)| {
                         bytes | ((value as u64 >> low) & 0xff) << (8 * j)
                     });
-                    for (bit, plane_word) in packed[low..planes.min(low + 8)].iter_mut().enumerate()
-                    {
-                        *plane_word |= gather_byte_bits(bytes, bit) << (8 * block);
+                    let bits = transpose8(bytes);
+                    for (b, plane_word) in packed[low..planes.min(low + 8)].iter_mut().enumerate() {
+                        *plane_word |= (bits >> (8 * b) & 0xff) << (8 * block);
                     }
                 }
             }
@@ -1124,24 +1134,28 @@ impl BitPlaneArray {
         let start = out.len();
         out.resize(start + self.rows, 0);
         let values = &mut out[start..];
-        // Unpack a 64-row word at a time: shift each plane word's lanes out
-        // into consecutive rows.
-        for bit in 0..width as usize {
-            let plane = self.plane(col, base + bit);
-            for (&word, chunk) in plane.iter().zip(values.chunks_mut(WORD_BITS)) {
-                let mut lanes = word;
-                for value in chunk {
-                    *value |= ((lanes & 1) as i64) << bit;
-                    lanes >>= 1;
+        // The inverse of the staging transpose: byte `b` gathers plane
+        // `low + b`'s bits of eight lanes, and after the transpose byte `j`
+        // holds bits `low..low + 8` of lane `j`.
+        let first = self.plane_index(col, base);
+        let planes = usize::from(width);
+        for (word, chunk) in values.chunks_mut(WORD_BITS).enumerate() {
+            for (block, lanes) in chunk.chunks_mut(8).enumerate() {
+                for low in (0..planes).step_by(8) {
+                    let bytes = (low..planes.min(low + 8)).fold(0u64, |bytes, bit| {
+                        let plane_word = self.planes[first + bit * self.words + word];
+                        bytes | (plane_word >> (8 * block) & 0xff) << (8 * (bit - low))
+                    });
+                    let bits = transpose8(bytes);
+                    for (j, value) in lanes.iter_mut().enumerate() {
+                        *value |= ((bits >> (8 * j) & 0xff) as i64) << low;
+                    }
                 }
             }
         }
         if signed {
-            let sign = 1i64 << (width - 1);
             for value in values {
-                if *value & sign != 0 {
-                    *value -= 1 << width;
-                }
+                *value = sign_extend(*value, width);
             }
         }
         self.account_column_walk(col, base, width, false);
@@ -1514,42 +1528,54 @@ mod tests {
 
         #[test]
         fn prop_column_fast_paths_match_the_per_row_loops(
-            segments in 1usize..=4,
-            segment_rows in 1usize..=75,
-            width in 1u8..=24,
+            rows_index in 0usize..7,
+            segments in 1usize..=8,
+            track in any::<bool>(),
+            width in 1u8..=63,
             signed in any::<bool>(),
-            start_domain in 0usize..32,
+            start_domain in 0usize..64,
             seed in any::<u64>(),
             corrupt in any::<bool>(),
-            bad_row in 0usize..300,
+            bad_row in 0usize..448,
         ) {
-            // Rows 1..=300 (so ragged last words), segment tracking on, and a
-            // column whose ports start away from the staged range.
-            let rows = segments * segment_rows;
-            let domains = 32usize;
+            // Row counts straddle the 8-lane blocks and the 64-row words, and
+            // the column's ports start away from the staged range.
+            let rows = [1usize, 7, 63, 64, 65, 130, 448][rows_index];
+            let segments = (1..=segments)
+                .rev()
+                .find(|&s| rows.is_multiple_of(s))
+                .unwrap_or(1);
+            let domains = 64usize;
             let base = (seed % (domains as u64 - u64::from(width) + 1)) as usize;
-            let (low, span) = if signed {
-                (-(1i64 << (width - 1)), 1i64 << width)
-            } else {
-                (0, 1i64 << width)
-            };
             let mut state = seed;
             let mut values: Vec<i64> = (0..rows)
                 .map(|_| {
                     state = state
                         .wrapping_mul(6_364_136_223_846_793_005)
                         .wrapping_add(1_442_695_040_888_963_407);
-                    low + ((state >> 11) % span as u64) as i64
+                    let bits = (state >> 1) & ((1u64 << width) - 1);
+                    if signed {
+                        sign_extend(bits as i64, width)
+                    } else {
+                        bits as i64
+                    }
                 })
                 .collect();
             if corrupt {
-                // One value just outside the width's range.
-                values[bad_row % rows] = if signed { low - 1 } else { span };
+                // One value just outside the width's range, below or above.
+                let min_signed = -(1i64 << (width - 1));
+                values[bad_row % rows] = if width < 63 && seed & 1 == 1 {
+                    1i64 << width
+                } else {
+                    min_signed - 1
+                };
             }
             let mut fast = array(rows, 3, domains);
             let mut slow = array(rows, 3, domains);
             for cam in [&mut fast, &mut slow] {
-                cam.track_segments(segment_rows).expect("segments");
+                if track {
+                    cam.track_segments(rows / segments).expect("segments");
+                }
                 cam.align_column(1, start_domain).expect("align");
             }
             let written = fast.write_column_values(1, base, width, &values);

@@ -744,9 +744,12 @@ impl FunctionalBackend {
                 ),
             });
         }
+        // The array holds only the columns the layer's programs address
+        // (51 of 256 for micro_cnn): no counter depends on the column count,
+        // and plans are keyed on the array's own geometry.
         let mut array = BitPlaneArray::new(
             rows * batch,
-            layout.geometry.cols,
+            layout.columns_used().min(layout.geometry.cols),
             layout.geometry.domains,
             self.arch.cam_tech,
         )

@@ -106,13 +106,6 @@ pub struct SimOutcome {
     pub rejected: Vec<usize>,
 }
 
-impl SimOutcome {
-    /// The completion record of request `request`, if it was served.
-    pub fn completion_for(&self, request: usize) -> Option<&SimCompletion> {
-        self.completions.iter().find(|c| c.request == request)
-    }
-}
-
 /// Replays `trace` (whose request `i` carries `payloads[i]`) against
 /// `executor` under `config`, on the virtual clock.
 ///

@@ -55,49 +55,72 @@ pub fn conv2d(input: &Tensor<i64>, layer: &Conv2d) -> Result<Tensor<i64>> {
     }
     let (fh, fw) = layer.kernel();
     let (hout, wout) = layer.output_hw((height, width));
+    let (stride, padding) = (layer.stride, layer.padding);
     let mut output = Tensor::zeros(vec![layer.cout(), hout, wout]);
     let activations = input.as_slice();
-    let weights = layer.weights.as_slice();
+    let filters = layer.weights.as_slice();
     let out_data = output.as_mut_slice();
-    let mut taps: Vec<(usize, usize, usize, bool)> = Vec::with_capacity(cin * fh * fw);
-    for ofm in 0..layer.cout() {
-        // Gather this filter's non-zero taps once (in the canonical
-        // ifm → kh → kw order, so the accumulation order — and thus the
-        // result — is identical to the dense triple loop); at the paper's
-        // sparsity levels this skips most of the kernel volume.
-        taps.clear();
-        let filter = &weights[ofm * cin * fh * fw..(ofm + 1) * cin * fh * fw];
+    // Each non-zero tap adds (or subtracts) a strided run of one input row
+    // to a run of one output row. Clipping the runs to the in-bounds outputs
+    // once per (tap, row) replaces the per-position padding test, and
+    // integer addition makes the result independent of the sweep order.
+    for (ofm, out_plane) in out_data.chunks_exact_mut(hout * wout).enumerate() {
         for ifm in 0..cin {
+            let in_plane = &activations[ifm * height * width..][..height * width];
             for kh in 0..fh {
+                let rows = valid_outputs(height, hout, kh, stride, padding);
                 for kw in 0..fw {
-                    let weight = filter[(ifm * fh + kh) * fw + kw];
-                    if weight != 0 {
-                        taps.push((ifm, kh, kw, weight > 0));
-                    }
-                }
-            }
-        }
-        for oh in 0..hout {
-            for ow in 0..wout {
-                let mut acc: i64 = 0;
-                for &(ifm, kh, kw, positive) in &taps {
-                    let ih = (oh * layer.stride + kh) as isize - layer.padding as isize;
-                    let iw = (ow * layer.stride + kw) as isize - layer.padding as isize;
-                    if ih < 0 || iw < 0 || ih as usize >= height || iw as usize >= width {
+                    let weight = filters[((ofm * cin + ifm) * fh + kh) * fw + kw];
+                    if weight == 0 {
                         continue;
                     }
-                    let x = activations[(ifm * height + ih as usize) * width + iw as usize];
-                    if positive {
-                        acc += x;
-                    } else {
-                        acc -= x;
+                    let cols = valid_outputs(width, wout, kw, stride, padding);
+                    if cols.is_empty() {
+                        continue;
+                    }
+                    let first_col = cols.start * stride + kw - padding;
+                    for oh in rows.clone() {
+                        let ih = oh * stride + kh - padding;
+                        let outs = &mut out_plane[oh * wout..][cols.clone()];
+                        let row = &in_plane[ih * width + first_col..(ih + 1) * width];
+                        if stride == 1 {
+                            sweep(outs, row.iter(), weight > 0);
+                        } else {
+                            sweep(outs, row.iter().step_by(stride), weight > 0);
+                        }
                     }
                 }
-                out_data[(ofm * hout + oh) * wout + ow] = acc;
             }
         }
     }
     Ok(output)
+}
+
+/// Adds (or subtracts) one tap's input run into a run of outputs.
+#[inline]
+fn sweep<'a>(outs: &mut [i64], taps: impl Iterator<Item = &'a i64>, positive: bool) {
+    if positive {
+        outs.iter_mut().zip(taps).for_each(|(acc, &x)| *acc += x);
+    } else {
+        outs.iter_mut().zip(taps).for_each(|(acc, &x)| *acc -= x);
+    }
+}
+
+/// The outputs `o < outputs` along one axis whose input coordinate
+/// `o·stride + offset − padding` lies inside `0..extent`.
+fn valid_outputs(
+    extent: usize,
+    outputs: usize,
+    offset: usize,
+    stride: usize,
+    padding: usize,
+) -> std::ops::Range<usize> {
+    let start = padding.saturating_sub(offset).div_ceil(stride);
+    let end = match (extent + padding).checked_sub(offset + 1) {
+        Some(last) => (last / stride + 1).min(outputs),
+        None => 0,
+    };
+    start..end.max(start)
 }
 
 /// Ternary fully connected layer applied to the flattened input.
@@ -154,18 +177,30 @@ pub fn max_pool2d(input: &Tensor<i64>, kernel: usize, stride: usize) -> Result<T
     let (channels, height, width) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let hout = (height.saturating_sub(kernel)) / stride + 1;
     let wout = (width.saturating_sub(kernel)) / stride + 1;
-    let mut output = Tensor::zeros(vec![channels, hout, wout]);
-    for c in 0..channels {
-        for oh in 0..hout {
-            for ow in 0..wout {
-                let mut best = i64::MIN;
-                for kh in 0..kernel {
-                    for kw in 0..kernel {
-                        let value = *input.get(&[c, oh * stride + kh, ow * stride + kw])?;
-                        best = best.max(value);
-                    }
+    if channels > 0 && (height < kernel || width < kernel) {
+        // The single window overhangs the input: report the first element
+        // it reads out of range.
+        for kh in 0..kernel {
+            for kw in 0..kernel {
+                input.get(&[0, kh, kw])?;
+            }
+        }
+    }
+    let plane = height * width;
+    let mut output = Tensor::full(vec![channels, hout, wout], i64::MIN);
+    for (c, out_plane) in output
+        .as_mut_slice()
+        .chunks_exact_mut(hout * wout)
+        .enumerate()
+    {
+        let in_plane = &input.as_slice()[c * plane..][..plane];
+        for (oh, out_row) in out_plane.chunks_exact_mut(wout).enumerate() {
+            for kh in 0..kernel {
+                let row = &in_plane[(oh * stride + kh) * width..][..width];
+                for (ow, best) in out_row.iter_mut().enumerate() {
+                    let window = &row[ow * stride..][..kernel];
+                    *best = window.iter().fold(*best, |best, &v| best.max(v));
                 }
-                *output.get_mut(&[c, oh, ow])? = best;
             }
         }
     }
@@ -187,18 +222,14 @@ pub fn global_avg_pool(input: &Tensor<i64>) -> Result<Tensor<i64>> {
         });
     }
     let (channels, height, width) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let count = (height * width) as i64;
-    let mut output = Tensor::zeros(vec![channels, 1, 1]);
-    for c in 0..channels {
-        let mut sum = 0i64;
-        for h in 0..height {
-            for w in 0..width {
-                sum += *input.get(&[c, h, w])?;
-            }
-        }
-        *output.get_mut(&[c, 0, 0])? = if count == 0 { 0 } else { sum / count };
-    }
-    Ok(output)
+    let plane = height * width;
+    let means = (0..channels)
+        .map(|c| match plane {
+            0 => 0,
+            _ => input.as_slice()[c * plane..][..plane].iter().sum::<i64>() / plane as i64,
+        })
+        .collect();
+    Tensor::from_vec(vec![channels, 1, 1], means)
 }
 
 /// Rectified linear unit.
@@ -366,6 +397,128 @@ mod tests {
     use crate::TernaryTensor;
     use proptest::prelude::*;
 
+    /// The direct-loop convolution the tap sweep replaced: a bounds test per
+    /// tap per output position. Kept as the differential oracle.
+    fn direct_conv2d(input: &Tensor<i64>, layer: &Conv2d) -> Result<Tensor<i64>> {
+        if input.ndim() != 3 {
+            return Err(TnnError::IncompatibleShapes {
+                reason: format!(
+                    "convolution expects a (C, H, W) tensor, got {:?}",
+                    input.shape()
+                ),
+            });
+        }
+        let (cin, height, width) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+        if cin != layer.cin() {
+            return Err(TnnError::IncompatibleShapes {
+                reason: format!(
+                    "layer '{}' expects {} channels, input has {cin}",
+                    layer.name,
+                    layer.cin()
+                ),
+            });
+        }
+        let (fh, fw) = layer.kernel();
+        let (hout, wout) = layer.output_hw((height, width));
+        let mut output = Tensor::zeros(vec![layer.cout(), hout, wout]);
+        for ofm in 0..layer.cout() {
+            for oh in 0..hout {
+                for ow in 0..wout {
+                    let mut acc = 0i64;
+                    for ifm in 0..cin {
+                        for kh in 0..fh {
+                            for kw in 0..fw {
+                                let weight = layer.weights.as_slice()
+                                    [((ofm * cin + ifm) * fh + kh) * fw + kw];
+                                let ih = (oh * layer.stride + kh) as isize - layer.padding as isize;
+                                let iw = (ow * layer.stride + kw) as isize - layer.padding as isize;
+                                if ih < 0 || iw < 0 || ih as usize >= height || iw as usize >= width
+                                {
+                                    continue;
+                                }
+                                let x = *input.get(&[ifm, ih as usize, iw as usize])?;
+                                acc += i64::from(weight) * x;
+                            }
+                        }
+                    }
+                    *output.get_mut(&[ofm, oh, ow])? = acc;
+                }
+            }
+        }
+        Ok(output)
+    }
+
+    /// Per-element max pooling, the oracle of [`max_pool2d`].
+    fn direct_max_pool2d(input: &Tensor<i64>, kernel: usize, stride: usize) -> Result<Tensor<i64>> {
+        if input.ndim() != 3 {
+            return Err(TnnError::IncompatibleShapes {
+                reason: format!(
+                    "pooling expects a (C, H, W) tensor, got {:?}",
+                    input.shape()
+                ),
+            });
+        }
+        let (channels, height, width) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+        let hout = (height.saturating_sub(kernel)) / stride + 1;
+        let wout = (width.saturating_sub(kernel)) / stride + 1;
+        let mut output = Tensor::zeros(vec![channels, hout, wout]);
+        for c in 0..channels {
+            for oh in 0..hout {
+                for ow in 0..wout {
+                    let mut best = i64::MIN;
+                    for kh in 0..kernel {
+                        for kw in 0..kernel {
+                            let value = *input.get(&[c, oh * stride + kh, ow * stride + kw])?;
+                            best = best.max(value);
+                        }
+                    }
+                    *output.get_mut(&[c, oh, ow])? = best;
+                }
+            }
+        }
+        Ok(output)
+    }
+
+    /// Per-element global average pooling, the oracle of [`global_avg_pool`].
+    fn direct_global_avg_pool(input: &Tensor<i64>) -> Result<Tensor<i64>> {
+        if input.ndim() != 3 {
+            return Err(TnnError::IncompatibleShapes {
+                reason: format!(
+                    "pooling expects a (C, H, W) tensor, got {:?}",
+                    input.shape()
+                ),
+            });
+        }
+        let (channels, height, width) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+        let count = (height * width) as i64;
+        let mut output = Tensor::zeros(vec![channels, 1, 1]);
+        for c in 0..channels {
+            let mut sum = 0i64;
+            for h in 0..height {
+                for w in 0..width {
+                    sum += *input.get(&[c, h, w])?;
+                }
+            }
+            *output.get_mut(&[c, 0, 0])? = if count == 0 { 0 } else { sum / count };
+        }
+        Ok(output)
+    }
+
+    /// A `shape` tensor of deterministic signed activations.
+    fn activations(shape: Vec<usize>, seed: u64) -> Tensor<i64> {
+        let len = shape.iter().product::<usize>();
+        let mut state = seed | 1;
+        let data = (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % 511) as i64 - 255
+            })
+            .collect();
+        Tensor::from_vec(shape, data).expect("activations")
+    }
+
     #[test]
     fn conv_matches_hand_computation() {
         let weights = TernaryTensor::from_vec(vec![2, 1, 2, 2], vec![1, 0, 0, -1, 1, 1, 1, 1])
@@ -456,6 +609,72 @@ mod tests {
         // A failing sample reports its own error.
         let bad = Tensor::zeros(vec![1, 8, 8]);
         assert!(run_batch(&model, &[inputs[0].clone(), bad], Some(4)).is_err());
+    }
+
+    #[test]
+    fn kernels_reject_malformed_inputs_like_the_oracles() {
+        let weights = TernaryTensor::random(vec![2, 3, 3, 2], 0.3, 5);
+        let conv = Conv2d::new("bad", weights, 1, 1).expect("conv");
+        for input in [
+            Tensor::zeros(vec![3, 4]),
+            Tensor::zeros(vec![1, 3, 4, 4]),
+            Tensor::zeros(vec![2, 4, 4]),
+        ] {
+            let error = conv2d(&input, &conv).expect_err("malformed");
+            assert_eq!(Err(error), direct_conv2d(&input, &conv));
+            assert_eq!(max_pool2d(&input, 2, 1), direct_max_pool2d(&input, 2, 1));
+            assert_eq!(global_avg_pool(&input), direct_global_avg_pool(&input));
+        }
+        // A window larger than the plane overhangs it on either axis.
+        for shape in [vec![2, 5, 2], vec![2, 2, 5], vec![1, 0, 4], vec![1, 4, 0]] {
+            let input = activations(shape, 3);
+            let error = max_pool2d(&input, 3, 2).expect_err("overhang");
+            assert_eq!(Err(error), direct_max_pool2d(&input, 3, 2));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_tap_sweep_conv_matches_the_direct_loop(
+            cin in 1usize..=3,
+            cout in 1usize..=3,
+            fh in 1usize..=5,
+            fw in 1usize..=5,
+            stride in 1usize..=3,
+            padding in 0usize..=2,
+            height in 1usize..=9,
+            width in 1usize..=9,
+            sparsity_pct in 0u32..=100,
+            seed in any::<u64>(),
+        ) {
+            let weights = TernaryTensor::random(
+                vec![cout, cin, fh, fw],
+                f64::from(sparsity_pct) / 100.0,
+                seed,
+            );
+            let conv = Conv2d::new("prop", weights, stride, padding).expect("conv");
+            let input = activations(vec![cin, height, width], seed);
+            prop_assert_eq!(conv2d(&input, &conv), direct_conv2d(&input, &conv));
+        }
+
+        #[test]
+        fn prop_plane_slice_pools_match_the_per_element_loops(
+            channels in 0usize..=3,
+            height in 0usize..=9,
+            width in 0usize..=9,
+            kernel in 0usize..=4,
+            stride in 1usize..=3,
+            seed in any::<u64>(),
+        ) {
+            let input = activations(vec![channels, height, width], seed);
+            prop_assert_eq!(
+                max_pool2d(&input, kernel, stride),
+                direct_max_pool2d(&input, kernel, stride)
+            );
+            prop_assert_eq!(global_avg_pool(&input), direct_global_avg_pool(&input));
+        }
     }
 
     proptest! {

@@ -96,11 +96,6 @@ impl<T> Tensor<T> {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its storage.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Computes the linear offset of a multi-dimensional index.
     ///
     /// # Errors

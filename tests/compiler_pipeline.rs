@@ -2,9 +2,11 @@
 //! bitwidths, allocation and code generation — over layers of the real model
 //! definitions.
 
+use apc::codegen::tile_prologue;
 use apc::loopir::LoopNest;
 use apc::{CompileStats, CompilerOptions, LayerCompiler};
-use tnn::model::{resnet18, vgg11, vgg9};
+use camdnn::corpus::{load_specs, model_for};
+use tnn::model::{resnet18, resnet18_at, vgg11, vgg9, ModelGraph};
 
 #[test]
 fn loop_schedule_and_compiler_agree_on_code_size() {
@@ -50,20 +52,42 @@ fn cse_reduction_holds_across_every_vgg9_layer() {
     );
 }
 
+/// Every operand column of every retained slice program and of every tile
+/// prologue lies below the layout's `columns_used()`, which itself fits the
+/// geometry — the invariant that lets the functional backend allocate unit
+/// arrays of only `columns_used()` columns.
 #[test]
 fn compiled_programs_fit_the_cam_geometry() {
-    let model = vgg11(0.9, 4);
-    let compiler = LayerCompiler::new(CompilerOptions::default().with_programs());
-    for layer in model.conv_like_layers().iter().take(3) {
-        let compiled = compiler.compile(layer).expect("compile");
-        let cols = compiled.layout.geometry.cols;
-        for slice in compiled.slices.expect("programs kept") {
-            if let Some(max_col) = slice.program.max_column() {
-                assert!(
-                    max_col < cols,
-                    "layer {} uses column {max_col} of {cols}",
-                    layer.name
-                );
+    let mut models: Vec<(ModelGraph, u8)> = vec![
+        (vgg11(0.9, 4), 4),
+        (vgg9(0.85, 9), 4),
+        (resnet18_at(32, 0.8, 7), 4),
+    ];
+    for entry in load_specs().expect("corpus") {
+        models.push((model_for(&entry.spec).expect("model"), entry.spec.act_bits));
+    }
+    for (model, act_bits) in &models {
+        let options = CompilerOptions::default()
+            .with_act_bits(*act_bits)
+            .with_programs();
+        let compiler = LayerCompiler::new(options);
+        for layer in model.conv_like_layers() {
+            let compiled = compiler.compile(&layer).expect("compile");
+            let layout = &compiled.layout;
+            let used = layout.columns_used();
+            assert!(used <= layout.geometry.cols, "layer {}", layer.name);
+            let prologues = (0..layout.output_tiles)
+                .map(|tile| tile_prologue(layout, layout.tile_range(tile, layer.cout).len()));
+            let slices = compiled.slices.iter().flatten().map(|s| s.program.clone());
+            for program in prologues.chain(slices) {
+                if let Some(max_col) = program.max_column() {
+                    assert!(
+                        max_col < used,
+                        "{}/{} uses column {max_col} of the {used} it declares",
+                        model.name(),
+                        layer.name
+                    );
+                }
             }
         }
     }
