@@ -58,7 +58,7 @@ pub fn conv2d(input: &Tensor<i64>, layer: &Conv2d) -> Result<Tensor<i64>> {
     let (stride, padding) = (layer.stride, layer.padding);
     let mut output = Tensor::zeros(vec![layer.cout(), hout, wout]);
     let activations = input.as_slice();
-    let filters = layer.weights.as_slice();
+    let weights = layer.weights.as_slice();
     let out_data = output.as_mut_slice();
     // Each non-zero tap adds (or subtracts) a strided run of one input row
     // to a run of one output row. Clipping the runs to the in-bounds outputs
@@ -70,7 +70,7 @@ pub fn conv2d(input: &Tensor<i64>, layer: &Conv2d) -> Result<Tensor<i64>> {
             for kh in 0..fh {
                 let rows = valid_outputs(height, hout, kh, stride, padding);
                 for kw in 0..fw {
-                    let weight = filters[((ofm * cin + ifm) * fh + kh) * fw + kw];
+                    let weight = weights[((ofm * cin + ifm) * fh + kh) * fw + kw];
                     if weight == 0 {
                         continue;
                     }
@@ -97,7 +97,6 @@ pub fn conv2d(input: &Tensor<i64>, layer: &Conv2d) -> Result<Tensor<i64>> {
 }
 
 /// Adds (or subtracts) one tap's input run into a run of outputs.
-#[inline]
 fn sweep<'a>(outs: &mut [i64], taps: impl Iterator<Item = &'a i64>, positive: bool) {
     if positive {
         outs.iter_mut().zip(taps).for_each(|(acc, &x)| *acc += x);
