@@ -15,7 +15,7 @@
 
 use accel::ArchConfig;
 use apc::layout::CamGeometry;
-use apc::{CompilerOptions, LayerSignature};
+use apc::{CompilerOptions, LayerSignature, TileGrid};
 use camdnn::experiment::{BackendPlan, ResultSet, ScenarioSpec, Session, SweepGrid, Workload};
 use camdnn::{BackendId, BackendKind, BackendReport, FunctionalBackend, InferenceBackend};
 use proptest::prelude::*;
@@ -446,5 +446,107 @@ proptest! {
         }
         prop_assert_eq!(points.len(), scenarios.len());
         prop_assert_eq!(labels.len(), scenarios.len());
+    }
+}
+
+/// The multi-axis grid [`sweep_grid_expansion_is_pinned`] expands: two
+/// geometries of different domain counts, two architectures, two batch sizes
+/// and two tile grids.
+fn pinned_sweep_grid() -> SweepGrid {
+    SweepGrid::new()
+        .workload(micro_cnn("micro", 4, 0.8, 1))
+        .geometries([
+            CamGeometry {
+                rows: 128,
+                cols: 256,
+                domains: 64,
+            },
+            CamGeometry {
+                rows: 256,
+                cols: 256,
+                domains: 32,
+            },
+        ])
+        .archs([
+            ArchConfig::default(),
+            ArchConfig {
+                max_channel_groups: 4,
+                ..ArchConfig::default()
+            },
+        ])
+        .batch_sizes([1, 3])
+        .tile_grids([TileGrid::new(1, 1), TileGrid::new(2, 2)])
+}
+
+/// Every scenario of a multi-axis sweep, in expansion order: its label, the
+/// re-targeted architecture, the batch and tile-grid points, the effective
+/// compiler options and the backends.
+#[test]
+fn sweep_grid_expansion_is_pinned() {
+    // (label, rows, domains, max channel groups, batch size, tile-grid side)
+    let expected = [
+        ("micro 4b 128x256 d64 arch0 b1 g1x1", 128, 64, 8, 1, 1),
+        ("micro 4b 128x256 d64 arch0 b1 g2x2", 128, 64, 8, 1, 2),
+        ("micro 4b 128x256 d64 arch0 b3 g1x1", 128, 64, 8, 3, 1),
+        ("micro 4b 128x256 d64 arch0 b3 g2x2", 128, 64, 8, 3, 2),
+        ("micro 4b 128x256 d64 arch1 b1 g1x1", 128, 64, 4, 1, 1),
+        ("micro 4b 128x256 d64 arch1 b1 g2x2", 128, 64, 4, 1, 2),
+        ("micro 4b 128x256 d64 arch1 b3 g1x1", 128, 64, 4, 3, 1),
+        ("micro 4b 128x256 d64 arch1 b3 g2x2", 128, 64, 4, 3, 2),
+        ("micro 4b 256x256 d32 arch0 b1 g1x1", 256, 32, 8, 1, 1),
+        ("micro 4b 256x256 d32 arch0 b1 g2x2", 256, 32, 8, 1, 2),
+        ("micro 4b 256x256 d32 arch0 b3 g1x1", 256, 32, 8, 3, 1),
+        ("micro 4b 256x256 d32 arch0 b3 g2x2", 256, 32, 8, 3, 2),
+        ("micro 4b 256x256 d32 arch1 b1 g1x1", 256, 32, 4, 1, 1),
+        ("micro 4b 256x256 d32 arch1 b1 g2x2", 256, 32, 4, 1, 2),
+        ("micro 4b 256x256 d32 arch1 b3 g1x1", 256, 32, 4, 3, 1),
+        ("micro 4b 256x256 d32 arch1 b3 g2x2", 256, 32, 4, 3, 2),
+    ];
+    let scenarios = pinned_sweep_grid().scenarios();
+    assert_eq!(scenarios.len(), expected.len());
+    for (spec, &(label, rows, domains, groups, batch_size, side)) in scenarios.iter().zip(&expected)
+    {
+        let geometry = CamGeometry {
+            rows,
+            cols: 256,
+            domains,
+        };
+        assert_eq!(spec.label, label);
+        assert_eq!(spec.workload.label, "micro");
+        assert_eq!(spec.act_bits, 4);
+        assert_eq!(
+            spec.arch,
+            ArchConfig {
+                geometry,
+                max_channel_groups: groups,
+                ..ArchConfig::default()
+            },
+            "{label}"
+        );
+        assert_eq!(spec.batch_size, batch_size, "{label}");
+        assert_eq!(spec.tile_grid, TileGrid::new(side, side), "{label}");
+        assert_eq!(
+            spec.compiler_options(),
+            CompilerOptions {
+                geometry,
+                act_bits: 4,
+                enable_cse: true,
+                temp_budget: 32,
+                keep_programs: false,
+            },
+            "{label}"
+        );
+        let backends: Vec<BackendId> = spec.backends.iter().map(BackendPlan::id).collect();
+        assert_eq!(
+            backends,
+            [
+                BackendKind::RtmAp,
+                BackendKind::RtmApUnroll,
+                BackendKind::Crossbar,
+                BackendKind::DeepCam
+            ]
+            .map(BackendKind::id),
+            "{label}"
+        );
     }
 }

@@ -15,8 +15,9 @@
 
 use accel::ArchConfig;
 use serve::{
-    simulate_fleet, AutoscalePolicy, BatchingPolicy, FleetConfig, FleetGrid, FleetResultSet,
-    FleetSession, FleetStageModel, LatencySummary, StageCost, TraceSpec,
+    simulate_fleet, ArrivalProcess, AutoscalePolicy, BatchingPolicy, FleetConfig, FleetGrid,
+    FleetResultSet, FleetSession, FleetStageModel, LatencySummary, RoutePolicy, StageCost,
+    TraceSpec,
 };
 use tnn::model::{micro_cnn, ModelGraph};
 
@@ -606,4 +607,102 @@ mod golden {
         ("flash@100000x15 drain", 0x618796e11f47f652),
         ("flash@100000x15 headroom", 0xa5030ae992d3eff5),
     ];
+}
+
+/// The multi-axis grid [`fleet_grid_expansion_is_pinned`] expands: two
+/// traces, two shard counts, two replica counts and two autoscalers under a
+/// non-default batching window and SLO.
+fn pinned_fleet_grid() -> FleetGrid {
+    FleetGrid::new()
+        .workload(micro_model())
+        .traffic([
+            TraceSpec::poisson(20_000.0, 48, 11),
+            TraceSpec::poisson(5_000.0, 64, 3),
+        ])
+        .shards([1, 2])
+        .replicas([1, 2])
+        .autoscalers([AutoscalePolicy::Fixed, pinned_queue_depth()])
+        .batching(BatchingPolicy::new(4, 250))
+        .slo_ms(0.05)
+}
+
+fn pinned_queue_depth() -> AutoscalePolicy {
+    AutoscalePolicy::QueueDepth {
+        check_interval_ns: 1_000_000,
+        up_per_replica: 64,
+        down_per_replica: 8,
+        min_replicas: 1,
+        max_replicas: 4,
+        warmup_ns: 0,
+    }
+}
+
+/// Every scenario of a multi-axis fleet sweep, in expansion order: its
+/// label, its effective fleet configuration, its trace and the architecture
+/// its cost profile is measured on.
+#[test]
+fn fleet_grid_expansion_is_pinned() {
+    let traces = [
+        TraceSpec {
+            process: ArrivalProcess::Poisson {
+                rate_per_s: 20_000.0,
+            },
+            requests: 48,
+            seed: 11,
+        },
+        TraceSpec {
+            process: ArrivalProcess::Poisson {
+                rate_per_s: 5_000.0,
+            },
+            requests: 64,
+            seed: 3,
+        },
+    ];
+    let autoscalers = [AutoscalePolicy::Fixed, pinned_queue_depth()];
+    // (label, trace index, shards, replicas, autoscaler index)
+    let expected = [
+        ("fleet-micro poisson@20000x48 s1 r1 fixed", 0, 1, 1, 0),
+        ("fleet-micro poisson@20000x48 s1 r1 qd64-8", 0, 1, 1, 1),
+        ("fleet-micro poisson@20000x48 s1 r2 fixed", 0, 1, 2, 0),
+        ("fleet-micro poisson@20000x48 s1 r2 qd64-8", 0, 1, 2, 1),
+        ("fleet-micro poisson@20000x48 s2 r1 fixed", 0, 2, 1, 0),
+        ("fleet-micro poisson@20000x48 s2 r1 qd64-8", 0, 2, 1, 1),
+        ("fleet-micro poisson@20000x48 s2 r2 fixed", 0, 2, 2, 0),
+        ("fleet-micro poisson@20000x48 s2 r2 qd64-8", 0, 2, 2, 1),
+        ("fleet-micro poisson@5000x64 s1 r1 fixed", 1, 1, 1, 0),
+        ("fleet-micro poisson@5000x64 s1 r1 qd64-8", 1, 1, 1, 1),
+        ("fleet-micro poisson@5000x64 s1 r2 fixed", 1, 1, 2, 0),
+        ("fleet-micro poisson@5000x64 s1 r2 qd64-8", 1, 1, 2, 1),
+        ("fleet-micro poisson@5000x64 s2 r1 fixed", 1, 2, 1, 0),
+        ("fleet-micro poisson@5000x64 s2 r1 qd64-8", 1, 2, 1, 1),
+        ("fleet-micro poisson@5000x64 s2 r2 fixed", 1, 2, 2, 0),
+        ("fleet-micro poisson@5000x64 s2 r2 qd64-8", 1, 2, 2, 1),
+    ];
+    let scenarios = pinned_fleet_grid().scenarios();
+    assert_eq!(scenarios.len(), expected.len());
+    for (scenario, &(label, trace, shards, replicas, autoscaler)) in scenarios.iter().zip(&expected)
+    {
+        assert_eq!(scenario.label, label);
+        assert_eq!(scenario.workload.label, "fleet-micro");
+        assert_eq!(
+            scenario.config,
+            FleetConfig {
+                shards,
+                replicas,
+                batching: BatchingPolicy {
+                    max_batch_size: 4,
+                    max_queue_delay_ns: 250_000,
+                },
+                queue_capacity: 256,
+                stage_queue_capacity: 2,
+                routing: RoutePolicy::RoundRobin,
+                slo_ns: 50_000,
+                autoscaler: autoscalers[autoscaler],
+                idle_tile_uw: 50.0,
+            },
+            "{label}"
+        );
+        assert_eq!(scenario.trace, traces[trace], "{label}");
+        assert_eq!(scenario.arch, ArchConfig::default(), "{label}");
+    }
 }

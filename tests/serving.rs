@@ -711,3 +711,80 @@ proptest! {
         server.shutdown().expect("shutdown");
     }
 }
+
+/// The multi-axis grid [`serve_grid_expansion_is_pinned`] expands: two
+/// traces, two batching windows and two replica counts under a non-default
+/// routing policy and SLO.
+fn pinned_serve_grid() -> ServeGrid {
+    ServeGrid::new()
+        .workload(micro_model())
+        .traffic([
+            TraceSpec::poisson(20_000.0, 24, 11),
+            TraceSpec::poisson(5_000.0, 32, 5),
+        ])
+        .batching([BatchingPolicy::new(4, 250), BatchingPolicy::new(8, 500)])
+        .replicas([1, 3])
+        .routing(RoutePolicy::LeastLoaded)
+        .slo_ms(2.5)
+}
+
+/// Every scenario of a multi-axis serving sweep, in expansion order: its
+/// label, its effective serving configuration, its trace and its payloads.
+#[test]
+fn serve_grid_expansion_is_pinned() {
+    let traces = [
+        TraceSpec {
+            process: ArrivalProcess::Poisson {
+                rate_per_s: 20_000.0,
+            },
+            requests: 24,
+            seed: 11,
+        },
+        TraceSpec {
+            process: ArrivalProcess::Poisson {
+                rate_per_s: 5_000.0,
+            },
+            requests: 32,
+            seed: 5,
+        },
+    ];
+    // (label, trace index, max batch size, max queue delay in ns, replicas)
+    let expected = [
+        ("serve-micro poisson@20000x24 b4/250us r1", 0, 4, 250_000, 1),
+        ("serve-micro poisson@20000x24 b4/250us r3", 0, 4, 250_000, 3),
+        ("serve-micro poisson@20000x24 b8/500us r1", 0, 8, 500_000, 1),
+        ("serve-micro poisson@20000x24 b8/500us r3", 0, 8, 500_000, 3),
+        ("serve-micro poisson@5000x32 b4/250us r1", 1, 4, 250_000, 1),
+        ("serve-micro poisson@5000x32 b4/250us r3", 1, 4, 250_000, 3),
+        ("serve-micro poisson@5000x32 b8/500us r1", 1, 8, 500_000, 1),
+        ("serve-micro poisson@5000x32 b8/500us r3", 1, 8, 500_000, 3),
+    ];
+    let scenarios = pinned_serve_grid().scenarios();
+    assert_eq!(scenarios.len(), expected.len());
+    for (scenario, &(label, trace, max_batch_size, max_queue_delay_ns, replicas)) in
+        scenarios.iter().zip(&expected)
+    {
+        assert_eq!(scenario.label, label);
+        assert_eq!(scenario.workload.label, "serve-micro");
+        assert_eq!(
+            scenario.config,
+            ServeConfig {
+                replicas,
+                batching: BatchingPolicy {
+                    max_batch_size,
+                    max_queue_delay_ns,
+                },
+                queue_capacity: 256,
+                routing: RoutePolicy::LeastLoaded,
+                slo_ns: 2_500_000,
+            },
+            "{label}"
+        );
+        assert_eq!(scenario.trace, traces[trace], "{label}");
+        assert_eq!(
+            scenario.payloads,
+            PayloadSpec::Seeded { base_seed: 0 },
+            "{label}"
+        );
+    }
+}
