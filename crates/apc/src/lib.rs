@@ -5,9 +5,12 @@
 //! instructions that computes it with additions and subtractions only. The flow
 //! mirrors Fig. 3 of the paper:
 //!
-//! 1. **Loop transformations** ([`loopir`]) — interchange, unrolling and fission of
-//!    the convolution loop nest expose the weight slice convolved on the same input
-//!    patch.
+//! 1. **Loop transformations** — [`LayerCompiler`] walks a layer one weight slice
+//!    (one input channel against one output tile) at a time. That walk is the
+//!    paper's schedule: the output-channel loop moved inside the input-channel loop
+//!    (interchange), the kernel and output-channel loops of a slice fully unrolled,
+//!    and the input-channel loop split into independent slices (fission). Each slice
+//!    exposes the weights convolved on the same input patch.
 //! 2. **Constant weight folding / DFG generation** ([`dfg`], [`expr`]) — ternary
 //!    weights `{-1, 0, 1}` turn multiplications into signed accumulations of patch
 //!    inputs.
@@ -51,7 +54,6 @@ pub mod dfg;
 mod error;
 pub mod expr;
 pub mod layout;
-pub mod loopir;
 pub mod partition;
 mod passes;
 mod stats;

@@ -16,7 +16,7 @@ use ap::{ApController, ApEngine, Operand, PassPlan, PlanGeometry};
 use apc::{CompileCache, CompiledLayer, CompilerOptions, LayerCompiler};
 use cam::{BitPlaneArray, CamArray, CamTechnology};
 use camdnn_bench::{
-    append_bench_record, bench_smoke, utc_date_string, EngineBenchRecord, SampleRange,
+    append_bench_record, bench_smoke, median_and_range, utc_date_string, EngineBenchRecord,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -171,17 +171,6 @@ fn bench_plan_engine(c: &mut Criterion) {
 
 /// Interleaved timing rounds of `engine_speedup`.
 const ROUNDS: usize = 5;
-
-/// The median and range of an odd number of samples.
-fn median_and_range(samples: impl Iterator<Item = f64>) -> (f64, SampleRange) {
-    let mut sorted: Vec<f64> = samples.collect();
-    sorted.sort_by(f64::total_cmp);
-    let range = SampleRange {
-        min: sorted[0],
-        max: sorted[sorted.len() - 1],
-    };
-    (sorted[sorted.len() / 2], range)
-}
 
 /// Times all three substrates head to head on the identical work list and
 /// prints both acceptance ratios: scalar→interpreter (the ≥20× bit-plane

@@ -6,9 +6,10 @@
 //! a time on `micro_cnn`. (The floor was 4× against the interpreting engine;
 //! compiled pass plans accelerate the batch-of-one baseline ~3× while the
 //! already-amortized batched path gains ~16%, so the guarded ratio shrank —
-//! batched samples/s itself went up, see `BENCH_throughput.json`.) Both paths produce value-identical logits (pinned
-//! by the `batch_equivalence` suite); only the packing differs. The
-//! `batch_speedup` function reports the measured ratio directly, next to the
+//! batched samples/s itself went up, see `BENCH_throughput.json`.) Both
+//! paths produce value-identical logits (pinned by the `batch_equivalence`
+//! suite); only the packing differs. The `batch_speedup` function reports the
+//! median ratio over interleaved timing rounds, with its range, next to the
 //! hardware-model throughput (`samples_per_s`) the reports derive from the
 //! executed cycle counters, and appends a dated record (including the plan
 //! cache summary of the shared compile cache) to `BENCH_throughput.json` at
@@ -17,7 +18,8 @@
 use apc::CompileCache;
 use camdnn::FunctionalBackend;
 use camdnn_bench::{
-    append_bench_record, bench_smoke, utc_date_string, LatencyHistogram, ThroughputBenchRecord,
+    append_bench_record, bench_smoke, median_and_range, utc_date_string, LatencyHistogram,
+    ThroughputBenchRecord,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -26,6 +28,9 @@ use tnn::model::{micro_cnn, ModelGraph};
 use tnn::Tensor;
 
 const BATCH: usize = 64;
+
+/// Interleaved timing rounds of `batch_speedup`.
+const ROUNDS: usize = 5;
 
 /// Batch size of the timed head-to-head: the full 64, or 8 under
 /// `BENCH_SMOKE` so CI can exercise the measurement and record-emission path
@@ -109,9 +114,10 @@ fn bench_batched(c: &mut Criterion) {
     group.finish();
 }
 
-/// Times both paths head to head on the identical 64 inputs and prints the
-/// wall-clock samples/s ratio (the ≥4× acceptance figure of the batched
-/// pipeline) next to the modeled throughput.
+/// Times both paths head to head on the identical 64 inputs over [`ROUNDS`]
+/// interleaved rounds and prints the median wall-clock samples/s ratio (the
+/// ≥2× acceptance figure of the batched pipeline) next to the modeled
+/// throughput.
 fn batch_speedup(_c: &mut Criterion) {
     let smoke = bench_smoke();
     let batch = timed_batch();
@@ -135,30 +141,40 @@ fn batch_speedup(_c: &mut Criterion) {
     // ~100 ns against ~1 ms calls, so the timed ratio is unaffected.
     let mut sequential_latency = LatencyHistogram::new();
     let mut batched_latency = LatencyHistogram::new();
+    // Interleaved rounds: each times both paths back to back, so a burst of
+    // machine noise hits one round's pair together and the per-round ratios
+    // stay comparable; the gate reads their median.
     let iters = if smoke { 1u32 } else { 3 };
-    let start = Instant::now();
-    for _ in 0..iters {
-        run_sequential(&backend, &model, inputs, &cache, &mut sequential_latency);
+    let mut rounds: Vec<[f64; 2]> = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
+        let start = Instant::now();
+        for _ in 0..iters {
+            run_sequential(&backend, &model, inputs, &cache, &mut sequential_latency);
+        }
+        let sequential = start.elapsed().as_secs_f64() / f64::from(iters);
+        let start = Instant::now();
+        for _ in 0..iters {
+            let call = Instant::now();
+            black_box(
+                backend
+                    .run_batch(&model, black_box(inputs), &cache)
+                    .expect("batched run"),
+            );
+            batched_latency.record(call.elapsed());
+        }
+        let batched = start.elapsed().as_secs_f64() / f64::from(iters);
+        rounds.push([batch as f64 / sequential, batch as f64 / batched]);
     }
-    let sequential = start.elapsed().as_secs_f64() / f64::from(iters);
-    let start = Instant::now();
-    for _ in 0..iters {
-        let call = Instant::now();
-        black_box(
-            backend
-                .run_batch(&model, black_box(inputs), &cache)
-                .expect("batched run"),
-        );
-        batched_latency.record(call.elapsed());
-    }
-    let batched = start.elapsed().as_secs_f64() / f64::from(iters);
-    let speedup = sequential / batched;
+    let column = |pick: fn(&[f64; 2]) -> f64| median_and_range(rounds.iter().map(pick));
+    let (sequential, sequential_samples_per_s_range) = column(|r| r[0]);
+    let (batched, batched_samples_per_s_range) = column(|r| r[1]);
+    let (speedup, batch_speedup_range) = column(|r| r[1] / r[0]);
     println!(
-        "batch_speedup: sequential {:.1} samples/s, batched {:.1} samples/s -> {:.1}x \
-         (modeled: {:.1} samples/s, {:.3e} J/sample)",
-        batch as f64 / sequential,
-        batch as f64 / batched,
-        speedup,
+        "batch_speedup (median of {ROUNDS} rounds): sequential {sequential:.1} samples/s, \
+         batched {batched:.1} samples/s -> {speedup:.1}x (range {:.1}-{:.1}x; \
+         modeled: {:.1} samples/s, {:.3e} J/sample)",
+        batch_speedup_range.min,
+        batch_speedup_range.max,
         batched_report.samples_per_s,
         batched_report.joules_per_sample,
     );
@@ -179,13 +195,17 @@ fn batch_speedup(_c: &mut Criterion) {
             date: utc_date_string(),
             bench: "throughput".to_string(),
             batch,
-            sequential_samples_per_s: batch as f64 / sequential,
-            batched_samples_per_s: batch as f64 / batched,
+            sequential_samples_per_s: sequential,
+            batched_samples_per_s: batched,
             batch_speedup: speedup,
             modeled_samples_per_s: batched_report.samples_per_s,
             joules_per_sample: batched_report.joules_per_sample,
             smoke,
             plan_cache: summary,
+            rounds: ROUNDS,
+            sequential_samples_per_s_range,
+            batched_samples_per_s_range,
+            batch_speedup_range,
         },
     );
     println!("  sequential per-call: {}", sequential_latency.summary_ms());
@@ -206,7 +226,7 @@ fn batch_speedup(_c: &mut Criterion) {
     assert!(
         speedup >= floor,
         "batched execution must reach >={floor}x the sequential samples/s at B={batch}, \
-         measured {speedup:.1}x"
+         measured a median of {speedup:.1}x over {ROUNDS} rounds"
     );
 }
 

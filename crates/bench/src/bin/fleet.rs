@@ -10,7 +10,7 @@
 //! across runs and thread counts.
 
 use camdnn_bench::{append_bench_record, bench_smoke, utc_date_string, BenchCli, FleetBenchRecord};
-use serve::{AutoscalePolicy, BatchingPolicy, FleetGrid, FleetSession, TraceSpec};
+use serve::{AutoscalePolicy, BatchingPolicy, FleetConfig, FleetGrid, FleetSession, TraceSpec};
 use tnn::model::micro_cnn;
 
 fn main() {
@@ -48,8 +48,11 @@ fn main() {
         .shards([1, 2])
         .replicas([1, 2])
         .autoscalers([AutoscalePolicy::Fixed, queue_depth, slo_headroom])
-        .batching(BatchingPolicy::new(8, 100))
-        .slo_ms(0.05);
+        .config(
+            FleetConfig::default()
+                .with_batching(BatchingPolicy::new(8, 100))
+                .with_slo_ms(0.05),
+        );
 
     let session = FleetSession::new();
     let results = session.run(&grid).expect("fleet sweep");

@@ -8,7 +8,9 @@
 //! seed makes the output byte-identical across runs and thread counts.
 
 use camdnn_bench::BenchCli;
-use serve::{ArrivalProcess, BatchingPolicy, RoutePolicy, ServeGrid, ServeSession, TraceSpec};
+use serve::{
+    ArrivalProcess, BatchingPolicy, RoutePolicy, ServeConfig, ServeGrid, ServeSession, TraceSpec,
+};
 use tnn::model::micro_cnn;
 
 fn main() {
@@ -39,8 +41,11 @@ fn main() {
             BatchingPolicy::new(32, 400),
         ])
         .replicas([1, 2])
-        .routing(RoutePolicy::JoinShortestQueue)
-        .slo_ms(0.05);
+        .config(
+            ServeConfig::default()
+                .with_routing(RoutePolicy::JoinShortestQueue)
+                .with_slo_ms(0.05),
+        );
 
     let session = ServeSession::new();
     let results = session.run(&grid).expect("serving sweep");

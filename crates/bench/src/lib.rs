@@ -114,6 +114,22 @@ pub struct SampleRange {
     pub max: f64,
 }
 
+/// The median and range of an odd number of samples (the speedup benches
+/// gate on the median of their interleaved timing rounds).
+///
+/// # Panics
+///
+/// Panics when `samples` is empty.
+pub fn median_and_range(samples: impl IntoIterator<Item = f64>) -> (f64, SampleRange) {
+    let mut sorted: Vec<f64> = samples.into_iter().collect();
+    sorted.sort_by(f64::total_cmp);
+    let range = SampleRange {
+        min: sorted[0],
+        max: sorted[sorted.len() - 1],
+    };
+    (sorted[sorted.len() / 2], range)
+}
+
 /// One dated `BENCH_engine.json` record: the two engine acceptance ratios
 /// (scalar→interpreter, interpreter→plan) plus the plan compiler's fusion
 /// and cache statistics (schema: `BENCH_schema.md`).
@@ -163,11 +179,12 @@ pub struct ThroughputBenchRecord {
     pub bench: String,
     /// Samples per packed batch.
     pub batch: usize,
-    /// Wall-clock samples/s of the sequential (batch-of-one) baseline.
+    /// Wall-clock samples/s of the sequential (batch-of-one) baseline
+    /// (median over `rounds`, as are the two fields below).
     pub sequential_samples_per_s: f64,
     /// Wall-clock samples/s of the batched path.
     pub batched_samples_per_s: f64,
-    /// batched / sequential samples-per-second ratio (the ≥4× figure).
+    /// batched / sequential samples-per-second ratio (the ≥2× figure).
     pub batch_speedup: f64,
     /// Hardware-model throughput of the batched report.
     pub modeled_samples_per_s: f64,
@@ -177,6 +194,14 @@ pub struct ThroughputBenchRecord {
     pub smoke: bool,
     /// Plan cache and fusion statistics of the shared compile cache.
     pub plan_cache: apc::PlanSummary,
+    /// Interleaved timing rounds the medians and ranges are taken over.
+    pub rounds: usize,
+    /// Min and max of the per-round sequential samples/s.
+    pub sequential_samples_per_s_range: SampleRange,
+    /// Min and max of the per-round batched samples/s.
+    pub batched_samples_per_s_range: SampleRange,
+    /// Min and max of the per-round batched / sequential ratios.
+    pub batch_speedup_range: SampleRange,
 }
 
 /// One dated `BENCH_partition.json` record: modeled samples/s of the

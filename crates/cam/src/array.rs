@@ -117,15 +117,6 @@ impl CamArray {
         stats
     }
 
-    /// Largest number of writes any single domain has received (endurance proxy).
-    pub fn max_cell_writes(&self) -> u64 {
-        self.columns
-            .iter()
-            .map(|c| c.stats().max_writes_per_domain)
-            .max()
-            .unwrap_or(0)
-    }
-
     fn check_col(&self, col: usize) -> Result<()> {
         if col >= self.columns.len() {
             return Err(CamError::ColumnOutOfRange {

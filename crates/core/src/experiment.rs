@@ -233,10 +233,6 @@ pub struct ScenarioSpec {
     pub tile_grid: TileGrid,
     /// The backends evaluated on this scenario, in registration order.
     pub backends: Vec<BackendPlan>,
-    /// Template for the remaining compiler knobs (CSE temp budget, retained
-    /// programs, …); `act_bits` and `arch.geometry` above override its
-    /// corresponding fields, and the CSE flag is set per backend plan.
-    pub compiler_template: CompilerOptions,
 }
 
 impl ScenarioSpec {
@@ -244,27 +240,33 @@ impl ScenarioSpec {
     /// architecture and the four standard backends.
     pub fn new(workload: impl Into<Workload>) -> Self {
         let workload = workload.into();
-        let template = CompilerOptions::default();
         ScenarioSpec {
             label: workload.label.clone(),
             workload,
-            act_bits: template.act_bits,
+            act_bits: CompilerOptions::default().act_bits,
             arch: ArchConfig::default(),
             batch_size: 1,
             tile_grid: TileGrid::default(),
             backends: BackendPlan::standard(),
-            compiler_template: template,
         }
     }
 
-    /// The effective compiler options of this scenario: the template with the
-    /// scenario's activation precision and geometry applied.
+    /// The effective compiler options of this scenario (see
+    /// [`compiler_options`]); backend plans set the CSE flag on top.
     pub fn compiler_options(&self) -> CompilerOptions {
-        CompilerOptions {
-            act_bits: self.act_bits,
-            geometry: self.arch.geometry,
-            ..self.compiler_template
-        }
+        compiler_options(self.act_bits, &self.arch)
+    }
+}
+
+/// The compiler options an evaluation point at `act_bits` on `arch` compiles
+/// with: [`CompilerOptions::default`] at that activation precision and the
+/// architecture's CAM geometry. The one definition behind
+/// [`ScenarioSpec::compiler_options`] and the fleet sweeps' cost profiles.
+pub fn compiler_options(act_bits: u8, arch: &ArchConfig) -> CompilerOptions {
+    CompilerOptions {
+        act_bits,
+        geometry: arch.geometry,
+        ..CompilerOptions::default()
     }
 }
 
@@ -286,21 +288,19 @@ pub struct SweepGrid {
     batch_sizes: Vec<usize>,
     tile_grids: Vec<TileGrid>,
     backends: Vec<BackendPlan>,
-    compiler_template: CompilerOptions,
 }
 
 impl Default for SweepGrid {
     fn default() -> Self {
-        let template = CompilerOptions::default();
+        let options = CompilerOptions::default();
         SweepGrid {
             workloads: Vec::new(),
-            act_bits: vec![template.act_bits],
-            geometries: vec![template.geometry],
+            act_bits: vec![options.act_bits],
+            geometries: vec![options.geometry],
             archs: vec![ArchConfig::default()],
             batch_sizes: vec![1],
             tile_grids: vec![TileGrid::default()],
             backends: BackendPlan::standard(),
-            compiler_template: template,
         }
     }
 }
@@ -375,14 +375,6 @@ impl SweepGrid {
         self
     }
 
-    /// Replaces the compiler-option template (CSE temp budget, retained
-    /// programs, …) applied to every scenario.
-    #[must_use]
-    pub fn compiler_template(mut self, template: CompilerOptions) -> Self {
-        self.compiler_template = template;
-        self
-    }
-
     /// Number of scenarios the grid expands to (the product of the axis
     /// lengths).
     pub fn len(&self) -> usize {
@@ -443,7 +435,6 @@ impl SweepGrid {
                                     batch_size,
                                     tile_grid,
                                     backends: self.backends.clone(),
-                                    compiler_template: self.compiler_template,
                                 });
                             }
                         }

@@ -15,13 +15,12 @@
 //! through the session, so a sweep compiles each distinct layer exactly once
 //! no matter how many traffic points replay the same model.
 
-use crate::config::{BatchingPolicy, RoutePolicy, ServeConfig};
+use crate::config::{BatchingPolicy, ServeConfig};
 use crate::error::{Result, ServeError};
 use crate::executor::BackendExecutor;
 use crate::report::ServeReport;
 use crate::sim::{simulate, SimOutcome};
 use crate::trace::{PayloadSpec, TraceSpec};
-use accel::ArchConfig;
 use apc::{CompileCache, CompilerOptions};
 use camdnn::experiment::{run_ordered, ResultSet, SweepRecord, Workload};
 use camdnn::FunctionalBackend;
@@ -43,12 +42,6 @@ pub struct ServeScenario {
     pub trace: TraceSpec,
     /// Where request payloads come from.
     pub payloads: PayloadSpec,
-    /// Activation precision of the served model.
-    pub act_bits: u8,
-    /// Accelerator configuration of the backend.
-    pub arch: ArchConfig,
-    /// Template for the remaining compiler knobs.
-    pub compiler_template: CompilerOptions,
 }
 
 impl std::fmt::Debug for ServeScenario {
@@ -61,40 +54,43 @@ impl std::fmt::Debug for ServeScenario {
     }
 }
 
-impl ServeScenario {
-    /// The effective compiler options: the template at the scenario's
-    /// activation precision and the architecture's geometry.
-    pub fn compiler_options(&self) -> CompilerOptions {
-        CompilerOptions {
-            act_bits: self.act_bits,
-            geometry: self.arch.geometry,
-            ..self.compiler_template
-        }
-    }
-}
-
 /// Cartesian sweep over serving axes: workloads × traffic (traces) ×
-/// batching policies × replica counts.
+/// batching policies × replica counts, over one base [`ServeConfig`].
 ///
 /// Unset axes default to a single point: one Poisson trace of 64 requests at
-/// 2000 req/s, the default batching window, one replica, round-robin
-/// routing, seeded payloads, the default architecture and 4-bit activations.
-/// Every scenario is served by the bit-level [`FunctionalBackend`], the one
-/// bundled backend with per-request outputs; other executors run through
-/// [`simulate`] with a custom [`RequestExecutor`](crate::RequestExecutor).
+/// 2000 req/s, the default batching window and one replica; the base
+/// configuration defaults to [`ServeConfig::default`] and payloads are
+/// seeded. Every scenario is served by the bit-level [`FunctionalBackend`]
+/// at its default architecture and compiler options, the one bundled backend
+/// with per-request outputs; other executors run through [`simulate`] with a
+/// custom [`RequestExecutor`](crate::RequestExecutor).
+///
+/// # Example
+///
+/// ```
+/// use serve::{BatchingPolicy, RoutePolicy, ServeConfig, ServeGrid, TraceSpec};
+/// use tnn::model::micro_cnn;
+///
+/// let grid = ServeGrid::new()
+///     .workload(micro_cnn("micro", 4, 0.8, 7))
+///     .traffic([TraceSpec::poisson(20_000.0, 16, 3)])
+///     .batching([BatchingPolicy::new(1, 0), BatchingPolicy::new(8, 500)])
+///     .config(ServeConfig::default().with_routing(RoutePolicy::LeastLoaded).with_slo_ms(2.0));
+/// let scenarios = grid.scenarios();
+/// assert_eq!(scenarios.len(), 2);
+/// assert_eq!(scenarios[1].label, "micro poisson@20000x16 b8/500us r1");
+/// // The batching axis overrides the base configuration's window.
+/// assert_eq!(scenarios[1].config.batching, BatchingPolicy::new(8, 500));
+/// assert_eq!(scenarios[1].config.routing, RoutePolicy::LeastLoaded);
+/// ```
 #[derive(Clone)]
 pub struct ServeGrid {
     workloads: Vec<Workload>,
     traffic: Vec<TraceSpec>,
     batching: Vec<BatchingPolicy>,
     replicas: Vec<usize>,
-    routing: RoutePolicy,
-    queue_capacity: usize,
-    slo_ns: u64,
+    config: ServeConfig,
     payloads: PayloadSpec,
-    act_bits: u8,
-    arch: ArchConfig,
-    compiler_template: CompilerOptions,
 }
 
 impl std::fmt::Debug for ServeGrid {
@@ -104,26 +100,21 @@ impl std::fmt::Debug for ServeGrid {
             .field("traffic", &self.traffic)
             .field("batching", &self.batching)
             .field("replicas", &self.replicas)
-            .field("routing", &self.routing)
+            .field("config", &self.config)
             .finish()
     }
 }
 
 impl Default for ServeGrid {
     fn default() -> Self {
-        let template = CompilerOptions::default();
+        let config = ServeConfig::default();
         ServeGrid {
             workloads: Vec::new(),
             traffic: vec![TraceSpec::poisson(2_000.0, 64, 0)],
-            batching: vec![BatchingPolicy::default()],
-            replicas: vec![1],
-            routing: RoutePolicy::RoundRobin,
-            queue_capacity: ServeConfig::default().queue_capacity,
-            slo_ns: ServeConfig::default().slo_ns,
+            batching: vec![config.batching],
+            replicas: vec![config.replicas],
+            config,
             payloads: PayloadSpec::Seeded { base_seed: 0 },
-            act_bits: template.act_bits,
-            arch: ArchConfig::default(),
-            compiler_template: template,
         }
     }
 }
@@ -170,25 +161,12 @@ impl ServeGrid {
         self
     }
 
-    /// Sets the routing policy applied to every scenario.
+    /// Sets the base configuration of every scenario (routing, queue
+    /// capacity, SLO). The batching and replica axes override its
+    /// `batching` and `replicas` fields.
     #[must_use]
-    pub fn routing(mut self, routing: RoutePolicy) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Sets the per-replica queue capacity applied to every scenario.
-    #[must_use]
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the latency SLO applied to every scenario, in milliseconds
-    /// (rounded to whole nanoseconds via [`crate::config::ms_to_ns`]).
-    #[must_use]
-    pub fn slo_ms(mut self, slo_ms: f64) -> Self {
-        self.slo_ns = crate::config::ms_to_ns(slo_ms);
+    pub fn config(mut self, config: ServeConfig) -> Self {
+        self.config = config;
         self
     }
 
@@ -196,20 +174,6 @@ impl ServeGrid {
     #[must_use]
     pub fn payloads(mut self, payloads: PayloadSpec) -> Self {
         self.payloads = payloads;
-        self
-    }
-
-    /// Sets the activation precision of the served models.
-    #[must_use]
-    pub fn act_bits(mut self, act_bits: u8) -> Self {
-        self.act_bits = act_bits;
-        self
-    }
-
-    /// Sets the accelerator configuration of the backend.
-    #[must_use]
-    pub fn arch(mut self, arch: ArchConfig) -> Self {
-        self.arch = arch;
         self
     }
 
@@ -246,15 +210,10 @@ impl ServeGrid {
                             config: ServeConfig {
                                 replicas,
                                 batching,
-                                queue_capacity: self.queue_capacity,
-                                routing: self.routing,
-                                slo_ns: self.slo_ns,
+                                ..self.config
                             },
                             trace,
                             payloads: self.payloads,
-                            act_bits: self.act_bits,
-                            arch: self.arch,
-                            compiler_template: self.compiler_template,
                         });
                     }
                 }
@@ -327,13 +286,8 @@ impl ServeSession {
         Self::default()
     }
 
-    /// The session's shared compile cache.
-    pub fn cache(&self) -> &Arc<CompileCache> {
-        &self.cache
-    }
-
-    /// Runs one scenario on the bit-level functional backend: generates its
-    /// trace and payloads, then simulates on the virtual clock. The full
+    /// Runs one scenario on the default bit-level functional backend:
+    /// generates its trace and payloads, then simulates on the virtual clock. The full
     /// [`SimOutcome`] (batch boundaries, per-request logits) is returned —
     /// [`run`](Self::run) keeps only the reports.
     ///
@@ -344,14 +298,11 @@ impl ServeSession {
         let trace = scenario.trace.generate()?;
         let payloads = scenario.payloads.materialize(
             &scenario.workload.model,
-            scenario.act_bits,
+            CompilerOptions::default().act_bits,
             trace.len(),
         )?;
         let executor = BackendExecutor::new(
-            Arc::new(FunctionalBackend::new(
-                scenario.arch,
-                scenario.compiler_options(),
-            )),
+            Arc::new(FunctionalBackend::default()),
             Arc::clone(&scenario.workload.model),
             Arc::clone(&self.cache),
         );

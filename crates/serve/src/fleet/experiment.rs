@@ -10,20 +10,18 @@
 //! [`pareto`] picks the frontier over SLO attainment vs joules/sample — the
 //! capacity-planning deliverable.
 //!
-//! A session profiles each distinct (model, compiler options, architecture,
-//! tile grid) point exactly once: the per-layer cost profile a
-//! [`FunctionalBackend`] measures is memoized and re-cut into stages for
-//! every shard count that asks for it.
+//! A session profiles each distinct (model, architecture) point exactly
+//! once: the per-layer cost profile a [`FunctionalBackend`] measures is
+//! memoized and re-cut into stages for every shard count that asks for it.
 
 use super::report::FleetReport;
 use super::sim::{simulate_fleet, FleetStageModel};
 use super::{AutoscalePolicy, FleetConfig};
-use crate::config::{BatchingPolicy, RoutePolicy};
 use crate::error::{Result, ServeError};
 use crate::trace::TraceSpec;
 use accel::ArchConfig;
-use apc::{CompileCache, CompilerOptions, TileGrid};
-use camdnn::experiment::{run_ordered, ResultSet, SweepRecord, Workload};
+use apc::{CompileCache, CompilerOptions};
+use camdnn::experiment::{compiler_options, run_ordered, ResultSet, SweepRecord, Workload};
 use camdnn::{FunctionalBackend, ModelProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -43,14 +41,8 @@ pub struct FleetScenario {
     pub config: FleetConfig,
     /// The load trace to replay.
     pub trace: TraceSpec,
-    /// The tile grid each replica's layers are partitioned over.
-    pub tile_grid: TileGrid,
-    /// Activation precision of the served model.
-    pub act_bits: u8,
     /// Accelerator configuration the cost profile is measured on.
     pub arch: ArchConfig,
-    /// Template for the remaining compiler knobs.
-    pub compiler_template: CompilerOptions,
 }
 
 impl std::fmt::Debug for FleetScenario {
@@ -63,46 +55,50 @@ impl std::fmt::Debug for FleetScenario {
     }
 }
 
-impl FleetScenario {
-    /// The effective compiler options: the template at the scenario's
-    /// activation precision and the architecture's geometry.
-    pub fn compiler_options(&self) -> CompilerOptions {
-        CompilerOptions {
-            act_bits: self.act_bits,
-            geometry: self.arch.geometry,
-            ..self.compiler_template
-        }
-    }
-}
-
-/// A memoized cost profile and everything it depends on: the model, the
-/// effective compiler options, the architecture and the tile grid — nothing
-/// the fleet knobs change. The entry holds the model's [`Arc`], so no other
-/// model can reuse the address [`ProfileEntry::matches`] compares.
+/// A memoized cost profile and everything it depends on: the model and the
+/// architecture — nothing the fleet knobs change. The entry holds the
+/// model's [`Arc`], so no other model can reuse the address
+/// [`ProfileEntry::matches`] compares.
 #[derive(Debug)]
 struct ProfileEntry {
     model: Arc<ModelGraph>,
-    options: CompilerOptions,
     arch: ArchConfig,
-    tile_grid: TileGrid,
     profile: Arc<ModelProfile>,
 }
 
 impl ProfileEntry {
     fn matches(&self, scenario: &FleetScenario) -> bool {
-        Arc::ptr_eq(&self.model, &scenario.workload.model)
-            && self.options == scenario.compiler_options()
-            && self.arch == scenario.arch
-            && self.tile_grid == scenario.tile_grid
+        Arc::ptr_eq(&self.model, &scenario.workload.model) && self.arch == scenario.arch
     }
 }
 
 /// Cartesian sweep over fleet axes: workloads × traffic (traces) × shard
-/// counts × replica counts × autoscaler policies.
+/// counts × replica counts × autoscaler policies, over one base
+/// [`FleetConfig`].
 ///
 /// Unset axes default to a single point: one Poisson trace of 256 requests
-/// at 2000 req/s, two shards, one replica, no autoscaling, the default
-/// batching window and architecture, 4-bit activations on a 1×1 tile grid.
+/// at 2000 req/s, two shards, one replica and no autoscaling; the base
+/// configuration defaults to [`FleetConfig::default`] and cost profiles are
+/// measured on the default architecture with the default compiler options.
+///
+/// # Example
+///
+/// ```
+/// use serve::{BatchingPolicy, FleetConfig, FleetGrid, TraceSpec};
+/// use tnn::model::micro_cnn;
+///
+/// let grid = FleetGrid::new()
+///     .workload(micro_cnn("micro", 4, 0.8, 7))
+///     .traffic([TraceSpec::poisson(20_000.0, 48, 11)])
+///     .shards([1, 2])
+///     .config(FleetConfig::default().with_batching(BatchingPolicy::new(4, 250)).with_slo_ms(0.05));
+/// let scenarios = grid.scenarios();
+/// assert_eq!(scenarios.len(), 2);
+/// assert_eq!(scenarios[1].label, "micro poisson@20000x48 s2 r1 fixed");
+/// // The shard axis overrides the base configuration's shard count.
+/// assert_eq!(scenarios[1].config.shards, 2);
+/// assert_eq!(scenarios[1].config.slo_ns, 50_000);
+/// ```
 #[derive(Debug, Clone)]
 pub struct FleetGrid {
     workloads: Vec<Workload>,
@@ -110,38 +106,21 @@ pub struct FleetGrid {
     shards: Vec<usize>,
     replicas: Vec<usize>,
     autoscalers: Vec<AutoscalePolicy>,
-    batching: BatchingPolicy,
-    routing: RoutePolicy,
-    queue_capacity: usize,
-    stage_queue_capacity: usize,
-    slo_ns: u64,
-    idle_tile_uw: f64,
-    tile_grid: TileGrid,
-    act_bits: u8,
+    config: FleetConfig,
     arch: ArchConfig,
-    compiler_template: CompilerOptions,
 }
 
 impl Default for FleetGrid {
     fn default() -> Self {
-        let template = CompilerOptions::default();
         let config = FleetConfig::default();
         FleetGrid {
             workloads: Vec::new(),
             traffic: vec![TraceSpec::poisson(2_000.0, 256, 0)],
             shards: vec![config.shards],
             replicas: vec![config.replicas],
-            autoscalers: vec![AutoscalePolicy::Fixed],
-            batching: config.batching,
-            routing: config.routing,
-            queue_capacity: config.queue_capacity,
-            stage_queue_capacity: config.stage_queue_capacity,
-            slo_ns: config.slo_ns,
-            idle_tile_uw: config.idle_tile_uw,
-            tile_grid: TileGrid::new(1, 1),
-            act_bits: template.act_bits,
+            autoscalers: vec![config.autoscaler],
+            config,
             arch: ArchConfig::default(),
-            compiler_template: template,
         }
     }
 }
@@ -195,60 +174,13 @@ impl FleetGrid {
         self
     }
 
-    /// Sets the stage-0 batching window applied to every scenario.
+    /// Sets the base configuration of every scenario (batching window,
+    /// routing, queue capacities, SLO, tile power). The shard, replica and
+    /// autoscaler axes override its `shards`, `replicas` and `autoscaler`
+    /// fields.
     #[must_use]
-    pub fn batching(mut self, batching: BatchingPolicy) -> Self {
-        self.batching = batching;
-        self
-    }
-
-    /// Sets the routing policy applied to every scenario.
-    #[must_use]
-    pub fn routing(mut self, routing: RoutePolicy) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Sets the per-replica admission queue capacity.
-    #[must_use]
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the inter-stage buffer depth (batches) applied to every scenario.
-    #[must_use]
-    pub fn stage_queue_capacity(mut self, capacity: usize) -> Self {
-        self.stage_queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the latency SLO applied to every scenario, in milliseconds
-    /// (rounded to whole nanoseconds via [`crate::config::ms_to_ns`]).
-    #[must_use]
-    pub fn slo_ms(mut self, slo_ms: f64) -> Self {
-        self.slo_ns = crate::config::ms_to_ns(slo_ms);
-        self
-    }
-
-    /// Sets the static per-tile power, in microwatts.
-    #[must_use]
-    pub fn idle_tile_uw(mut self, idle_tile_uw: f64) -> Self {
-        self.idle_tile_uw = idle_tile_uw;
-        self
-    }
-
-    /// Sets the tile grid each replica's layers are partitioned over.
-    #[must_use]
-    pub fn tile_grid(mut self, grid: TileGrid) -> Self {
-        self.tile_grid = grid;
-        self
-    }
-
-    /// Sets the activation precision of the served models.
-    #[must_use]
-    pub fn act_bits(mut self, act_bits: u8) -> Self {
-        self.act_bits = act_bits;
+    pub fn config(mut self, config: FleetConfig) -> Self {
+        self.config = config;
         self
     }
 
@@ -298,19 +230,11 @@ impl FleetGrid {
                                 config: FleetConfig {
                                     shards,
                                     replicas,
-                                    batching: self.batching,
-                                    queue_capacity: self.queue_capacity,
-                                    stage_queue_capacity: self.stage_queue_capacity,
-                                    routing: self.routing,
-                                    slo_ns: self.slo_ns,
                                     autoscaler,
-                                    idle_tile_uw: self.idle_tile_uw,
+                                    ..self.config
                                 },
                                 trace,
-                                tile_grid: self.tile_grid,
-                                act_bits: self.act_bits,
                                 arch: self.arch,
-                                compiler_template: self.compiler_template,
                             });
                         }
                     }
@@ -412,11 +336,6 @@ impl FleetSession {
         Self::default()
     }
 
-    /// The session's shared compile cache.
-    pub fn cache(&self) -> &Arc<CompileCache> {
-        &self.cache
-    }
-
     /// The scenario's per-layer cost profile, measured once per distinct
     /// [`ProfileEntry`] point and memoized across the session.
     fn profile(&self, scenario: &FleetScenario) -> Result<Arc<ModelProfile>> {
@@ -429,10 +348,9 @@ impl FleetSession {
         {
             return Ok(Arc::clone(&entry.profile));
         }
-        let backend = FunctionalBackend::new(scenario.arch, scenario.compiler_options())
-            .with_tile_grid(scenario.tile_grid);
+        let options = compiler_options(CompilerOptions::default().act_bits, &scenario.arch);
         let profile = Arc::new(
-            backend
+            FunctionalBackend::new(scenario.arch, options)
                 .profile(&scenario.workload.model, &self.cache)
                 .map_err(ServeError::Backend)?,
         );
@@ -443,9 +361,7 @@ impl FleetSession {
             .expect("profile cache poisoned")
             .push(ProfileEntry {
                 model: Arc::clone(&scenario.workload.model),
-                options: scenario.compiler_options(),
                 arch: scenario.arch,
-                tile_grid: scenario.tile_grid,
                 profile: Arc::clone(&profile),
             });
         Ok(profile)

@@ -22,15 +22,16 @@
 //!   samples/s and SLO attainment, with byte-identical JSON for a fixed
 //!   seed.
 //! * [`ServeGrid`] / [`ServeSession`] — serving sweeps (traffic intensity ×
-//!   batching policy × replica count) in the `camdnn::experiment` idiom,
-//!   sharing one compile cache across all scenarios.
+//!   batching policy × replica count over one base [`ServeConfig`]) in the
+//!   `camdnn::experiment` idiom, sharing one compile cache across all
+//!   scenarios.
 //! * [`fleet`] — fleet-scale capacity planning: model-parallel replicas whose
 //!   layers are cut into pipeline stages by [`apc::plan_stages`] over a
 //!   profiled per-layer cost model, bounded inter-stage queues with
 //!   head-of-line blocking, deterministic autoscaling ([`AutoscalePolicy`]),
 //!   diurnal / flash-crowd traffic, and a joules-per-sample cost model;
-//!   [`FleetGrid`] sweeps shards × replicas × autoscaler policy into a
-//!   pareto table over SLO attainment vs energy.
+//!   [`FleetGrid`] sweeps shards × replicas × autoscaler policy over one
+//!   base [`FleetConfig`] into a pareto table over SLO attainment vs energy.
 //!
 //! Batches run through [`BackendExecutor`], which calls
 //! [`FunctionalBackend::run_batch`](camdnn::FunctionalBackend::run_batch)

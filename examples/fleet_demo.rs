@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example fleet_demo`.
 
-use serve::{AutoscalePolicy, BatchingPolicy, FleetGrid, FleetSession, TraceSpec};
+use serve::{AutoscalePolicy, BatchingPolicy, FleetConfig, FleetGrid, FleetSession, TraceSpec};
 use tnn::model::micro_cnn;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,8 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .shards([1, 2])
         .replicas([1, 2])
         .autoscalers([AutoscalePolicy::Fixed, queue_depth, slo_headroom])
-        .batching(BatchingPolicy::new(8, 100))
-        .slo_ms(0.05);
+        .config(
+            FleetConfig::default()
+                .with_batching(BatchingPolicy::new(8, 100))
+                .with_slo_ms(0.05),
+        );
 
     let session = FleetSession::new();
     let results = session.run(&grid)?;

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ])
         .batching([BatchingPolicy::single(), BatchingPolicy::new(16, 50)])
         .replicas([1, 2])
-        .slo_ms(0.05)
+        .config(ServeConfig::default().with_slo_ms(0.05))
         .payloads(PayloadSpec::Blobs {
             classes: 4,
             noise: 0.1,

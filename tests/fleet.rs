@@ -31,7 +31,7 @@ fn saturating_grid() -> FleetGrid {
         .traffic([TraceSpec::poisson(20_000.0, 48, 11)])
         .shards([1, 2])
         .replicas([1, 2])
-        .batching(BatchingPolicy::new(4, 250))
+        .config(FleetConfig::default().with_batching(BatchingPolicy::new(4, 250)))
 }
 
 #[test]
@@ -238,7 +238,7 @@ fn autoscaled_fleets_scale_and_stay_deterministic() {
         .shards([2])
         .replicas([1])
         .autoscalers([AutoscalePolicy::Fixed, autoscaler])
-        .batching(BatchingPolicy::new(4, 100));
+        .config(FleetConfig::default().with_batching(BatchingPolicy::new(4, 100)));
     let session = FleetSession::new();
     let results = session.run(&grid).expect("run");
     let fixed = &results.records[0].report;
@@ -350,8 +350,11 @@ fn fleet_bin_grid_is_pinned() {
         .shards([1, 2])
         .replicas([1, 2])
         .autoscalers([AutoscalePolicy::Fixed, queue_depth, slo_headroom])
-        .batching(BatchingPolicy::new(8, 100))
-        .slo_ms(0.05);
+        .config(
+            FleetConfig::default()
+                .with_batching(BatchingPolicy::new(8, 100))
+                .with_slo_ms(0.05),
+        );
     let results = FleetSession::new().run(&grid).expect("fleet sweep");
     let got: Vec<(String, u64)> = results
         .records
@@ -622,8 +625,11 @@ fn pinned_fleet_grid() -> FleetGrid {
         .shards([1, 2])
         .replicas([1, 2])
         .autoscalers([AutoscalePolicy::Fixed, pinned_queue_depth()])
-        .batching(BatchingPolicy::new(4, 250))
-        .slo_ms(0.05)
+        .config(
+            FleetConfig::default()
+                .with_batching(BatchingPolicy::new(4, 250))
+                .with_slo_ms(0.05),
+        )
 }
 
 fn pinned_queue_depth() -> AutoscalePolicy {

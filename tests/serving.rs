@@ -15,7 +15,7 @@
 //! * **Liveness** — graceful shutdown drains every admitted request, workers
 //!   join, and admission control rejects exactly the overflow.
 
-use apc::CompileCache;
+use apc::{CompileCache, CompilerOptions};
 use camdnn::FunctionalBackend;
 use proptest::prelude::*;
 use serve::{
@@ -85,7 +85,11 @@ fn sim_logits_are_bit_identical_to_solo_runs() {
     assert!(outcome.batches.iter().any(|b| b.requests.len() > 1));
     let payloads = scenario
         .payloads
-        .materialize(&scenario.workload.model, scenario.act_bits, 24)
+        .materialize(
+            &scenario.workload.model,
+            CompilerOptions::default().act_bits,
+            24,
+        )
         .expect("payloads");
     // …and every member's logits equal its solo run regardless.
     for completion in &outcome.completions {
@@ -301,7 +305,7 @@ fn sweep_results_are_deterministic_and_round_trip() {
                 .into_iter()
                 .collect::<std::collections::BTreeSet<_>>(),
         )
-        .routing(RoutePolicy::JoinShortestQueue);
+        .config(ServeConfig::default().with_routing(RoutePolicy::JoinShortestQueue));
     let session = ServeSession::new();
     let results = session.run(&grid).expect("sweep");
     assert_eq!(results.records.len(), grid.len());
@@ -381,7 +385,11 @@ fn dataset_backed_payloads_serve_bit_exactly() {
     assert_eq!(outcome.report.bit_exact, Some(true));
     let payloads = scenario
         .payloads
-        .materialize(&scenario.workload.model, scenario.act_bits, 10)
+        .materialize(
+            &scenario.workload.model,
+            CompilerOptions::default().act_bits,
+            10,
+        )
         .expect("payloads");
     for completion in &outcome.completions {
         assert_eq!(
@@ -661,7 +669,7 @@ fn functional_sweep_is_pinned() {
         ])
         .batching([BatchingPolicy::single(), BatchingPolicy::new(4, 2)])
         .replicas([1, 2])
-        .routing(RoutePolicy::LeastLoaded);
+        .config(ServeConfig::default().with_routing(RoutePolicy::LeastLoaded));
     let session = ServeSession::new();
     let results = session.run(&grid).expect("sweep");
     let mut hash = fnv1a(FNV_OFFSET, results.to_json().as_bytes());
@@ -724,8 +732,11 @@ fn pinned_serve_grid() -> ServeGrid {
         ])
         .batching([BatchingPolicy::new(4, 250), BatchingPolicy::new(8, 500)])
         .replicas([1, 3])
-        .routing(RoutePolicy::LeastLoaded)
-        .slo_ms(2.5)
+        .config(
+            ServeConfig::default()
+                .with_routing(RoutePolicy::LeastLoaded)
+                .with_slo_ms(2.5),
+        )
 }
 
 /// Every scenario of a multi-axis serving sweep, in expansion order: its
