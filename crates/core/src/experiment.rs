@@ -71,13 +71,23 @@ use tnn::model::ModelGraph;
 /// different sparsities (for example `"vgg9 .85"` and `"vgg9 .90"`); plain
 /// [`ModelGraph`]s convert with the model name as the label. The model is
 /// held behind an [`Arc`] so grid expansion shares one copy of the weights
-/// across every scenario of the bits/geometry/arch axes.
-#[derive(Debug, Clone, PartialEq)]
+/// across every scenario of the bits/geometry/arch axes. `Debug` shows the
+/// model's name, not its weights.
+#[derive(Clone, PartialEq)]
 pub struct Workload {
     /// Display label of this workload (unique within one grid).
     pub label: String,
     /// The model to evaluate (shared across the scenarios of a grid).
     pub model: Arc<ModelGraph>,
+}
+
+impl std::fmt::Debug for Workload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Workload")
+            .field("label", &self.label)
+            .field("model", &self.model.name())
+            .finish()
+    }
 }
 
 impl From<ModelGraph> for Workload {

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 /// One serving evaluation point: a workload served under one configuration
 /// against one trace.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ServeScenario {
     /// Display label (unique within one grid; the lookup key of the result
     /// set).
@@ -42,16 +42,6 @@ pub struct ServeScenario {
     pub trace: TraceSpec,
     /// Where request payloads come from.
     pub payloads: PayloadSpec,
-}
-
-impl std::fmt::Debug for ServeScenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeScenario")
-            .field("label", &self.label)
-            .field("config", &self.config)
-            .field("trace", &self.trace)
-            .finish()
-    }
 }
 
 /// Cartesian sweep over serving axes: workloads × traffic (traces) ×
@@ -83,7 +73,7 @@ impl std::fmt::Debug for ServeScenario {
 /// assert_eq!(scenarios[1].config.batching, BatchingPolicy::new(8, 500));
 /// assert_eq!(scenarios[1].config.routing, RoutePolicy::LeastLoaded);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ServeGrid {
     workloads: Vec<Workload>,
     traffic: Vec<TraceSpec>,
@@ -91,18 +81,6 @@ pub struct ServeGrid {
     replicas: Vec<usize>,
     config: ServeConfig,
     payloads: PayloadSpec,
-}
-
-impl std::fmt::Debug for ServeGrid {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeGrid")
-            .field("workloads", &self.workloads.len())
-            .field("traffic", &self.traffic)
-            .field("batching", &self.batching)
-            .field("replicas", &self.replicas)
-            .field("config", &self.config)
-            .finish()
-    }
 }
 
 impl Default for ServeGrid {
@@ -287,9 +265,9 @@ impl ServeSession {
     }
 
     /// Runs one scenario on the default bit-level functional backend:
-    /// generates its trace and payloads, then simulates on the virtual clock. The full
-    /// [`SimOutcome`] (batch boundaries, per-request logits) is returned —
-    /// [`run`](Self::run) keeps only the reports.
+    /// generates its trace and payloads, then simulates on the virtual
+    /// clock. The full [`SimOutcome`] (batch boundaries, per-request logits)
+    /// is returned — [`run`](Self::run) keeps only the reports.
     ///
     /// # Errors
     ///

@@ -30,7 +30,7 @@ use tnn::model::ModelGraph;
 
 /// One fleet evaluation point: a workload served by a pipelined fleet under
 /// one configuration against one trace.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct FleetScenario {
     /// Display label (unique within one grid; the lookup key of the result
     /// set).
@@ -43,16 +43,6 @@ pub struct FleetScenario {
     pub trace: TraceSpec,
     /// Accelerator configuration the cost profile is measured on.
     pub arch: ArchConfig,
-}
-
-impl std::fmt::Debug for FleetScenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetScenario")
-            .field("label", &self.label)
-            .field("config", &self.config)
-            .field("trace", &self.trace)
-            .finish()
-    }
 }
 
 /// A memoized cost profile and everything it depends on: the model and the
