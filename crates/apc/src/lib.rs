@@ -69,3 +69,80 @@ pub use stats::CompileStats;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, ApcError>;
+
+/// The loop schedule of Fig. 3b–d (interchange, full unrolling, fission) as
+/// [`LayerCompiler`]'s slice walk applies it.
+#[cfg(test)]
+mod loopir {
+    mod tests {
+        use crate::dfg::WeightSlice;
+        use crate::{CompilerOptions, LayerCompiler};
+        use tnn::model::{vgg9, ConvLayerInfo};
+
+        fn first_conv() -> ConvLayerInfo {
+            vgg9(0.85, 1).conv_like_layers()[0].clone()
+        }
+
+        #[test]
+        fn schedule_moves_ofm_to_third_innermost() {
+            let layer = first_conv();
+            let compiled = LayerCompiler::new(CompilerOptions::default().with_programs())
+                .compile(&layer)
+                .expect("compile");
+            assert_eq!(compiled.layout.output_tiles, 1);
+            // The input channel is the outermost loop of the walk ...
+            let channels: Vec<usize> = compiled
+                .slices
+                .expect("programs retained")
+                .iter()
+                .map(|slice| slice.channel)
+                .collect();
+            assert_eq!(channels, (0..layer.cin).collect::<Vec<_>>());
+            // ... the output positions are the SIMD rows ...
+            assert_eq!(compiled.layout.output_positions, layer.output_positions());
+            // ... and the output channels sit inside it, above the kernel loops:
+            // one slice holds every output channel's whole kernel.
+            let slice = WeightSlice::from_layer_channel(
+                &layer,
+                0,
+                compiled.layout.tile_range(0, layer.cout),
+            )
+            .expect("slice");
+            assert_eq!(slice.outputs(), layer.cout);
+            assert_eq!(slice.patch_size(), layer.kernel.0 * layer.kernel.1);
+        }
+
+        #[test]
+        fn schedule_exposes_weight_slice_redundancy() {
+            let layer = first_conv();
+            let compiled = LayerCompiler::new(CompilerOptions::unroll_only())
+                .compile(&layer)
+                .expect("compile");
+            let range = compiled.layout.tile_range(0, layer.cout);
+            let slices: Vec<WeightSlice> = (0..layer.cin)
+                .map(|channel| WeightSlice::from_layer_channel(&layer, channel, range.clone()))
+                .collect::<Result<_, _>>()
+                .expect("slices");
+            // Fission gives one body per input channel, each unrolled over the
+            // output channels and the kernel.
+            assert_eq!(compiled.stats.slices, layer.cin as u64);
+            for slice in &slices {
+                assert_eq!(
+                    slice.outputs() * slice.patch_size(),
+                    layer.cout * layer.kernel.0 * layer.kernel.1
+                );
+            }
+            assert_eq!(compiled.output_positions, layer.output_positions());
+            // The bodies together hold every weight once, and the compiler keeps
+            // exactly their non-zero ones.
+            let code_size: usize = slices.iter().map(|s| s.outputs() * s.patch_size()).sum();
+            assert_eq!(
+                code_size,
+                layer.cout * layer.cin * layer.kernel.0 * layer.kernel.1
+            );
+            assert_eq!(code_size, layer.weights.len());
+            let nonzeros: usize = slices.iter().map(WeightSlice::nonzeros).sum();
+            assert_eq!(compiled.stats.nonzero_weights, nonzeros as u64);
+        }
+    }
+}
