@@ -83,18 +83,15 @@ pub struct LayerSignature {
     pub output_hw: (usize, usize),
     /// Number of weight values.
     pub weight_len: usize,
-    /// FNV-1a digest of the ternary weight values.
+    /// Digest of the ternary weight values, eight per mixing step (an
+    /// in-memory cache key, not a stable format).
     pub weight_digest: u64,
 }
 
 impl LayerSignature {
     /// Computes the signature of `layer`.
     pub fn of(layer: &ConvLayerInfo) -> Self {
-        let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-        for &w in layer.weights.as_slice() {
-            digest ^= w as u8 as u64;
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let digest = digest_weights(layer.weights.as_slice());
         LayerSignature {
             name: layer.name.clone(),
             cin: layer.cin,
@@ -108,6 +105,29 @@ impl LayerSignature {
             weight_digest: digest,
         }
     }
+}
+
+/// The digest of [`LayerSignature::weight_digest`]: each step folds the next
+/// eight weights, read as one little-endian word (a shorter tail
+/// zero-padded), into the state with FxHash's rotate-xor-multiply mix. For a
+/// fixed word the step is a bijection of the state, so two weight sequences
+/// of one length that differ in a single word never collide.
+fn digest_weights(weights: &[i8]) -> u64 {
+    let mix = |digest: u64, word: [i8; 8]| {
+        let word = u64::from_le_bytes(word.map(|w| w as u8));
+        (digest.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    };
+    let mut words = weights.chunks_exact(8);
+    let mut digest = (&mut words).fold(0xcbf2_9ce4_8422_2325, |digest, word| {
+        mix(digest, word.try_into().expect("chunks of eight"))
+    });
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        digest = mix(digest, word);
+    }
+    digest
 }
 
 /// A weighted layer bundled with its [`LayerSignature`], computed once. A
@@ -661,6 +681,7 @@ impl CompileCache {
 mod tests {
     use super::*;
     use tnn::model::{micro_cnn, vgg9};
+    use tnn::TernaryTensor;
 
     #[test]
     fn cached_compilation_is_bit_identical_and_counted() {
@@ -842,6 +863,42 @@ mod tests {
         let lb = &b.conv_like_layers()[0];
         assert_ne!(LayerSignature::of(la), LayerSignature::of(lb));
         assert_eq!(LayerSignature::of(la), LayerSignature::of(la));
+    }
+
+    #[test]
+    fn the_weight_digest_sees_every_flip_and_swap() {
+        // Three full eight-weight steps and a tail of five.
+        let weights: Vec<i8> = (0..29).map(|i| [1, 0, -1, -1, 0][i % 5]).collect();
+        let digest = digest_weights(&weights);
+        let changed = |edit: &dyn Fn(&mut Vec<i8>)| {
+            let mut edited = weights.clone();
+            edit(&mut edited);
+            assert_ne!(edited, weights, "the edit must change the weights");
+            digest_weights(&edited)
+        };
+        for i in 0..weights.len() {
+            for flipped in [-1, 0, 1].into_iter().filter(|&w| w != weights[i]) {
+                assert_ne!(changed(&|w| w[i] = flipped), digest, "flip of weight {i}");
+            }
+        }
+        // Within one step (including the tail's), and across two steps.
+        for (a, b) in [(0, 2), (9, 13), (24, 27), (0, 11), (7, 9), (12, 26)] {
+            assert_ne!(changed(&|w| w.swap(a, b)), digest, "swap of {a} and {b}");
+        }
+        // Equal weights in separate allocations sign alike.
+        let model = vgg9(0.85, 1);
+        let layer = &model.conv_like_layers()[1];
+        let mut copy = layer.clone();
+        copy.weights = TernaryTensor::from_vec(
+            layer.weights.shape().to_vec(),
+            layer.weights.as_slice().to_vec(),
+        )
+        .expect("same weights");
+        assert!(!std::ptr::eq(
+            copy.weights.as_slice(),
+            layer.weights.as_slice()
+        ));
+        assert_eq!(LayerSignature::of(&copy), LayerSignature::of(layer));
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::bitwidth::signal_widths_into;
 use crate::codegen;
 use crate::cse;
 use crate::dfg::{Dfg, LayerWeights};
+use crate::expr::SignalId;
 use crate::layout::{CamGeometry, LayerLayout};
 use crate::{CompileStats, Result};
 use ap::{ApProgram, CostModel};
@@ -175,6 +176,12 @@ impl LayerCompiler {
     /// `unroll`, then runs CSE on it in place and lowers and costs it again. A
     /// slice whose CSE temporaries exceed the budget reuses its `unroll`
     /// lowering.
+    ///
+    /// Without retained programs, `unroll` is booked by row shape instead:
+    /// an `unroll` slice is one independent chain per output row, whose
+    /// costs depend only on the signs of its terms, so the walk lowers one
+    /// row of each distinct sign sequence once per layer and counts the
+    /// rows of each. A CSE fallback then lowers its slice on demand.
     pub fn compile_both(&self, layer: &ConvLayerInfo) -> [Result<CompiledLayer>; 2] {
         self.walk(layer, [false, true])
     }
@@ -222,6 +229,11 @@ impl LayerCompiler {
                 .zip(variants)
                 .any(|(&setting, variant)| setting == cse && variant.is_ok())
         };
+        // The analytic `unroll` variant is booked by row shape, not per slice.
+        let unroll = cse_settings.iter().position(|&cse| !cse);
+        let mut shapes = unroll
+            .filter(|_| !options.keep_programs)
+            .map(|_| RowShapes::new());
 
         for tile in 0..layout.output_tiles {
             let range = layout.tile_range(tile, layer.cout);
@@ -240,17 +252,31 @@ impl LayerCompiler {
                 let channel_in_group = channel % layout.channels_per_group;
                 let rows = weights.slice_rows(channel, range.clone());
                 buffers.dfg.refill(weights.patch_size(), rows.clone());
-                let nonzeros = rows
-                    .clone()
-                    .map(|row| row.iter().filter(|&&w| w != 0).count() as u64)
-                    .sum::<u64>();
-                let baseline_ops = buffers.dfg.op_count().total() as u64;
+                // One pass over the outputs: their non-zeros, the `unroll` op
+                // count (`terms − 1` per non-empty output) and, when booking
+                // by shape, each output's shape, lowered on its first sight.
+                let (mut nonzeros, mut baseline_ops) = (0, 0);
+                for (output, row) in buffers.dfg.outputs.iter().zip(rows.clone()) {
+                    let terms = output.terms();
+                    nonzeros += terms.len() as u64;
+                    baseline_ops += terms.len().saturating_sub(1) as u64;
+                    if let Some(shapes) = &mut shapes {
+                        shapes.count(terms, |buffers| {
+                            buffers.dfg.refill(weights.patch_size(), [row]);
+                            buffers.allocate();
+                            lowering.lower(buffers, channel_in_group)
+                        });
+                    }
+                }
                 for variant in variants.iter_mut().flatten() {
                     variant.stats.nonzero_weights += nonzeros;
                     variant.stats.baseline_adds_subs += baseline_ops;
                 }
+                if let Some(shapes) = &mut shapes {
+                    shapes.slices += 1;
+                }
 
-                let mut unroll = wants(&variants, false).then(|| {
+                let mut unroll = (shapes.is_none() && wants(&variants, false)).then(|| {
                     buffers.allocate();
                     lowering.lower(&mut buffers, channel_in_group)
                 });
@@ -293,6 +319,16 @@ impl LayerCompiler {
                         }
                         Err(error) => *variant = Err(error),
                     }
+                }
+            }
+        }
+
+        if let (Some(shapes), Some(unroll)) = (shapes, unroll) {
+            let variant = &mut variants[unroll];
+            if let Ok(accumulated) = variant {
+                match shapes.total(lowering.slice_stats()) {
+                    Ok(stats) => accumulated.stats += stats,
+                    Err(error) => *variant = Err(error),
                 }
             }
         }
@@ -409,15 +445,101 @@ impl Lowering<'_> {
             accumulation_written_bits_per_row: acc_cost.written_bits,
             searched_bits_per_row: cost.searched_bits,
             written_bits_per_row: cost.written_bits,
-            io_bits_per_row: (self.layout.patch_size as u64) * self.layout.act_bits as u64,
             max_temp_columns: generated.temp_columns_used as u64,
-            slices: 1,
-            ..CompileStats::default()
+            ..self.slice_stats()
         };
         Ok(LoweredSlice {
             stats,
             program: self.keep_programs.then_some(generated.program),
         })
+    }
+
+    /// What every slice books however its rows compile: itself, and the
+    /// staging of its patch inputs.
+    fn slice_stats(&self) -> CompileStats {
+        CompileStats {
+            io_bits_per_row: (self.layout.patch_size as u64) * self.layout.act_bits as u64,
+            slices: 1,
+            ..CompileStats::default()
+        }
+    }
+}
+
+/// The `unroll` statistics of a layer's slices, booked by row shape.
+///
+/// An `unroll` DFG has no derived signals, so each output row is an
+/// independent chain of `act_bits`-wide unsigned patch inputs, and what
+/// [`Lowering::lower`] books for it depends only on the sign sequence of its
+/// terms: no cost formula reads an operand's column. The table lowers one
+/// row of each sign sequence, through that same lowering, the first time the
+/// sequence appears, and counts the rows of each; a slice's statistics are
+/// the sum of its rows' plus [`Lowering::slice_stats`].
+struct RowShapes {
+    /// A binary trie over sign sequences, node 0 being the empty one: each
+    /// node's children by the sign of the next term (positive, negative), 0
+    /// where absent, and the index in `booked` of the sequence ending there.
+    nodes: Vec<([usize; 2], Option<usize>)>,
+    /// Per distinct sign sequence: one row's lowering, without the slice's
+    /// own fields, and the rows counted.
+    booked: Vec<(Result<CompileStats>, u64)>,
+    /// Slices counted.
+    slices: u64,
+    /// The buffers of the one-row lowerings.
+    buffers: SliceBuffers,
+}
+
+impl RowShapes {
+    fn new() -> Self {
+        RowShapes {
+            nodes: vec![([0; 2], None)],
+            booked: Vec::new(),
+            slices: 0,
+            buffers: SliceBuffers::default(),
+        }
+    }
+
+    /// Counts a row of `terms`; if its sign sequence is new, `lower` lowers
+    /// the row in the buffers it is given.
+    fn count(
+        &mut self,
+        terms: &[(SignalId, i8)],
+        lower: impl FnOnce(&mut SliceBuffers) -> Result<LoweredSlice>,
+    ) {
+        let mut node = 0;
+        for &(_, sign) in terms {
+            let sign = usize::from(sign < 0);
+            node = match self.nodes[node].0[sign] {
+                0 => {
+                    let child = self.nodes.len();
+                    self.nodes[node].0[sign] = child;
+                    self.nodes.push(([0; 2], None));
+                    child
+                }
+                child => child,
+            };
+        }
+        let index = *self.nodes[node].1.get_or_insert_with(|| {
+            // A row is part of a slice, not one: the slice's own fields are
+            // booked once per slice.
+            let row_stats = lower(&mut self.buffers).map(|lowered| CompileStats {
+                io_bits_per_row: 0,
+                slices: 0,
+                ..lowered.stats
+            });
+            self.booked.push((row_stats, 0));
+            self.booked.len() - 1
+        });
+        self.booked[index].1 += 1;
+    }
+
+    /// Every counted row's and slice's statistics, or the first error met
+    /// lowering a row.
+    fn total(self, slice: CompileStats) -> Result<CompileStats> {
+        self.booked
+            .into_iter()
+            .try_fold(slice * self.slices, |total, (row, rows)| {
+                Ok(total + row? * rows)
+            })
     }
 }
 
@@ -538,22 +660,22 @@ mod tests {
         })
     }
 
-    /// Asserts that the walk equals the oracle on every layer of `model`, for
+    /// Asserts that the walk equals the oracle on every one of `layers`, for
     /// both variants at once (`enable_cse` aside, under `options`) and for the
     /// variant of `options` alone; returns the CSE fallbacks seen.
-    fn assert_walk_matches_oracle(model: &ModelGraph, options: CompilerOptions) -> u64 {
+    fn assert_walk_matches_oracle(layers: &[ConvLayerInfo], options: CompilerOptions) -> u64 {
         let compiler = LayerCompiler::new(options);
         let mut fallbacks = 0;
-        for layer in model.conv_like_layers() {
-            let [unroll, cse] = compiler.compile_both(&layer);
+        for layer in layers {
+            let [unroll, cse] = compiler.compile_both(layer);
             for (walked, enable_cse) in [(unroll, false), (cse, true)] {
                 let variant = CompilerOptions {
                     enable_cse,
                     ..options
                 };
-                let expected = compile_reference(variant, &layer);
+                let expected = compile_reference(variant, layer);
                 if enable_cse == options.enable_cse {
-                    assert_eq!(compiler.compile(&layer), expected, "{} alone", layer.name);
+                    assert_eq!(compiler.compile(layer), expected, "{} alone", layer.name);
                 }
                 assert_eq!(walked, expected, "{} cse={enable_cse}", layer.name);
                 if let Ok(compiled) = expected {
@@ -573,7 +695,7 @@ mod tests {
                 CompilerOptions::default().with_act_bits(8),
                 CompilerOptions::default().with_programs(),
             ] {
-                assert_walk_matches_oracle(&model, options);
+                assert_walk_matches_oracle(&model.conv_like_layers(), options);
             }
         }
     }
@@ -588,7 +710,7 @@ mod tests {
                 temp_budget,
                 ..options
             };
-            let fallbacks = assert_walk_matches_oracle(&vgg9(0.85, 1), options);
+            let fallbacks = assert_walk_matches_oracle(&vgg9(0.85, 1).conv_like_layers(), options);
             assert!(fallbacks > 0, "budget {temp_budget} forces fallbacks");
         }
     }
@@ -597,8 +719,86 @@ mod tests {
     #[ignore = "compiles ResNet-18 three times over; run in release"]
     fn walk_matches_the_per_variant_oracle_on_resnet18() {
         for model in [resnet18(0.8, 7), resnet18(0.5, 3)] {
-            assert_walk_matches_oracle(&model, CompilerOptions::default());
+            assert_walk_matches_oracle(&model.conv_like_layers(), CompilerOptions::default());
         }
+    }
+
+    /// A square-kernel layer of random ternary weights, `sparsity` of them
+    /// zero, on a `side × side` input, with `stride` and `kernel / 2`
+    /// padding.
+    fn square_layer(
+        name: &str,
+        [cout, cin, kernel, stride, side]: [usize; 5],
+        sparsity: f64,
+    ) -> ConvLayerInfo {
+        let output = (side + 2 * (kernel / 2) - kernel) / stride + 1;
+        ConvLayerInfo {
+            node_id: 0,
+            name: name.to_string(),
+            cin,
+            cout,
+            kernel: (kernel, kernel),
+            stride,
+            padding: kernel / 2,
+            input_hw: (side, side),
+            output_hw: (output, output),
+            weights: TernaryTensor::random(vec![cout, cin, kernel, kernel], sparsity, 5),
+        }
+    }
+
+    #[test]
+    fn walk_matches_the_oracle_on_shapes_resnet18_does_not_reach() {
+        // The 7×7 stem; an 11×11 kernel, whose 121 taps no single 64-bit sign
+        // mask can key; dense rows; and all-zero slices: input channels 1 and
+        // 4 of a 40 % sparse layer, plus one all-zero output row.
+        let mut zero_slices = square_layer("zero_slices", [40, 6, 3, 1, 8], 0.4);
+        let mut weights = zero_slices.weights.as_slice().to_vec();
+        for (index, weight) in weights.iter_mut().enumerate() {
+            let (ofm, channel) = (index / (6 * 9), index / 9 % 6);
+            if channel == 1 || channel == 4 || ofm == 7 {
+                *weight = 0;
+            }
+        }
+        zero_slices.weights = TernaryTensor::from_vec(vec![40, 6, 3, 3], weights).expect("ternary");
+        // 11×11 rows that agree on their first 64 terms and differ after:
+        // row r keeps 121 − 8r taps, negated past tap 64 when r is odd.
+        let mut long_rows = square_layer("long_rows", [12, 1, 11, 4, 32], 0.0);
+        let weights = (0..12 * 121)
+            .map(|index| match (index / 121, index % 121) {
+                (row, tap) if tap >= 121 - 8 * row => 0,
+                (row, tap) if tap >= 64 && row % 2 == 1 => -1,
+                _ => 1,
+            })
+            .collect();
+        long_rows.weights = TernaryTensor::from_vec(vec![12, 1, 11, 11], weights).expect("ternary");
+        let layers = [
+            square_layer("stem", [64, 3, 7, 2, 224], 0.8),
+            square_layer("k11", [110, 1, 11, 4, 32], 0.4),
+            long_rows,
+            square_layer("dense", [24, 4, 3, 1, 8], 0.0),
+            zero_slices,
+        ];
+        for options in [
+            CompilerOptions::default(),
+            CompilerOptions::unroll_only(),
+            CompilerOptions::default().with_act_bits(8),
+            CompilerOptions::default().with_programs(),
+        ] {
+            for layer in &layers {
+                assert!(
+                    LayerCompiler::new(options).compile(layer).is_ok(),
+                    "{}",
+                    layer.name
+                );
+            }
+            assert_walk_matches_oracle(&layers, options);
+        }
+        // A budget of one temporary forces CSE fallbacks.
+        let tight = CompilerOptions {
+            temp_budget: 1,
+            ..CompilerOptions::default()
+        };
+        assert!(assert_walk_matches_oracle(&layers, tight) > 0);
     }
 
     /// A layer of one input channel: `outputs` rows of `side × side` weights

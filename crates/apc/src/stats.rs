@@ -1,5 +1,5 @@
 use serde::{Deserialize, Serialize};
-use std::ops::{Add, AddAssign};
+use std::ops::{Add, AddAssign, Mul};
 
 /// Aggregated compilation statistics of one layer (or of a whole network when
 /// summed), feeding both Table II (`#Adds/Subs`, `#Arrays`) and the accelerator-level
@@ -118,6 +118,34 @@ impl AddAssign for CompileStats {
     }
 }
 
+/// The sum of `rhs` copies of a record: every count scaled, the
+/// temporary-column high-water mark kept (or zero for no copies).
+impl Mul<u64> for CompileStats {
+    type Output = CompileStats;
+
+    fn mul(self, rhs: u64) -> CompileStats {
+        CompileStats {
+            counted_adds_subs: self.counted_adds_subs * rhs,
+            accumulate_ops: self.accumulate_ops * rhs,
+            in_place: self.in_place * rhs,
+            out_of_place: self.out_of_place * rhs,
+            cse_signals: self.cse_signals * rhs,
+            baseline_adds_subs: self.baseline_adds_subs * rhs,
+            nonzero_weights: self.nonzero_weights * rhs,
+            cse_fallbacks: self.cse_fallbacks * rhs,
+            total_cycles: self.total_cycles * rhs,
+            accumulation_cycles: self.accumulation_cycles * rhs,
+            accumulation_searched_bits_per_row: self.accumulation_searched_bits_per_row * rhs,
+            accumulation_written_bits_per_row: self.accumulation_written_bits_per_row * rhs,
+            searched_bits_per_row: self.searched_bits_per_row * rhs,
+            written_bits_per_row: self.written_bits_per_row * rhs,
+            io_bits_per_row: self.io_bits_per_row * rhs,
+            max_temp_columns: if rhs == 0 { 0 } else { self.max_temp_columns },
+            slices: self.slices * rhs,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,5 +185,8 @@ mod tests {
         assert_eq!(c.max_temp_columns, 7);
         assert_eq!(c.slices, 3);
         assert_eq!(c.arithmetic_ops(), 15);
+        for (copies, sum) in [(0, CompileStats::default()), (1, c), (3, c + c + c)] {
+            assert_eq!(c * copies, sum);
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! Prints the headline fleet table (achieved samples/s, p99 latency, SLO
 //! attainment, peak replicas/tiles, energy per sample) with the pareto
 //! frontier over SLO attainment vs joules/sample marked, appends one dated
-//! `fleet` record to `BENCH_serve.json`, and with `--json <path>` dumps the
+//! `fleet` record to `BENCH_serve.json` (not under `BENCH_SMOKE`, whose
+//! shrunken traces would only dirty the tracked trajectory), and with
+//! `--json <path>` dumps the
 //! raw `FleetResultSet` as JSON lines (schema: `BENCH_schema.md`, `fleet
 //! record` section). A fixed trace seed makes the output byte-identical
 //! across runs and thread counts.
@@ -110,7 +112,9 @@ fn main() {
             .unwrap_or(0),
         smoke: bench_smoke(),
     };
-    append_bench_record("BENCH_serve.json", &record);
+    if !bench_smoke() {
+        append_bench_record("BENCH_serve.json", &record);
+    }
 
     cli.write_results(&results);
     cli.finish();

@@ -233,7 +233,8 @@ impl ModelGraph {
     }
 
     /// Static per-layer information for every weighted layer (convolutions and fully
-    /// connected layers), in graph order.
+    /// connected layers), in graph order. The layers share their weights with the
+    /// model; none is copied.
     pub fn conv_like_layers(&self) -> Vec<ConvLayerInfo> {
         let shapes = match self.node_shapes() {
             Ok(shapes) => shapes,
@@ -264,12 +265,10 @@ impl ModelGraph {
                         weights: conv.weights.clone(),
                     }),
                     LayerOp::Linear(linear) => {
-                        let weights = linear.weights.clone();
-                        let reshaped = TernaryTensor::from_vec(
-                            vec![linear.out_features(), linear.in_features(), 1, 1],
-                            weights.as_slice().to_vec(),
-                        )
-                        .expect("reshaping a valid ternary tensor cannot fail");
+                        let reshaped = linear
+                            .weights
+                            .reshaped(vec![linear.out_features(), linear.in_features(), 1, 1])
+                            .expect("a linear layer holds out × in weights");
                         Some(ConvLayerInfo {
                             node_id: id,
                             name: linear.name.clone(),

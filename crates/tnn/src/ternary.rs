@@ -3,6 +3,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A tensor of ternary weights, each element in `{-1, 0, 1}`.
 ///
@@ -11,6 +12,9 @@ use serde::{Deserialize, Serialize};
 /// associative-processor execution of the paper possible. The *sparsity* of the
 /// tensor (fraction of zero weights) directly controls the number of add/sub
 /// operations the compiler emits.
+///
+/// The weights are immutable and shared: cloning a tensor, or reshaping it with
+/// [`TernaryTensor::reshaped`], copies no weight.
 ///
 /// # Example
 ///
@@ -24,7 +28,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TernaryTensor {
     shape: Vec<usize>,
-    data: Vec<i8>,
+    data: Arc<Vec<i8>>,
 }
 
 impl TernaryTensor {
@@ -47,7 +51,29 @@ impl TernaryTensor {
                 reason: format!("ternary weight {bad} outside {{-1, 0, 1}}"),
             });
         }
-        Ok(TernaryTensor { shape, data })
+        Ok(TernaryTensor {
+            shape,
+            data: Arc::new(data),
+        })
+    }
+
+    /// The same weights under `shape`, sharing their storage.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TnnError::ShapeMismatch`] if `shape` does not hold exactly
+    /// [`len`](Self::len) weights.
+    pub fn reshaped(&self, shape: Vec<usize>) -> Result<Self> {
+        if shape.iter().product::<usize>() != self.data.len() {
+            return Err(TnnError::ShapeMismatch {
+                shape,
+                data_len: self.data.len(),
+            });
+        }
+        Ok(TernaryTensor {
+            shape,
+            data: Arc::clone(&self.data),
+        })
     }
 
     /// Generates a random ternary tensor with (approximately) the given fraction of
@@ -71,7 +97,10 @@ impl TernaryTensor {
                 }
             })
             .collect();
-        TernaryTensor { shape, data }
+        TernaryTensor {
+            shape,
+            data: Arc::new(data),
+        }
     }
 
     /// Ternarizes floating-point weights with the symmetric-threshold rule of ternary
@@ -103,7 +132,10 @@ impl TernaryTensor {
                 }
             })
             .collect();
-        Ok(TernaryTensor { shape, data })
+        Ok(TernaryTensor {
+            shape,
+            data: Arc::new(data),
+        })
     }
 
     /// The tensor's shape.
@@ -221,5 +253,22 @@ mod tests {
         assert_eq!(t.get(&[0, 2]).expect("get"), -1);
         assert_eq!(t.get(&[1, 1]).expect("get"), 1);
         assert!(t.get(&[1, 3]).is_err());
+    }
+
+    #[test]
+    fn clones_and_reshapes_share_the_weights_and_serialize_as_an_array() {
+        let t = TernaryTensor::from_vec(vec![2, 3], vec![1, 0, -1, 0, 1, -1]).expect("valid");
+        let clone = t.clone();
+        let column = t.reshaped(vec![6, 1]).expect("same length");
+        assert!(std::ptr::eq(clone.as_slice(), t.as_slice()));
+        assert!(std::ptr::eq(column.as_slice(), t.as_slice()));
+        assert_eq!(column.shape(), &[6, 1]);
+        assert!(t.reshaped(vec![4]).is_err());
+        let value = t.to_value();
+        assert_eq!(
+            value.field("data").expect("data"),
+            &t.as_slice().to_vec().to_value()
+        );
+        assert_eq!(TernaryTensor::from_value(&value).expect("deserialize"), t);
     }
 }
