@@ -80,25 +80,7 @@ pub(crate) struct Allocator {
 
 impl Allocator {
     /// [`allocate`] into `allocation`, reusing its storage and this scratch.
-    ///
-    /// A DFG without derived signals (an `unroll` slice, or a CSE slice that
-    /// found no shared pair) has nothing to colour: its schedule is the
-    /// outputs in order, with no temporaries.
     pub(crate) fn allocate(&mut self, dfg: &Dfg, allocation: &mut Allocation) {
-        if dfg.signals.derived() > 0 {
-            return self.schedule_and_colour(dfg, allocation);
-        }
-        allocation.schedule.clear();
-        allocation
-            .schedule
-            .extend((0..dfg.outputs.len()).map(Event::AccumulateOutput));
-        allocation.signal_columns.clear();
-        allocation.inputs = dfg.signals.inputs();
-        allocation.temp_columns_used = 0;
-    }
-
-    /// The general path of [`Allocator::allocate`].
-    fn schedule_and_colour(&mut self, dfg: &Dfg, allocation: &mut Allocation) {
         let inputs = dfg.signals.inputs();
         let signals = dfg.signals.len();
         let schedule = &mut allocation.schedule;
@@ -310,22 +292,5 @@ mod tests {
         let allocation = allocate(&dfg);
         assert_eq!(allocation.temp_columns_used, 0);
         assert!(allocation.signal_columns.is_empty());
-    }
-
-    #[test]
-    fn signal_free_dfgs_skip_colouring_with_the_same_result() {
-        let mut allocator = Allocator::default();
-        // A reused allocation starts out holding a coloured CSE slice.
-        let mut shortcut = allocate(&random_dfg(0, 48, 9, true));
-        assert!(shortcut.temp_columns_used > 0);
-        for seed in 0..32 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let dfg = random_dfg(seed, rng.gen_range(0..64), rng.gen_range(1..26), false);
-            assert_eq!(dfg.signals.derived(), 0);
-            allocator.allocate(&dfg, &mut shortcut);
-            let mut general = Allocation::default();
-            Allocator::default().schedule_and_colour(&dfg, &mut general);
-            assert_eq!(shortcut, general, "seed {seed}");
-        }
     }
 }

@@ -89,30 +89,30 @@ fn main() {
         println!("  {}", record.report.summary());
     }
 
-    let record = FleetBenchRecord {
-        date: utc_date_string(),
-        bench: "fleet".to_string(),
-        workload: "micro_cnn".to_string(),
-        scenarios: results.records.len(),
-        pareto_scenarios: pareto.iter().map(|r| r.scenario.clone()).collect(),
-        pareto_slo_attainment: pareto.iter().map(|r| r.report.slo_attainment).collect(),
-        pareto_joules_per_sample: pareto.iter().map(|r| r.report.joules_per_sample).collect(),
-        pipeline_speedup,
-        peak_replicas: results
-            .records
-            .iter()
-            .map(|r| r.report.peak_replicas)
-            .max()
-            .unwrap_or(0),
-        peak_tiles: results
-            .records
-            .iter()
-            .map(|r| r.report.peak_tiles)
-            .max()
-            .unwrap_or(0),
-        smoke: bench_smoke(),
-    };
     if !bench_smoke() {
+        let record = FleetBenchRecord {
+            date: utc_date_string(),
+            bench: "fleet".to_string(),
+            workload: "micro_cnn".to_string(),
+            scenarios: results.records.len(),
+            pareto_scenarios: pareto.iter().map(|r| r.scenario.clone()).collect(),
+            pareto_slo_attainment: pareto.iter().map(|r| r.report.slo_attainment).collect(),
+            pareto_joules_per_sample: pareto.iter().map(|r| r.report.joules_per_sample).collect(),
+            pipeline_speedup,
+            peak_replicas: results
+                .records
+                .iter()
+                .map(|r| r.report.peak_replicas)
+                .max()
+                .unwrap_or(0),
+            peak_tiles: results
+                .records
+                .iter()
+                .map(|r| r.report.peak_tiles)
+                .max()
+                .unwrap_or(0),
+            smoke: false,
+        };
         append_bench_record("BENCH_serve.json", &record);
     }
 

@@ -264,7 +264,9 @@ pub struct FleetBenchRecord {
     pub peak_replicas: usize,
     /// Largest provisioned tile count any scenario reached.
     pub peak_tiles: u64,
-    /// True when measured under `BENCH_SMOKE` iteration counts.
+    /// True when measured under `BENCH_SMOKE` trace lengths. A smoke run no
+    /// longer appends a record, so new records read `false`; the field stays
+    /// for the older ones.
     pub smoke: bool,
 }
 
@@ -388,6 +390,37 @@ mod tests {
             "\"passes_before_fusion\"",
             "\"passes_after_fusion\"",
             "\"hits\"",
+        ] {
+            assert!(json.contains(field), "missing {field} in {json}");
+        }
+    }
+
+    #[test]
+    fn fleet_records_serialize_with_schema_fields() {
+        let record = FleetBenchRecord {
+            date: "2026-01-01".to_string(),
+            bench: "fleet".to_string(),
+            workload: "micro_cnn".to_string(),
+            scenarios: 16,
+            pareto_scenarios: vec!["a".to_string(), "b".to_string()],
+            pareto_slo_attainment: vec![1.0, 0.5],
+            pareto_joules_per_sample: vec![2e-6, 1e-6],
+            pipeline_speedup: 1.8,
+            peak_replicas: 4,
+            peak_tiles: 8,
+            smoke: false,
+        };
+        let json = serde_json::to_string(&record).expect("serialize");
+        assert!(!json.contains('\n'), "one record per line: {json}");
+        for field in [
+            "\"bench\":\"fleet\"",
+            "\"pareto_scenarios\":[\"a\",\"b\"]",
+            "\"pareto_slo_attainment\"",
+            "\"pareto_joules_per_sample\"",
+            "\"pipeline_speedup\"",
+            "\"peak_replicas\":4",
+            "\"peak_tiles\":8",
+            "\"smoke\":false",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }
