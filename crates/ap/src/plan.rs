@@ -27,7 +27,7 @@
 //! simply reruns the interpreter, reproducing its exact error and
 //! partial-application semantics.
 
-use crate::{ApEngine, ApError, ApInstruction, ApProgram, CarrySlot, Operand, Result};
+use crate::{ApEngine, ApError, ApInstruction, ApProgram, CarrySlot, LutKind, Operand, Result};
 use cam::{BitPlaneArray, PlaneAccess};
 use serde::{Deserialize, Serialize};
 
@@ -730,11 +730,14 @@ impl Lowering {
         self.ops.push(PlanOp::Zero { planes });
     }
 
-    /// Books one fused LUT group of `passes` passes with `key_len` key bits
-    /// and `group.pattern_bits` pattern bits each.
-    fn lut(&mut self, group: LutGroup, passes: u64, key_len: u64) {
+    /// Books one fused LUT group: the passes of `kind` that key only on
+    /// supplied operands ([`LutKind::passes_keyed`]), each keying the carry
+    /// plus every supplied operand bit and writing `group.pattern_bits`
+    /// pattern bits.
+    fn lut(&mut self, group: LutGroup, kind: LutKind, a_known: bool, b_known: bool) {
+        let passes = kind.passes_keyed(a_known, b_known);
         self.search_cycles += passes;
-        self.key_bits += passes * key_len;
+        self.key_bits += passes * (1 + u64::from(a_known) + u64::from(b_known));
         self.write_cycles += passes;
         self.passes_before += passes;
         self.ops.push(PlanOp::Lut(group));
@@ -800,11 +803,11 @@ impl Lowering {
                 self.align(a.col, domain)?;
             }
             self.align(carry.col, carry.domain)?;
-            let (kernel, passes, key_len) = match (is_add, a_domain.is_some()) {
-                (true, true) => (KernelId::AddInPlaceFull, 4, 3),
-                (true, false) => (KernelId::AddInPlaceZeroA, 2, 2),
-                (false, true) => (KernelId::SubInPlaceFull, 4, 3),
-                (false, false) => (KernelId::SubInPlaceZeroA, 2, 2),
+            let (kernel, kind) = match (is_add, a_domain.is_some()) {
+                (true, true) => (KernelId::AddInPlaceFull, LutKind::AddInPlace),
+                (true, false) => (KernelId::AddInPlaceZeroA, LutKind::AddInPlace),
+                (false, true) => (KernelId::SubInPlaceFull, LutKind::SubInPlace),
+                (false, false) => (KernelId::SubInPlaceZeroA, LutKind::SubInPlace),
             };
             let a_plane = a_domain.map_or(0, |domain| self.plane(a.col, domain));
             self.lut(
@@ -816,8 +819,9 @@ impl Lowering {
                     dests: Vec::new(),
                     pattern_bits: 2,
                 },
-                passes,
-                key_len,
+                kind,
+                a_domain.is_some(),
+                true,
             );
         }
         Some(())
@@ -872,15 +876,20 @@ impl Lowering {
             for dest in dests {
                 self.align(dest.col, dest.base + bit)?;
             }
-            let (kernel, passes, key_len) = match (is_add, a_domain.is_some(), b_domain.is_some()) {
-                (true, true, true) => (KernelId::AddOopAb, 5, 3),
-                (true, true, false) => (KernelId::AddOopA, 2, 2),
-                (true, false, true) => (KernelId::AddOopB, 2, 2),
-                (true, false, false) => (KernelId::AddOopNeither, 1, 1),
-                (false, true, true) => (KernelId::SubOopAb, 5, 3),
-                (false, true, false) => (KernelId::SubOopA, 2, 2),
-                (false, false, true) => (KernelId::SubOopB, 3, 2),
-                (false, false, false) => (KernelId::SubOopNeither, 1, 1),
+            let kernel = match (is_add, a_domain.is_some(), b_domain.is_some()) {
+                (true, true, true) => KernelId::AddOopAb,
+                (true, true, false) => KernelId::AddOopA,
+                (true, false, true) => KernelId::AddOopB,
+                (true, false, false) => KernelId::AddOopNeither,
+                (false, true, true) => KernelId::SubOopAb,
+                (false, true, false) => KernelId::SubOopA,
+                (false, false, true) => KernelId::SubOopB,
+                (false, false, false) => KernelId::SubOopNeither,
+            };
+            let kind = if is_add {
+                LutKind::AddOutOfPlace
+            } else {
+                LutKind::SubOutOfPlace
             };
             let a_plane = a_domain.map_or(0, |domain| self.plane(a.col, domain));
             let b_plane = b_domain.map_or(0, |domain| self.plane(b.col, domain));
@@ -897,8 +906,9 @@ impl Lowering {
                     dests: dest_planes,
                     pattern_bits: 1 + dests.len() as u64,
                 },
-                passes,
-                key_len,
+                kind,
+                a_domain.is_some(),
+                b_domain.is_some(),
             );
         }
         Some(())

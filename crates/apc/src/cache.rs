@@ -50,7 +50,7 @@ use crate::layout::LayerLayout;
 use crate::partition::{PartitionCompiler, PartitionPlan, TileGrid};
 use crate::passes::{CompiledLayer, CompilerOptions, LayerCompiler};
 use crate::{ApcError, Result};
-use ap::{ApInstruction, ApProgram, PassPlan, PlanCompiler, PlanGeometry};
+use ap::{ApProgram, PassPlan, PlanCompiler, PlanGeometry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -130,29 +130,6 @@ fn digest_weights(weights: &[i8]) -> u64 {
     digest
 }
 
-/// A weighted layer bundled with its [`LayerSignature`], computed once. A
-/// caller that compiles and partitions the same layer for many batches
-/// passes it to [`CompileCache::compile_signed`] and
-/// [`CompileCache::partition_signed`], which then hash no weights.
-#[derive(Debug, Clone)]
-pub struct SignedLayer {
-    layer: ConvLayerInfo,
-    signature: Arc<LayerSignature>,
-}
-
-impl SignedLayer {
-    /// Signs `layer`.
-    pub fn new(layer: ConvLayerInfo) -> Self {
-        let signature = Arc::new(LayerSignature::of(&layer));
-        SignedLayer { layer, signature }
-    }
-
-    /// The layer description.
-    pub fn layer(&self) -> &ConvLayerInfo {
-        &self.layer
-    }
-}
-
 /// Hit/miss counters of a [`CompileCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -199,7 +176,7 @@ pub struct PlanSummary {
     pub misses: u64,
 }
 
-type CacheKey = (Arc<LayerSignature>, CompilerOptions);
+type CacheKey = (LayerSignature, CompilerOptions);
 type Compiled = std::result::Result<Arc<CompiledLayer>, ApcError>;
 /// The memo cell behind one `(layer, options)` key.
 #[derive(Clone)]
@@ -222,7 +199,7 @@ type SlicePlanKey = (usize, PlanGeometry);
 type SlicePlanEntry = (Arc<CompiledLayer>, Arc<[PlanSlot]>);
 /// Partition plans depend on the layer, everything the layout depends on and
 /// the tile grid.
-type PartitionKey = (Arc<LayerSignature>, CompilerOptions, TileGrid);
+type PartitionKey = (LayerSignature, CompilerOptions, TileGrid);
 type PartitionSlot = Arc<OnceLock<std::result::Result<Arc<PartitionPlan>, ApcError>>>;
 
 /// One compiled layer's pass plans for one array geometry (see
@@ -306,30 +283,8 @@ impl CompileCache {
         compiler: &LayerCompiler,
         layer: &ConvLayerInfo,
     ) -> Result<Arc<CompiledLayer>> {
-        self.compile_keyed(compiler, layer, Arc::new(LayerSignature::of(layer)))
-    }
-
-    /// [`compile`](Self::compile) of a pre-signed layer.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`compile`](Self::compile).
-    pub fn compile_signed(
-        &self,
-        compiler: &LayerCompiler,
-        layer: &SignedLayer,
-    ) -> Result<Arc<CompiledLayer>> {
-        self.compile_keyed(compiler, &layer.layer, Arc::clone(&layer.signature))
-    }
-
-    fn compile_keyed(
-        &self,
-        compiler: &LayerCompiler,
-        layer: &ConvLayerInfo,
-        signature: Arc<LayerSignature>,
-    ) -> Result<Arc<CompiledLayer>> {
         let options = *compiler.options();
-        let key = (signature, options);
+        let key = (LayerSignature::of(layer), options);
         let (slot, first_request) = {
             let mut slots = self.slots.lock().expect("compile cache poisoned");
             match slots.get(&key) {
@@ -548,23 +503,6 @@ impl CompileCache {
         })
     }
 
-    /// [`plan`](Self::plan) for a single-instruction program: the
-    /// execution-trace recorder replays programs one instruction at a time
-    /// (to delimit per-record counter deltas), and instructions repeat
-    /// heavily across slices and units, so each distinct `(instruction,
-    /// geometry)` pair is lowered exactly once and served from the digest
-    /// cache afterwards.
-    pub fn instruction_plan(
-        &self,
-        instruction: &ApInstruction,
-        geometry: PlanGeometry,
-    ) -> Arc<PassPlan> {
-        self.plan(
-            &ApProgram::from_instructions(vec![instruction.clone()]),
-            geometry,
-        )
-    }
-
     /// Partitions `layer` across `grid`, reusing a previous plan for the
     /// same `(layer signature, options, grid)` triple if one exists — the
     /// partitioning counterpart of [`compile`](Self::compile), computed
@@ -581,31 +519,7 @@ impl CompileCache {
         options: &CompilerOptions,
         grid: TileGrid,
     ) -> Result<Arc<PartitionPlan>> {
-        self.partition_keyed(layer, Arc::new(LayerSignature::of(layer)), options, grid)
-    }
-
-    /// [`partition`](Self::partition) of a pre-signed layer.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`partition`](Self::partition).
-    pub fn partition_signed(
-        &self,
-        layer: &SignedLayer,
-        options: &CompilerOptions,
-        grid: TileGrid,
-    ) -> Result<Arc<PartitionPlan>> {
-        self.partition_keyed(&layer.layer, Arc::clone(&layer.signature), options, grid)
-    }
-
-    fn partition_keyed(
-        &self,
-        layer: &ConvLayerInfo,
-        signature: Arc<LayerSignature>,
-        options: &CompilerOptions,
-        grid: TileGrid,
-    ) -> Result<Arc<PartitionPlan>> {
-        let key = (signature, *options, grid);
+        let key = (LayerSignature::of(layer), *options, grid);
         let slot = {
             let mut slots = self
                 .partition_slots

@@ -10,8 +10,8 @@
 //! value-identical logits (pinned by the `serving` suite); only the batch
 //! composition differs.
 
+use camdnn::telemetry::LatencyHistogram;
 use camdnn::FunctionalBackend;
-use camdnn_bench::LatencyHistogram;
 use criterion::{criterion_group, criterion_main, Criterion};
 use serve::{BackendExecutor, BatchingPolicy, ServeConfig, Server};
 use std::sync::Arc;

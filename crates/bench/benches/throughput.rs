@@ -16,10 +16,10 @@
 //! the repo root (schema: `BENCH_schema.md`).
 
 use apc::CompileCache;
+use camdnn::telemetry::LatencyHistogram;
 use camdnn::FunctionalBackend;
 use camdnn_bench::{
-    append_bench_record, bench_smoke, median_and_range, utc_date_string, LatencyHistogram,
-    ThroughputBenchRecord,
+    append_bench_record, bench_smoke, median_and_range, utc_date_string, ThroughputBenchRecord,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -18,12 +18,6 @@ pub mod cli;
 
 pub use cli::BenchCli;
 
-/// The mergeable log-bucketed latency histogram the benches accumulate
-/// per-thread and per-run distributions in. Re-exported from
-/// [`telemetry`] (its home since the telemetry spine landed) so existing
-/// `camdnn_bench::LatencyHistogram` users keep compiling.
-pub use telemetry::LatencyHistogram;
-
 /// Pairs every scenario of `results` with its RTM-AP record and the legacy
 /// [`PipelineReport`] view — the shape the table/figure printers consume.
 ///
@@ -332,16 +326,6 @@ mod tests {
     use super::*;
     use camdnn::experiment::{Session, SweepGrid};
     use tnn::model::micro_cnn;
-
-    #[test]
-    fn histogram_reexport_is_the_telemetry_type() {
-        // The bucket-level behaviour is tested in `camdnn-telemetry` (its
-        // home crate); here we only pin that the re-export stays wired.
-        let mut histogram = LatencyHistogram::new();
-        histogram.record_ns(1_000);
-        assert_eq!(histogram.count(), 1);
-        let _: &telemetry::LatencyHistogram = &histogram;
-    }
 
     #[test]
     fn civil_from_days_matches_known_dates() {

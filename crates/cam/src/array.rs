@@ -162,16 +162,6 @@ impl CamArray {
         Ok(())
     }
 
-    /// Domain currently aligned for `col`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CamError::ColumnOutOfRange`] for an invalid column.
-    pub fn column_position(&self, col: usize) -> Result<usize> {
-        self.check_col(col)?;
-        Ok(self.columns[col].position())
-    }
-
     /// Performs one parallel masked search against the *currently aligned* bit of
     /// each keyed column and returns the tag vector of matching rows.
     ///

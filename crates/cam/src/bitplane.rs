@@ -559,16 +559,6 @@ impl BitPlaneArray {
         }
     }
 
-    /// Domain currently aligned for `col`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CamError::ColumnOutOfRange`] for an invalid column.
-    pub fn column_position(&self, col: usize) -> Result<usize> {
-        self.check_col(col)?;
-        Ok(self.positions[col])
-    }
-
     /// Performs one parallel masked search against the *currently aligned* bit of
     /// each keyed column and returns the packed tag vector of matching rows.
     ///

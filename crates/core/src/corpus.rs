@@ -276,10 +276,6 @@ pub fn run_spec(spec: &CorpusSpec) -> apc::Result<SpecRun> {
     })
 }
 
-fn json_escape(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 impl CorpusSpec {
     /// Checks a run's evidence against this spec's goldens: engine
     /// divergence first, then the trace digest, then per-sample logits.
@@ -342,13 +338,11 @@ impl CorpusSpec {
     /// under a parse/render round trip so `--bless` on an up-to-date corpus
     /// produces no diff.
     pub fn to_json(&self) -> String {
+        let string = |text: &str| serde_json::to_string(text).expect("a string always renders");
         let mut out = String::with_capacity(512);
         out.push_str("{\n");
-        out.push_str(&format!("  \"name\": \"{}\",\n", json_escape(&self.name)));
-        out.push_str(&format!(
-            "  \"family\": \"{}\",\n",
-            json_escape(&self.family)
-        ));
+        out.push_str(&format!("  \"name\": {},\n", string(&self.name)));
+        out.push_str(&format!("  \"family\": {},\n", string(&self.family)));
         out.push_str(&format!("  \"channels\": {},\n", self.channels));
         out.push_str(&format!("  \"sparsity\": {:?},\n", self.sparsity));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
@@ -358,7 +352,7 @@ impl CorpusSpec {
         out.push_str(&format!("  \"grid\": [{}],\n", grid.join(", ")));
         out.push_str(&format!("  \"input_seed\": {},\n", self.input_seed));
         out.push_str("  \"golden\": {\n");
-        out.push_str(&format!("    \"trace\": \"{}\",\n", self.golden.trace));
+        out.push_str(&format!("    \"trace\": {},\n", string(&self.golden.trace)));
         out.push_str("    \"logits\": [\n");
         for (i, digest) in self.golden.logits.iter().enumerate() {
             let comma = if i + 1 < self.golden.logits.len() {
@@ -366,7 +360,7 @@ impl CorpusSpec {
             } else {
                 ""
             };
-            out.push_str(&format!("      \"{digest}\"{comma}\n"));
+            out.push_str(&format!("      {}{comma}\n", string(digest)));
         }
         out.push_str("    ]\n");
         out.push_str("  }\n");
@@ -407,6 +401,28 @@ mod tests {
         let parsed = CorpusSpec::from_json(&rendered).expect("parse");
         assert_eq!(parsed, spec);
         // Render → parse → render is byte-identical: bless is idempotent.
+        assert_eq!(parsed.to_json(), rendered);
+    }
+
+    #[test]
+    fn control_characters_render_escaped_and_round_trip() {
+        let mut spec = sample_spec();
+        spec.name = "tab\there\nnew line \u{1} \"quoted\" back\\slash".to_string();
+        spec.family = "fam\rily\u{1f}".to_string();
+        spec.golden.trace = "0x\u{7}".to_string();
+        spec.golden.logits[1] = "\u{0}".to_string();
+        let rendered = spec.to_json();
+        // The only raw control bytes are the layout's own line breaks.
+        assert!(
+            !rendered.bytes().any(|b| b < 0x20 && b != b'\n'),
+            "{rendered}"
+        );
+        assert_eq!(
+            rendered.lines().count(),
+            sample_spec().to_json().lines().count()
+        );
+        let parsed = CorpusSpec::from_json(&rendered).expect("parse");
+        assert_eq!(parsed, spec);
         assert_eq!(parsed.to_json(), rendered);
     }
 

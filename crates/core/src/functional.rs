@@ -31,23 +31,22 @@
 //! evaluation is simply a batch of one.
 
 use crate::backend::{BackendReport, InferenceBackend, LayerCost, ModelProfile};
-use crate::trace::{self, ExecutionTrace, TraceEngine, TraceHeader, TraceRecorder, UnitFrame};
+use crate::trace::{self, ExecutionTrace, TraceHeader, TraceRecorder, UnitFrame};
 use accel::ArchConfig;
 use ap::{ApEngine, Operand, PlanGeometry};
 use apc::{
     ApcError, CompileCache, CompiledLayer, CompilerOptions, LayerCompiler, PartitionPlan,
-    PartitionUnit, SignedLayer, TileGrid,
+    PartitionUnit, TileGrid,
 };
 use cam::{BitPlaneArray, CamStats};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 use tnn::im2col::{GatherMap, Im2colSpec};
 use tnn::layer::LayerOp;
-use tnn::model::{ModelGraph, Source};
+use tnn::model::{ConvLayerInfo, ModelGraph, Source};
 use tnn::{Tensor, TnnError};
 
 /// One batched unit's outcome: the sensed accumulator columns in one flat
@@ -86,39 +85,6 @@ type LayerOutcome = (
     Vec<(usize, CamStats)>,
     Vec<u8>,
 );
-
-/// A model's weighted layers, each described and signed once, by node id.
-type WeightedLayers = HashMap<usize, SignedLayer>;
-
-fn weighted_layers(model: &ModelGraph) -> WeightedLayers {
-    model
-        .conv_like_layers()
-        .into_iter()
-        .map(|layer| (layer.node_id, SignedLayer::new(layer)))
-        .collect()
-}
-
-/// A model readied for many batches: its weighted layers are described and
-/// signed once, so [`FunctionalBackend::run_batch_prepared`] clones no
-/// weights and hashes none per batch.
-#[derive(Debug, Clone)]
-pub struct PreparedModel {
-    model: Arc<ModelGraph>,
-    layers: WeightedLayers,
-}
-
-impl PreparedModel {
-    /// Describes and signs every weighted layer of `model`.
-    pub fn new(model: Arc<ModelGraph>) -> Self {
-        let layers = weighted_layers(&model);
-        PreparedModel { model, layers }
-    }
-
-    /// The prepared model.
-    pub fn model(&self) -> &Arc<ModelGraph> {
-        &self.model
-    }
-}
 
 /// One grid tile's share of a partitioned functional inference, summed over
 /// every weighted layer.
@@ -469,7 +435,8 @@ pub struct FunctionalBackend {
     tile_grid: TileGrid,
 }
 
-/// Which executor the functional backend drives the unit programs with.
+/// Which executor runs AP programs: the functional backend's unit programs
+/// and [`trace::trace_program`]'s instructions.
 ///
 /// Both paths are pinned bit-identical (data, [`cam::CamStats`], errors) by
 /// the engine differential suites; the interpreter is retained as the
@@ -599,7 +566,7 @@ impl FunctionalBackend {
     /// tile.
     fn execute_layer_batch(
         &self,
-        signed: &SignedLayer,
+        info: &ConvLayerInfo,
         compiled: &Arc<CompiledLayer>,
         inputs: &[&Tensor<i64>],
         cache: &CompileCache,
@@ -609,8 +576,7 @@ impl FunctionalBackend {
         let slices = compiled.slices.as_ref().ok_or_else(|| ApcError::Internal {
             reason: "functional backend requires retained programs".to_string(),
         })?;
-        let info = signed.layer();
-        let plan = cache.partition_signed(signed, &self.options, self.tile_grid)?;
+        let plan = cache.partition(info, &self.options, self.tile_grid)?;
         if telemetry::enabled() {
             telemetry::count("functional.layers", 1);
             telemetry::count("functional.units", plan.units.len() as u64);
@@ -786,20 +752,20 @@ impl FunctionalBackend {
         // slice-plan table, while the interpreter path re-derives every pass
         // list per run (retained as the differential reference).
         let use_plans = self.engine_mode == EngineMode::Plan;
-        let trace_mode = if use_plans {
-            TraceEngine::Plan(cache)
-        } else {
-            TraceEngine::Interpreter
-        };
         let slice_plans = match (&recorder, use_plans) {
             (None, true) => Some(cache.slice_plans(job.compiled, geometry)?),
             _ => None,
         };
         let prologue = apc::codegen::tile_prologue(layout, unit.outputs.len());
         match recorder.as_mut() {
-            Some(recorder) => {
-                trace::trace_program(&mut engine, &prologue, trace_mode, recorder, None)?
-            }
+            Some(recorder) => trace::trace_program(
+                &mut engine,
+                &prologue,
+                self.engine_mode,
+                cache,
+                recorder,
+                None,
+            )?,
             None if use_plans => engine.run_plan(&cache.plan(&prologue, geometry))?,
             None => engine.run(&prologue)?,
         }
@@ -832,9 +798,14 @@ impl FunctionalBackend {
                 }
             }
             match (recorder.as_mut(), &slice_plans) {
-                (Some(recorder), _) => {
-                    trace::trace_program(&mut engine, &slice.program, trace_mode, recorder, None)?
-                }
+                (Some(recorder), _) => trace::trace_program(
+                    &mut engine,
+                    &slice.program,
+                    self.engine_mode,
+                    cache,
+                    recorder,
+                    None,
+                )?,
                 (None, Some(plans)) => engine.run_plan(plans.get(index))?,
                 (None, None) => engine.run(&slice.program)?,
             }
@@ -875,38 +846,7 @@ impl FunctionalBackend {
     ) -> apc::Result<BatchReport> {
         // The caller staged these inputs, so the report claims no seed
         // provenance for them.
-        self.run_batch_seeded(model, inputs, None, cache)
-    }
-
-    /// [`run_batch`](Self::run_batch) of a prepared model, whose weighted
-    /// layers were described and signed once: a warm batch clones no
-    /// weights and hashes none.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_batch`](Self::run_batch).
-    pub fn run_batch_prepared(
-        &self,
-        prepared: &PreparedModel,
-        inputs: &[Tensor<i64>],
-        cache: &CompileCache,
-    ) -> apc::Result<BatchReport> {
-        let model = &prepared.model;
-        self.run_batch_collected(model, &prepared.layers, inputs, None, cache, None, None)
-    }
-
-    /// [`run_batch`](Self::run_batch) with the seed provenance of
-    /// backend-staged inputs: `base_seed` is recorded in the report and slot
-    /// `i` is attributed `sample_input_seed(base_seed, i)`.
-    fn run_batch_seeded(
-        &self,
-        model: &ModelGraph,
-        inputs: &[Tensor<i64>],
-        base_seed: Option<u64>,
-        cache: &CompileCache,
-    ) -> apc::Result<BatchReport> {
-        let layers = weighted_layers(model);
-        self.run_batch_collected(model, &layers, inputs, base_seed, cache, None, None)
+        self.run_batch_collected(model, inputs, None, cache, None, None)
     }
 
     /// [`run_batch`](Self::run_batch) plus an execution trace: every weighted
@@ -931,16 +871,8 @@ impl FunctionalBackend {
             batch: inputs.len(),
             grid: (self.tile_grid.rows, self.tile_grid.cols),
         });
-        let layers = weighted_layers(model);
-        let report = self.run_batch_collected(
-            model,
-            &layers,
-            inputs,
-            None,
-            cache,
-            None,
-            Some(&mut recorder),
-        )?;
+        let report =
+            self.run_batch_collected(model, inputs, None, cache, None, Some(&mut recorder))?;
         let digests: Vec<u64> = report
             .samples
             .iter()
@@ -966,7 +898,6 @@ impl FunctionalBackend {
         let mut layers = Vec::new();
         self.run_batch_collected(
             model,
-            &weighted_layers(model),
             std::slice::from_ref(&input),
             Some(self.input_seed),
             cache,
@@ -979,14 +910,15 @@ impl FunctionalBackend {
         })
     }
 
-    /// [`run_batch_seeded`](Self::run_batch_seeded), optionally pushing one
-    /// [`LayerCost`] per weighted layer into `collector` (the whole-batch
-    /// physical cost — profile with a batch of one for per-sample numbers).
-    #[allow(clippy::too_many_arguments)]
+    /// [`run_batch`](Self::run_batch) with the seed provenance of
+    /// backend-staged inputs (`base_seed` is recorded in the report and slot
+    /// `i` is attributed `sample_input_seed(base_seed, i)`), optionally
+    /// pushing one [`LayerCost`] per weighted layer into `collector` (the
+    /// whole-batch physical cost — profile with a batch of one for
+    /// per-sample numbers) and recording the execution into `trace_sink`.
     fn run_batch_collected(
         &self,
         model: &ModelGraph,
-        weighted: &WeightedLayers,
         inputs: &[Tensor<i64>],
         base_seed: Option<u64>,
         cache: &CompileCache,
@@ -1007,6 +939,9 @@ impl FunctionalBackend {
         let compiler = LayerCompiler::new(self.options);
         let act_bits = self.options.act_bits;
         let references = tnn::infer::run_batch(model, inputs, Some(act_bits))?;
+        // The weighted layers, in node order: each weighted node takes the
+        // next one.
+        let mut weighted = model.conv_like_layers().into_iter();
 
         let mut physical = CamStats::new();
         let mut attributed = vec![CamStats::new(); batch];
@@ -1035,15 +970,17 @@ impl FunctionalBackend {
                 .collect();
             let results: Vec<Tensor<i64>> = match &node.op {
                 LayerOp::Conv2d(_) | LayerOp::Linear(_) => {
-                    let signed = weighted.get(&id).ok_or_else(|| ApcError::Internal {
-                        reason: format!("weighted node {id} has no layer description"),
-                    })?;
-                    let info = signed.layer();
-                    let compiled = cache.compile_signed(&compiler, signed)?;
+                    let info = weighted
+                        .next()
+                        .filter(|layer| layer.node_id == id)
+                        .ok_or_else(|| ApcError::Internal {
+                            reason: format!("weighted node {id} has no layer description"),
+                        })?;
+                    let compiled = cache.compile(&compiler, &info)?;
                     arrays = arrays.max(compiled.layout.row_groups);
                     let trace_node = trace_sink.as_ref().map(|_| id);
                     let (layer_outputs, layer_attributed, layer_physical, plan, tile_stats, frag) =
-                        self.execute_layer_batch(signed, &compiled, &firsts, cache, trace_node)?;
+                        self.execute_layer_batch(&info, &compiled, &firsts, cache, trace_node)?;
                     if let Some(sink) = trace_sink.as_deref_mut() {
                         sink.append_fragment(&frag);
                     }
@@ -1198,11 +1135,13 @@ impl InferenceBackend for FunctionalBackend {
         // (same rows, same operation stream), so this stays bit-identical to
         // the dedicated single-sample path it replaces.
         let input = Self::input_for(model, self.options.act_bits, self.input_seed);
-        let batch = self.run_batch_seeded(
+        let batch = self.run_batch_collected(
             model,
             std::slice::from_ref(&input),
             Some(self.input_seed),
             cache,
+            None,
+            None,
         )?;
         let sample = batch
             .samples
@@ -1243,11 +1182,13 @@ impl InferenceBackend for FunctionalBackend {
                 Self::input_for_sample(model, self.options.act_bits, self.input_seed, sample)
             })
             .collect();
-        Ok(BackendReport::FunctionalBatch(self.run_batch_seeded(
+        Ok(BackendReport::FunctionalBatch(self.run_batch_collected(
             model,
             &inputs,
             Some(self.input_seed),
             cache,
+            None,
+            None,
         )?))
     }
 }

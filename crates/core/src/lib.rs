@@ -60,9 +60,7 @@ pub use corpus::{CorpusSpec, SpecRun, SpecStatus};
 pub use experiment::{
     BackendPlan, ResultSet, ScenarioRecord, ScenarioSpec, Session, SweepGrid, Workload,
 };
-pub use functional::{
-    BatchReport, EngineMode, FunctionalBackend, FunctionalReport, PreparedModel, SampleReport,
-};
+pub use functional::{BatchReport, EngineMode, FunctionalBackend, FunctionalReport, SampleReport};
 pub use pipeline::PipelineReport;
 pub use trace::{Divergence, ExecutionTrace, TraceDiff, TraceError, TraceHeader, TraceRecorder};
 

@@ -29,14 +29,15 @@
 //!
 //! The interpreter executes instructions directly ([`ApEngine::execute`]);
 //! the plan path replays each instruction through a single-instruction
-//! compiled plan served by [`CompileCache::instruction_plan`]. Both paths
-//! produce byte-identical traces for the same workload — pinned by
+//! compiled plan served by [`CompileCache::plan`]. Both paths produce
+//! byte-identical traces for the same workload — pinned by
 //! `tests/trace_divergence.rs` and the corpus goldens — so a trace digest
 //! pins an execution across engines, thread counts and processes.
 //!
 //! See `BENCH_schema.md` for the wire format and [`crate::corpus`] for the
 //! golden workload corpus built on top.
 
+use crate::functional::EngineMode;
 use ap::{ApEngine, ApInstruction, ApProgram, Operand, PlanGeometry};
 use apc::CompileCache;
 use cam::CamStats;
@@ -629,16 +630,6 @@ fn decode_event(cursor: &mut Cursor<'_>) -> Result<TraceEvent, TraceError> {
     }
 }
 
-/// How [`trace_program`] executes each instruction.
-#[derive(Debug, Clone, Copy)]
-pub enum TraceEngine<'a> {
-    /// The reference per-pass interpreter ([`ApEngine::execute`]).
-    Interpreter,
-    /// Per-instruction compiled plans served from the shared cache
-    /// ([`CompileCache::instruction_plan`]).
-    Plan(&'a CompileCache),
-}
-
 /// A seeded single-bit fault to inject during a traced run: just before the
 /// record with index [`record`](Self::record) executes, the stored bit at
 /// (`col`, `domain`, `row`) is flipped via [`cam::BitPlaneArray::flip_bit`].
@@ -678,7 +669,10 @@ fn digest_written(engine: &ApEngine, instruction: &ApInstruction) -> ap::Result<
 /// array's pass log if it is not already on. With a `fault`, the specified
 /// bit is flipped immediately before the matching record executes.
 ///
-/// The interpreter and [`TraceEngine::Plan`] modes append byte-identical
+/// In [`EngineMode::Plan`] each instruction runs as a one-instruction
+/// program lowered through [`CompileCache::plan`]; instructions repeat
+/// heavily across slices and units, so each distinct `(instruction,
+/// geometry)` pair is lowered once. Both modes append byte-identical
 /// records for the same program and array state.
 ///
 /// # Errors
@@ -688,7 +682,8 @@ fn digest_written(engine: &ApEngine, instruction: &ApInstruction) -> ap::Result<
 pub fn trace_program(
     engine: &mut ApEngine,
     program: &ApProgram,
-    mode: TraceEngine<'_>,
+    mode: EngineMode,
+    cache: &CompileCache,
     recorder: &mut TraceRecorder,
     fault: Option<&FaultSpec>,
 ) -> ap::Result<()> {
@@ -707,9 +702,10 @@ pub fn trace_program(
         }
         let before = engine.stats();
         match mode {
-            TraceEngine::Interpreter => engine.execute(instruction)?,
-            TraceEngine::Plan(cache) => {
-                engine.run_plan(&cache.instruction_plan(instruction, geometry))?;
+            EngineMode::Interpreter => engine.execute(instruction)?,
+            EngineMode::Plan => {
+                let program = ApProgram::from_instructions(vec![instruction.clone()]);
+                engine.run_plan(&cache.plan(&program, geometry))?;
             }
         }
         let passes = engine.array_mut().take_pass_log();
@@ -953,7 +949,7 @@ mod tests {
         ])
     }
 
-    fn trace_with(mode_plan: bool, fault: Option<&FaultSpec>) -> ExecutionTrace {
+    fn trace_with(mode: EngineMode, fault: Option<&FaultSpec>) -> ExecutionTrace {
         let mut engine = engine(6);
         engine
             .load_column(&Operand::new(0, 0, 4, false), &[1, 2, 3, 4, 5, 6])
@@ -962,18 +958,21 @@ mod tests {
             .load_column(&Operand::new(1, 0, 4, false), &[3, 1, 4, 1, 5, 9])
             .expect("load b");
         let cache = CompileCache::new();
-        let mode = if mode_plan {
-            TraceEngine::Plan(&cache)
-        } else {
-            TraceEngine::Interpreter
-        };
         let mut recorder = TraceRecorder::new(&TraceHeader {
             label: "unit-test".to_string(),
             act_bits: 4,
             batch: 1,
             grid: (1, 1),
         });
-        trace_program(&mut engine, &add_program(), mode, &mut recorder, fault).expect("traced run");
+        trace_program(
+            &mut engine,
+            &add_program(),
+            mode,
+            &cache,
+            &mut recorder,
+            fault,
+        )
+        .expect("traced run");
         recorder.finish(&[])
     }
 
@@ -996,8 +995,8 @@ mod tests {
 
     #[test]
     fn interpreter_and_plan_traces_are_byte_identical() {
-        let interpreted = trace_with(false, None);
-        let planned = trace_with(true, None);
+        let interpreted = trace_with(EngineMode::Interpreter, None);
+        let planned = trace_with(EngineMode::Plan, None);
         assert_eq!(interpreted.bytes(), planned.bytes());
         assert_eq!(
             TraceDiff::first_divergence(&interpreted, &planned).expect("diff"),
@@ -1014,7 +1013,7 @@ mod tests {
 
     #[test]
     fn injected_fault_diverges_at_the_faulted_record() {
-        let clean = trace_with(false, None);
+        let clean = trace_with(EngineMode::Interpreter, None);
         // Flip a bit of operand `a` right before the add-in-place executes.
         let fault = FaultSpec {
             record: 2,
@@ -1022,7 +1021,7 @@ mod tests {
             domain: 1,
             row: 3,
         };
-        let faulted = trace_with(false, Some(&fault));
+        let faulted = trace_with(EngineMode::Interpreter, Some(&fault));
         let divergence = TraceDiff::first_divergence(&clean, &faulted)
             .expect("diff")
             .expect("traces differ");
@@ -1042,7 +1041,7 @@ mod tests {
 
     #[test]
     fn header_round_trips() {
-        let trace = trace_with(false, None);
+        let trace = trace_with(EngineMode::Interpreter, None);
         let header = trace.header().expect("header");
         assert_eq!(header.label, "unit-test");
         assert_eq!(header.act_bits, 4);

@@ -4,14 +4,17 @@
 //! payloads goes to a [`RequestExecutor`], which returns per-request outputs
 //! plus the *modeled* service latency the hardware model assigns the batch.
 //! The canonical executor, [`BackendExecutor`], runs each batch through
-//! [`FunctionalBackend::run_batch_prepared`] against a shared
-//! [`apc::CompileCache`], so every replica and every scenario of a sweep
-//! compiles each distinct layer exactly once.
+//! [`FunctionalBackend::run_batch`], the backend's one batch entry, against a
+//! shared [`apc::CompileCache`], so every replica and every scenario of a
+//! sweep compiles and partitions each distinct layer exactly once. A warm
+//! batch looks its layers up by signature: a `micro_cnn`
+//! batch makes 379 heap allocations at B = 8 and 136 at B = 1, capped at 420
+//! and 160 by `tests/functional_allocations.rs`.
 
 use crate::config::ms_to_ns;
 use crate::error::Result;
 use apc::CompileCache;
-use camdnn::{FunctionalBackend, InferenceBackend, PreparedModel};
+use camdnn::{FunctionalBackend, InferenceBackend};
 use std::sync::Arc;
 use tnn::model::ModelGraph;
 use tnn::Tensor;
@@ -60,7 +63,7 @@ pub trait RequestExecutor: Send + Sync {
 #[derive(Clone)]
 pub struct BackendExecutor {
     backend: Arc<FunctionalBackend>,
-    model: Arc<PreparedModel>,
+    model: Arc<ModelGraph>,
     cache: Arc<CompileCache>,
 }
 
@@ -68,15 +71,14 @@ impl std::fmt::Debug for BackendExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackendExecutor")
             .field("backend", &self.backend.name())
-            .field("model", &self.model.model().name())
+            .field("model", &self.model.name())
             .finish()
     }
 }
 
 impl BackendExecutor {
     /// Wraps `backend` serving `model`, memoising layer compilation in
-    /// `cache`. The model's weighted layers are prepared here, once, so a
-    /// served batch clones and hashes no weights.
+    /// `cache`.
     pub fn new(
         backend: Arc<FunctionalBackend>,
         model: Arc<ModelGraph>,
@@ -84,7 +86,7 @@ impl BackendExecutor {
     ) -> Self {
         BackendExecutor {
             backend,
-            model: Arc::new(PreparedModel::new(model)),
+            model,
             cache,
         }
     }
@@ -96,7 +98,7 @@ impl BackendExecutor {
 
     /// The served model.
     pub fn model(&self) -> &Arc<ModelGraph> {
-        self.model.model()
+        &self.model
     }
 
     /// The shared compile cache.
@@ -111,9 +113,7 @@ impl RequestExecutor for BackendExecutor {
     }
 
     fn execute(&self, inputs: &[Tensor<i64>]) -> Result<ExecutedBatch> {
-        let batch = self
-            .backend
-            .run_batch_prepared(&self.model, inputs, &self.cache)?;
+        let batch = self.backend.run_batch(&self.model, inputs, &self.cache)?;
         Ok(ExecutedBatch {
             latency_ns: ms_to_ns(batch.latency_ms),
             bit_exact: Some(batch.is_bit_exact()),

@@ -13,7 +13,8 @@ use ap::{ApController, ApEngine, ApInstruction, ApProgram, CarrySlot, Operand};
 use apc::CompileCache;
 use cam::{BitPlaneArray, CamArray, CamStats, CamTechnology};
 use camdnn::corpus::digest_hex;
-use camdnn::trace::{self, ExecutionTrace, TraceEngine, TraceHeader, TraceRecorder};
+use camdnn::trace::{self, ExecutionTrace, TraceHeader, TraceRecorder};
+use camdnn::EngineMode;
 
 fn pair(rows: usize, cols: usize, domains: usize) -> (ApController, ApEngine) {
     let scalar = CamArray::new(rows, cols, domains, CamTechnology::default()).expect("scalar");
@@ -130,7 +131,7 @@ fn golden_sub_out_of_place_column_dumps() {
 /// this suite's hand-derived anchor.
 #[test]
 fn golden_sub_out_of_place_trace_digest() {
-    fn record(plan: bool) -> ExecutionTrace {
+    fn record(mode: EngineMode) -> ExecutionTrace {
         let a = Operand::new(0, 0, 3, false);
         let b = Operand::new(1, 0, 3, false);
         let d = Operand::new(2, 0, 5, true);
@@ -146,22 +147,18 @@ fn golden_sub_out_of_place_trace_digest() {
         engine.load_column(&b, &[3, 6, 7]).expect("load b");
         engine.load_column(&d, &[11, -9, 3]).expect("load d");
         let cache = CompileCache::new();
-        let mode = if plan {
-            TraceEngine::Plan(&cache)
-        } else {
-            TraceEngine::Interpreter
-        };
         let mut recorder = TraceRecorder::new(&TraceHeader {
             label: "golden-sub".to_string(),
             act_bits: 0,
             batch: 0,
             grid: (1, 1),
         });
-        trace::trace_program(&mut engine, &program, mode, &mut recorder, None).expect("traced run");
+        trace::trace_program(&mut engine, &program, mode, &cache, &mut recorder, None)
+            .expect("traced run");
         recorder.finish(&[])
     }
-    let interpreted = record(false);
-    let planned = record(true);
+    let interpreted = record(EngineMode::Interpreter);
+    let planned = record(EngineMode::Plan);
     assert_eq!(
         interpreted.bytes(),
         planned.bytes(),

@@ -20,7 +20,7 @@ use ap::{ApEngine, ApInstruction, ApProgram, CarrySlot, Operand};
 use apc::{CompileCache, CompilerOptions, TileGrid};
 use cam::{BitPlaneArray, CamTechnology};
 use camdnn::trace::{
-    self, ExecutionTrace, FaultSpec, TraceDiff, TraceEngine, TraceEvent, TraceHeader, TraceRecorder,
+    self, ExecutionTrace, FaultSpec, TraceDiff, TraceEvent, TraceHeader, TraceRecorder,
 };
 use camdnn::{EngineMode, FunctionalBackend};
 use proptest::prelude::*;
@@ -106,22 +106,17 @@ fn random_instruction(operands: &[Operand], rng: &mut ChaCha8Rng) -> ApInstructi
 fn record_program(
     engine: &mut ApEngine,
     program: &ApProgram,
-    plan: bool,
+    mode: EngineMode,
     fault: Option<&FaultSpec>,
 ) -> ExecutionTrace {
     let cache = CompileCache::new();
-    let mode = if plan {
-        TraceEngine::Plan(&cache)
-    } else {
-        TraceEngine::Interpreter
-    };
     let mut recorder = TraceRecorder::new(&TraceHeader {
         label: "divergence-suite".to_string(),
         act_bits: 0,
         batch: 0,
         grid: (1, 1),
     });
-    trace::trace_program(engine, program, mode, &mut recorder, fault).expect("traced run");
+    trace::trace_program(engine, program, mode, &cache, &mut recorder, fault).expect("traced run");
     recorder.finish(&[])
 }
 
@@ -187,8 +182,8 @@ proptest! {
             .map(|_| random_instruction(&operands, &mut rng))
             .collect();
 
-        let left = record_program(&mut interpreted, &program, false, None);
-        let right = record_program(&mut planned, &program, true, None);
+        let left = record_program(&mut interpreted, &program, EngineMode::Interpreter, None);
+        let right = record_program(&mut planned, &program, EngineMode::Plan, None);
         prop_assert_eq!(left.bytes(), right.bytes(), "engine paths recorded different traces");
         prop_assert_eq!(TraceDiff::first_divergence(&left, &right).expect("diff"), None);
     }
@@ -215,8 +210,13 @@ proptest! {
             .collect();
         // All-Clear programs have no fault target; nothing to check there.
         if let Some((record, fault)) = fault_for(&program, rows, &mut rng) {
-            let clean = record_program(&mut clean_engine, &program, false, None);
-            let faulted = record_program(&mut faulted_engine, &program, false, Some(&fault));
+            let clean = record_program(&mut clean_engine, &program, EngineMode::Interpreter, None);
+            let faulted = record_program(
+                &mut faulted_engine,
+                &program,
+                EngineMode::Interpreter,
+                Some(&fault),
+            );
             let divergence = TraceDiff::first_divergence(&clean, &faulted)
                 .expect("diff")
                 .expect("a read-operand bit flip must change the faulted record");
