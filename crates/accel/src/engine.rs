@@ -33,11 +33,12 @@ impl AcceleratorModel {
         let tech = &cfg.cam_tech;
         let layout = &layer.layout;
         let stats = &layer.stats;
-        let positions = layer.output_positions as f64;
-        let rows = positions; // active rows across all row groups
-                              // Channel groups beyond the configured limit stay resident in the same AP
-                              // (additional patch column sets) and run sequentially, so only
-                              // `effective_channel_groups` APs exchange partial sums.
+        // Active rows across all row groups: one per output position.
+        let active_rows = layer.output_positions as u64;
+        let rows = active_rows as f64;
+        // Channel groups beyond the configured limit stay resident in the same AP
+        // (additional patch column sets) and run sequentially, so only
+        // `effective_channel_groups` APs exchange partial sums.
         let effective_channel_groups = layout
             .channel_groups
             .clamp(1, cfg.max_channel_groups.max(1));
@@ -45,32 +46,24 @@ impl AcceleratorModel {
         let row_groups = layout.row_groups.max(1) as f64;
 
         // --- Channel-wise DFG phase -------------------------------------------------
-        let dfg_cycles = stats.total_cycles.saturating_sub(stats.accumulation_cycles) as f64;
-        let dfg_searched = stats
-            .searched_bits_per_row
-            .saturating_sub(stats.accumulation_searched_bits_per_row)
-            as f64;
-        let dfg_written = stats
-            .written_bits_per_row
-            .saturating_sub(stats.accumulation_written_bits_per_row)
-            as f64;
-        let dfg_energy = dfg_searched * rows * tech.search_energy_per_bit_fj
-            + dfg_written * rows * tech.write_energy_per_bit_fj;
+        // Searches and writes over every active row; the controller is priced
+        // per AP below.
+        let dfg = stats.dfg.priced(tech, active_rows);
+        let dfg_energy = dfg.search_fj + dfg.write_fj;
         // Each slice's cycles execute in every row-group copy of its channel group.
         let controller_energy = stats.total_cycles as f64
             * row_groups
             * (tech.controller_energy_per_cycle_fj + cfg.instruction_overhead_fj);
         // Channel groups work in parallel; output tiles and resident channels are
         // sequential inside one AP (already part of the per-slice totals).
-        let dfg_latency = dfg_cycles / channel_groups * tech.search_latency_ns;
+        let dfg_latency =
+            stats.dfg.compute_cycles() as f64 / channel_groups * tech.search_latency_ns;
 
         // --- Local accumulation (inside each AP) ------------------------------------
-        let local_acc_energy = stats.accumulation_searched_bits_per_row as f64
-            * rows
-            * tech.search_energy_per_bit_fj
-            + stats.accumulation_written_bits_per_row as f64 * rows * tech.write_energy_per_bit_fj;
+        let local_acc = stats.accumulation.priced(tech, active_rows);
+        let local_acc_energy = local_acc.search_fj + local_acc.write_fj;
         let local_acc_latency =
-            stats.accumulation_cycles as f64 / channel_groups * tech.search_latency_ns;
+            stats.accumulation.compute_cycles() as f64 / channel_groups * tech.search_latency_ns;
 
         // --- Cross-AP accumulation (adder tree over channel groups) -----------------
         let merges = (effective_channel_groups.saturating_sub(1)) as f64;
@@ -78,7 +71,6 @@ impl AcceleratorModel {
         // One in-place addition of `final_bits` per output channel per merge, SIMD
         // over the rows: 4 passes (8 cycles) per bit, 3 key bits searched and ~1 bit
         // written per row per pass.
-        let merge_add_cycles = merges * layer.cout as f64 * final_bits * 8.0;
         let merge_add_energy = merges
             * layer.cout as f64
             * final_bits
@@ -100,7 +92,6 @@ impl AcceleratorModel {
         let accumulation_energy = local_acc_energy + merge_add_energy + requant_energy;
         let accumulation_latency =
             local_acc_latency + merge_latency + requant_cycles * tech.search_latency_ns;
-        let _ = merge_add_cycles;
 
         // --- Data movement -----------------------------------------------------------
         let psum_bits = cfg.psum_transfer_bits.map(f64::from).unwrap_or(final_bits);
@@ -121,7 +112,7 @@ impl AcceleratorModel {
         // --- Peripherals --------------------------------------------------------------
         // Controller/instruction cache plus the sense-amplifier energy of staging the
         // input activations and reading out the finished outputs.
-        let staging_bits = stats.io_bits_per_row as f64 * rows + ofm_bits;
+        let staging_bits = stats.dfg.io_written_bits as f64 * rows + ofm_bits;
         let peripherals_energy = controller_energy + staging_bits * tech.read_energy_per_bit_fj;
 
         LayerReport {

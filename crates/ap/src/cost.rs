@@ -1,60 +1,40 @@
 use crate::{ApInstruction, Lut, LutKind, Operand};
-use cam::{CamStats, CamTechnology};
-use serde::{Deserialize, Serialize};
+use cam::CamStats;
 
-/// Closed-form cost of one instruction, expressed as the CAM event counters it
-/// generates plus the derived latency and energy.
+/// Analytical model of the CAM event counters of AP instructions.
 ///
-/// The functional executor ([`ApController`](crate::ApController)) produces exact
-/// counters; this analytical model is used by the accelerator-level simulator where
-/// executing every bit of a full ImageNet network would be prohibitively slow. Both
-/// paths share the [`Lut`] pass counts so cycle counts agree; the analytical model
-/// estimates the data-dependent *written bits* by assuming half of the rows are
-/// rewritten per processed bit, which is the expectation for uniformly distributed
-/// operands.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct InstructionCost {
-    /// Estimated CAM event counters.
-    pub stats: CamStats,
-    /// Latency in nanoseconds (serial execution of the instruction).
-    pub latency_ns: f64,
-    /// Dynamic energy in femtojoules.
-    pub energy_fj: f64,
-}
-
-/// Analytical cycle/energy model for AP instructions.
+/// The functional executors produce exact counters; this closed-form model is
+/// used by the compiler, where executing every bit of a full ImageNet network
+/// would be prohibitively slow. Both paths share the [`Lut`] pass counts so
+/// cycle counts agree; the model estimates the data-dependent *written bits*
+/// by assuming half of the rows are rewritten per processed bit, which is the
+/// expectation for uniformly distributed operands. The counters are priced by
+/// [`CamStats::priced`].
 ///
 /// # Example
 ///
 /// ```
 /// use ap::{ApInstruction, CarrySlot, CostModel, Operand};
-/// use cam::CamTechnology;
 ///
-/// let model = CostModel::new(CamTechnology::default(), 256);
+/// let model = CostModel::new(256);
 /// let add = ApInstruction::AddInPlace {
 ///     a: Operand::new(0, 0, 4, false),
 ///     acc: Operand::new(1, 0, 8, true),
 ///     carry: CarrySlot::new(2, 0),
 /// };
-/// let cost = model.instruction_cost(&add);
-/// assert!(cost.latency_ns > 0.0);
-/// assert!(cost.energy_fj > 0.0);
+/// let stats = model.instruction_stats(&add);
+/// assert!(stats.compute_cycles() > 0);
+/// assert!(stats.searched_bits > 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    tech: CamTechnology,
     rows: usize,
 }
 
 impl CostModel {
     /// Creates a cost model for an AP with `rows` active SIMD rows.
-    pub fn new(tech: CamTechnology, rows: usize) -> Self {
-        CostModel { tech, rows }
-    }
-
-    /// The technology point used by the model.
-    pub fn technology(&self) -> &CamTechnology {
-        &self.tech
+    pub fn new(rows: usize) -> Self {
+        CostModel { rows }
     }
 
     /// Number of active rows assumed by the model.
@@ -67,18 +47,7 @@ impl CostModel {
         Lut::of(kind).cycles_per_bit()
     }
 
-    /// Estimated cost of a single instruction.
-    pub fn instruction_cost(&self, instruction: &ApInstruction) -> InstructionCost {
-        let stats = self.instruction_stats(instruction);
-        InstructionCost {
-            stats,
-            latency_ns: stats.latency_ns(&self.tech),
-            energy_fj: stats.energy_fj(&self.tech),
-        }
-    }
-
-    /// The estimated CAM event counters of a single instruction: the `stats` of
-    /// [`CostModel::instruction_cost`] without the derived latency and energy.
+    /// The estimated CAM event counters of a single instruction.
     ///
     /// It dispatches to the per-operation formulas below, which a code generator
     /// can also call directly while it emits instructions, without building them.
@@ -201,22 +170,6 @@ impl CostModel {
             ..CamStats::new()
         }
     }
-
-    /// Total cost of a sequence of instructions.
-    pub fn program_cost<'a, I>(&self, instructions: I) -> InstructionCost
-    where
-        I: IntoIterator<Item = &'a ApInstruction>,
-    {
-        let mut stats = CamStats::new();
-        for instruction in instructions {
-            stats += self.instruction_stats(instruction);
-        }
-        InstructionCost {
-            stats,
-            latency_ns: stats.latency_ns(&self.tech),
-            energy_fj: stats.energy_fj(&self.tech),
-        }
-    }
 }
 
 /// How many of the bits `0..width` of an operand `op` supplies a domain for:
@@ -233,9 +186,10 @@ fn known_bits(op: &Operand, width: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::CarrySlot;
+    use cam::CamTechnology;
 
     fn model() -> CostModel {
-        CostModel::new(CamTechnology::default(), 256)
+        CostModel::new(256)
     }
 
     /// The per-bit costing loop the closed-form formulas replaced, kept as their
@@ -326,7 +280,7 @@ mod tests {
         let operands =
             |width: u8| [false, true].map(move |signed| Operand::new(1, 2, width, signed));
         for rows in [1, 256] {
-            let model = CostModel::new(CamTechnology::default(), rows);
+            let model = CostModel::new(rows);
             for a_width in 0..=10u8 {
                 for b_width in [0u8, 3, 5, 9] {
                     for dest_width in 0..=14u8 {
@@ -387,9 +341,8 @@ mod tests {
             acc: Operand::new(1, 0, 8, true),
             carry: CarrySlot::new(2, 0),
         };
-        let cost = m.instruction_cost(&add);
         // 8 bits x 8 cycles + 1 carry-clear cycle.
-        assert_eq!(cost.stats.compute_cycles(), 8 * 8 + 1);
+        assert_eq!(m.instruction_stats(&add).compute_cycles(), 8 * 8 + 1);
     }
 
     #[test]
@@ -401,9 +354,8 @@ mod tests {
             dests: vec![Operand::new(2, 0, 8, true)],
             carry: CarrySlot::new(3, 0),
         };
-        let cost = m.instruction_cost(&add);
         // 8 bits x 10 cycles + 1 carry clear + 8 destination clears.
-        assert_eq!(cost.stats.compute_cycles(), 8 * 10 + 1 + 8);
+        assert_eq!(m.instruction_stats(&add).compute_cycles(), 8 * 10 + 1 + 8);
     }
 
     #[test]
@@ -421,12 +373,13 @@ mod tests {
             dests: vec![Operand::new(2, 0, 8, true)],
             carry: CarrySlot::new(3, 0),
         };
-        assert!(
-            m.instruction_cost(&in_place).latency_ns < m.instruction_cost(&out_of_place).latency_ns
+        let tech = CamTechnology::default();
+        let (in_place, out_of_place) = (
+            m.instruction_stats(&in_place),
+            m.instruction_stats(&out_of_place),
         );
-        assert!(
-            m.instruction_cost(&in_place).energy_fj < m.instruction_cost(&out_of_place).energy_fj
-        );
+        assert!(in_place.latency_ns(&tech) < out_of_place.latency_ns(&tech));
+        assert!(in_place.energy_fj(&tech) < out_of_place.energy_fj(&tech));
     }
 
     #[test]
@@ -443,8 +396,8 @@ mod tests {
             carry: CarrySlot::new(2, 0),
         };
         assert!(
-            m.instruction_cost(&narrow).stats.compute_cycles()
-                < m.instruction_cost(&wide).stats.compute_cycles()
+            m.instruction_stats(&narrow).compute_cycles()
+                < m.instruction_stats(&wide).compute_cycles()
         );
     }
 
@@ -463,26 +416,9 @@ mod tests {
             dests: vec![Operand::new(2, 0, 8, true), Operand::new(3, 0, 8, true)],
             carry: CarrySlot::new(4, 0),
         };
-        let c1 = m.instruction_cost(&single);
-        let c2 = m.instruction_cost(&double);
-        assert_eq!(c1.stats.compute_cycles(), c2.stats.compute_cycles());
-        assert!(c2.stats.written_bits > c1.stats.written_bits);
-    }
-
-    #[test]
-    fn program_cost_accumulates() {
-        let m = model();
-        let add = ApInstruction::AddInPlace {
-            a: Operand::new(0, 0, 4, false),
-            acc: Operand::new(1, 0, 8, true),
-            carry: CarrySlot::new(2, 0),
-        };
-        let single = m.instruction_cost(&add);
-        let program = m.program_cost([&add, &add, &add]);
-        assert_eq!(
-            program.stats.compute_cycles(),
-            3 * single.stats.compute_cycles()
-        );
-        assert!((program.latency_ns - 3.0 * single.latency_ns).abs() < 1e-9);
+        let c1 = m.instruction_stats(&single);
+        let c2 = m.instruction_stats(&double);
+        assert_eq!(c1.compute_cycles(), c2.compute_cycles());
+        assert!(c2.written_bits > c1.written_bits);
     }
 }

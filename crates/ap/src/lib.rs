@@ -16,8 +16,8 @@
 //! * [`ApEngine`] — the word-parallel executor over a [`cam::BitPlaneArray`]:
 //!   the same instruction surface and the same [`cam::CamStats`] accounting, but
 //!   each LUT pass runs as bitwise operations over 64 rows per word,
-//! * [`CostModel`] — the closed-form cycle/energy model used when simulating full
-//!   networks where bit-level execution would be prohibitively slow.
+//! * [`CostModel`] — the closed-form model of the same counters, used when
+//!   compiling full networks where bit-level execution would be prohibitively slow.
 //!
 //! # Example
 //!
@@ -54,7 +54,7 @@ mod plan;
 mod program;
 
 pub use controller::ApController;
-pub use cost::{CostModel, InstructionCost};
+pub use cost::CostModel;
 pub use engine::ApEngine;
 pub use error::ApError;
 pub use isa::{ApInstruction, CarrySlot};

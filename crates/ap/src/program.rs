@@ -1,4 +1,4 @@
-use crate::{ApInstruction, CostModel, InstructionCost};
+use crate::ApInstruction;
 use serde::{Deserialize, Serialize};
 
 /// An ordered sequence of associative-processor instructions, typically the output
@@ -7,8 +7,7 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use ap::{ApInstruction, ApProgram, CarrySlot, CostModel, Operand};
-/// use cam::CamTechnology;
+/// use ap::{ApInstruction, ApProgram, CarrySlot, Operand};
 ///
 /// let mut program = ApProgram::new();
 /// program.push(ApInstruction::AddInPlace {
@@ -17,8 +16,6 @@ use serde::{Deserialize, Serialize};
 ///     carry: CarrySlot::new(2, 0),
 /// });
 /// assert_eq!(program.arithmetic_count(), 1);
-/// let cost = program.cost(&CostModel::new(CamTechnology::default(), 256));
-/// assert!(cost.latency_ns > 0.0);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ApProgram {
@@ -90,11 +87,6 @@ impl ApProgram {
             .count()
     }
 
-    /// Estimated cost of the whole program under `model`.
-    pub fn cost(&self, model: &CostModel) -> InstructionCost {
-        model.program_cost(self.instructions.iter())
-    }
-
     /// Largest column index referenced by the program, if any. Used to validate that
     /// a program fits in a CAM of a given width.
     pub fn max_column(&self) -> Option<usize> {
@@ -146,7 +138,6 @@ impl IntoIterator for ApProgram {
 mod tests {
     use super::*;
     use crate::{CarrySlot, Operand};
-    use cam::CamTechnology;
 
     fn sample_program() -> ApProgram {
         let a = Operand::new(0, 0, 4, false);
@@ -184,18 +175,6 @@ mod tests {
         let program = sample_program();
         assert_eq!(program.max_column(), Some(5));
         assert_eq!(ApProgram::new().max_column(), None);
-    }
-
-    #[test]
-    fn cost_equals_sum_of_instruction_costs() {
-        let program = sample_program();
-        let model = CostModel::new(CamTechnology::default(), 64);
-        let total = program.cost(&model);
-        let by_hand: u64 = program
-            .iter()
-            .map(|i| model.instruction_cost(i).stats.compute_cycles())
-            .sum();
-        assert_eq!(total.stats.compute_cycles(), by_hand);
     }
 
     #[test]

@@ -197,10 +197,38 @@ type PlanSlot = Arc<OnceLock<Arc<PassPlan>>>;
 /// allocated — and cannot be reused by another layer — while the key exists.
 type SlicePlanKey = (usize, PlanGeometry);
 type SlicePlanEntry = (Arc<CompiledLayer>, Arc<[PlanSlot]>);
-/// Partition plans depend on the layer, everything the layout depends on and
-/// the tile grid.
-type PartitionKey = (LayerSignature, CompilerOptions, TileGrid);
+/// Partition plans depend on what the layout reads of a layer — its name and
+/// dimensions, not its weights — on the options and on the tile grid. They
+/// are keyed by name first, so a hit clones nothing.
+type PartitionKey = (LayerDims, CompilerOptions, TileGrid);
 type PartitionSlot = Arc<OnceLock<std::result::Result<Arc<PartitionPlan>, ApcError>>>;
+
+/// The dimensions of a weighted layer: its [`LayerSignature`] without the
+/// name and the weights.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LayerDims {
+    cin: usize,
+    cout: usize,
+    kernel: (usize, usize),
+    stride: usize,
+    padding: usize,
+    input_hw: (usize, usize),
+    output_hw: (usize, usize),
+}
+
+impl LayerDims {
+    fn of(layer: &ConvLayerInfo) -> Self {
+        LayerDims {
+            cin: layer.cin,
+            cout: layer.cout,
+            kernel: layer.kernel,
+            stride: layer.stride,
+            padding: layer.padding,
+            input_hw: layer.input_hw,
+            output_hw: layer.output_hw,
+        }
+    }
+}
 
 /// One compiled layer's pass plans for one array geometry (see
 /// [`CompileCache::slice_plans`]), indexed by slice.
@@ -245,7 +273,7 @@ pub struct CompileCache {
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     slice_plan_slots: Mutex<HashMap<SlicePlanKey, SlicePlanEntry>>,
-    partition_slots: Mutex<HashMap<PartitionKey, PartitionSlot>>,
+    partition_slots: Mutex<HashMap<String, Vec<(PartitionKey, PartitionSlot)>>>,
     partition_hits: AtomicU64,
     partition_misses: AtomicU64,
 }
@@ -504,9 +532,10 @@ impl CompileCache {
     }
 
     /// Partitions `layer` across `grid`, reusing a previous plan for the
-    /// same `(layer signature, options, grid)` triple if one exists — the
+    /// same layer name and dimensions, options and grid if one exists — the
     /// partitioning counterpart of [`compile`](Self::compile), computed
-    /// exactly once even under concurrent requests.
+    /// exactly once even under concurrent requests. Layers that differ only
+    /// in their weights share a plan.
     ///
     /// # Errors
     ///
@@ -519,13 +548,24 @@ impl CompileCache {
         options: &CompilerOptions,
         grid: TileGrid,
     ) -> Result<Arc<PartitionPlan>> {
-        let key = (LayerSignature::of(layer), *options, grid);
+        let key = (LayerDims::of(layer), *options, grid);
         let slot = {
             let mut slots = self
                 .partition_slots
                 .lock()
                 .expect("partition cache poisoned");
-            Arc::clone(slots.entry(key).or_default())
+            let named = match slots.get_mut(layer.name.as_str()) {
+                Some(named) => named,
+                None => slots.entry(layer.name.clone()).or_default(),
+            };
+            match named.iter().find(|(entry, _)| *entry == key) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = PartitionSlot::default();
+                    named.push((key, Arc::clone(&slot)));
+                    slot
+                }
+            }
         };
         let mut computed = false;
         let result = slot.get_or_init(|| {
@@ -552,8 +592,8 @@ impl CompileCache {
     }
 
     /// The partition-cache hit/miss counters accumulated so far. `misses`
-    /// equals the number of distinct `(layer signature, options, grid)`
-    /// triples ever partitioned.
+    /// equals the number of distinct (layer name and dimensions, options,
+    /// grid) keys ever partitioned.
     pub fn partition_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.partition_hits.load(Ordering::Relaxed),
@@ -920,6 +960,19 @@ mod tests {
             .partition(layer, &bad, grid)
             .expect_err("must not fit");
         assert_eq!(cache.partition_stats(), CacheStats { hits: 2, misses: 3 });
+        // Weights do not enter a plan, so a reweighted layer shares it; a
+        // renamed one does not.
+        let mut reweighted = layer.clone();
+        reweighted.weights = tnn::TernaryTensor::random(layer.weights.shape().to_vec(), 0.3, 77);
+        assert_ne!(reweighted.weights, layer.weights);
+        let shared = cache.partition(&reweighted, &options, grid).expect("plan");
+        assert!(Arc::ptr_eq(&first, &shared));
+        assert_eq!(cache.partition_stats(), CacheStats { hits: 3, misses: 3 });
+        let mut renamed = layer.clone();
+        renamed.name.push_str("_copy");
+        let own = cache.partition(&renamed, &options, grid).expect("plan");
+        assert!(!Arc::ptr_eq(&first, &own));
+        assert_eq!(cache.partition_stats(), CacheStats { hits: 3, misses: 4 });
     }
 
     #[test]

@@ -42,12 +42,12 @@ pub struct GeneratedSlice {
     pub out_of_place: u64,
     /// Number of temporary columns used by CSE signals.
     pub temp_columns_used: usize,
-    /// Estimated CAM counters of the whole stream.
-    pub cost: CamStats,
-    /// The part of [`GeneratedSlice::cost`] spent by instructions whose
-    /// destination lies in the accumulator-column region: the local part of the
-    /// accumulation phase (the split reported in Fig. 4 of the paper); the rest is
-    /// the channel-wise DFG phase.
+    /// Estimated CAM counters of the instructions whose destination lies
+    /// outside the accumulator-column region: the channel-wise DFG phase.
+    pub dfg_cost: CamStats,
+    /// Estimated CAM counters of the instructions whose destination lies in
+    /// the accumulator-column region: the local part of the accumulation phase
+    /// (the split reported in Fig. 4 of the paper).
     pub accumulation_cost: CamStats,
 }
 
@@ -76,9 +76,10 @@ struct Emitter<'a> {
 
 impl Emitter<'_> {
     fn book(&mut self, stats: CamStats, dest: &Operand) {
-        self.generated.cost += stats;
         if dest.col >= self.acc_col_start {
             self.generated.accumulation_cost += stats;
+        } else {
+            self.generated.dfg_cost += stats;
         }
     }
 
@@ -195,7 +196,7 @@ pub fn generate(
             in_place: 0,
             out_of_place: 0,
             temp_columns_used: allocation.temp_columns_used,
-            cost: CamStats::new(),
+            dfg_cost: CamStats::new(),
             accumulation_cost: CamStats::new(),
         },
         keep_program,
@@ -318,7 +319,7 @@ mod tests {
     }
 
     fn per_row_model() -> CostModel {
-        CostModel::new(CamTechnology::default(), 1)
+        CostModel::new(1)
     }
 
     fn lower(rows: Vec<Vec<i8>>, act_bits: u8, cse: bool) -> (Dfg, LayerLayout, GeneratedSlice) {

@@ -9,7 +9,7 @@ use crate::expr::SignalId;
 use crate::layout::{CamGeometry, LayerLayout};
 use crate::{CompileStats, Result};
 use ap::{ApProgram, CostModel};
-use cam::CamTechnology;
+use cam::CamStats;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tnn::model::{ConvLayerInfo, ModelGraph};
@@ -209,7 +209,7 @@ impl LayerCompiler {
         };
         // Cost accounting uses a single-row model: bit counts per row scale linearly
         // with the number of active rows and are multiplied by the accelerator model.
-        let per_row_model = CostModel::new(CamTechnology::default(), 1);
+        let per_row_model = CostModel::new(1);
         let lowering = Lowering {
             keep_programs: options.keep_programs,
             layout: &layout,
@@ -241,11 +241,13 @@ impl LayerCompiler {
                 continue;
             }
             // Accumulator-clearing prologue, once per tile.
-            let prologue = codegen::tile_prologue(&layout, range.len());
-            let prologue_cost = prologue.cost(&per_row_model);
+            let prologue: CamStats = codegen::tile_prologue(&layout, range.len())
+                .iter()
+                .map(|instruction| per_row_model.instruction_stats(instruction))
+                .sum();
             for variant in variants.iter_mut().flatten() {
-                variant.stats.total_cycles += prologue_cost.stats.compute_cycles();
-                variant.stats.written_bits_per_row += prologue_cost.stats.written_bits;
+                variant.stats.total_cycles += prologue.compute_cycles();
+                variant.stats.dfg += prologue;
             }
 
             for channel in 0..layer.cin {
@@ -271,9 +273,7 @@ impl LayerCompiler {
                 for variant in variants.iter_mut().flatten() {
                     variant.stats.nonzero_weights += nonzeros;
                     variant.stats.baseline_adds_subs += baseline_ops;
-                }
-                if let Some(shapes) = &mut shapes {
-                    shapes.slices += 1;
+                    variant.stats += lowering.slice_stats();
                 }
 
                 let mut unroll = (shapes.is_none() && wants(&variants, false)).then(|| {
@@ -326,7 +326,7 @@ impl LayerCompiler {
         if let (Some(shapes), Some(unroll)) = (shapes, unroll) {
             let variant = &mut variants[unroll];
             if let Ok(accumulated) = variant {
-                match shapes.total(lowering.slice_stats()) {
+                match shapes.total() {
                     Ok(stats) => accumulated.stats += stats,
                     Err(error) => *variant = Err(error),
                 }
@@ -432,21 +432,18 @@ impl Lowering<'_> {
             self.per_row_model,
             self.keep_programs,
         )?;
-        let (cost, acc_cost) = (&generated.cost, &generated.accumulation_cost);
+        let (dfg_cost, acc_cost) = (generated.dfg_cost, generated.accumulation_cost);
         let stats = CompileStats {
             counted_adds_subs: generated.counted_ops,
             accumulate_ops: generated.accumulate_ops,
             in_place: generated.in_place,
             out_of_place: generated.out_of_place,
             cse_signals: dfg.signals.derived() as u64,
-            total_cycles: cost.compute_cycles(),
-            accumulation_cycles: acc_cost.compute_cycles(),
-            accumulation_searched_bits_per_row: acc_cost.searched_bits,
-            accumulation_written_bits_per_row: acc_cost.written_bits,
-            searched_bits_per_row: cost.searched_bits,
-            written_bits_per_row: cost.written_bits,
+            total_cycles: dfg_cost.compute_cycles() + acc_cost.compute_cycles(),
+            dfg: dfg_cost,
+            accumulation: acc_cost,
             max_temp_columns: generated.temp_columns_used as u64,
-            ..self.slice_stats()
+            ..CompileStats::default()
         };
         Ok(LoweredSlice {
             stats,
@@ -454,11 +451,14 @@ impl Lowering<'_> {
         })
     }
 
-    /// What every slice books however its rows compile: itself, and the
-    /// staging of its patch inputs.
+    /// What every slice books besides its lowering, however its rows
+    /// compile: itself, and the staging of its patch inputs.
     fn slice_stats(&self) -> CompileStats {
         CompileStats {
-            io_bits_per_row: (self.layout.patch_size as u64) * self.layout.act_bits as u64,
+            dfg: CamStats {
+                io_written_bits: (self.layout.patch_size as u64) * self.layout.act_bits as u64,
+                ..CamStats::new()
+            },
             slices: 1,
             ..CompileStats::default()
         }
@@ -473,17 +473,14 @@ impl Lowering<'_> {
 /// terms: no cost formula reads an operand's column. The table lowers one
 /// row of each sign sequence, through that same lowering, the first time the
 /// sequence appears, and counts the rows of each; a slice's statistics are
-/// the sum of its rows' plus [`Lowering::slice_stats`].
+/// the sum of its rows' (the walk books [`Lowering::slice_stats`] per slice).
 struct RowShapes {
     /// A binary trie over sign sequences, node 0 being the empty one: each
     /// node's children by the sign of the next term (positive, negative), 0
     /// where absent, and the index in `booked` of the sequence ending there.
     nodes: Vec<([usize; 2], Option<usize>)>,
-    /// Per distinct sign sequence: one row's lowering, without the slice's
-    /// own fields, and the rows counted.
+    /// Per distinct sign sequence: one row's lowering and the rows counted.
     booked: Vec<(Result<CompileStats>, u64)>,
-    /// Slices counted.
-    slices: u64,
     /// The buffers of the one-row lowerings.
     buffers: SliceBuffers,
 }
@@ -493,7 +490,6 @@ impl RowShapes {
         RowShapes {
             nodes: vec![([0; 2], None)],
             booked: Vec::new(),
-            slices: 0,
             buffers: SliceBuffers::default(),
         }
     }
@@ -519,25 +515,18 @@ impl RowShapes {
             };
         }
         let index = *self.nodes[node].1.get_or_insert_with(|| {
-            // A row is part of a slice, not one: the slice's own fields are
-            // booked once per slice.
-            let row_stats = lower(&mut self.buffers).map(|lowered| CompileStats {
-                io_bits_per_row: 0,
-                slices: 0,
-                ..lowered.stats
-            });
+            let row_stats = lower(&mut self.buffers).map(|lowered| lowered.stats);
             self.booked.push((row_stats, 0));
             self.booked.len() - 1
         });
         self.booked[index].1 += 1;
     }
 
-    /// Every counted row's and slice's statistics, or the first error met
-    /// lowering a row.
-    fn total(self, slice: CompileStats) -> Result<CompileStats> {
+    /// Every counted row's statistics, or the first error met lowering a row.
+    fn total(self) -> Result<CompileStats> {
         self.booked
             .into_iter()
-            .try_fold(slice * self.slices, |total, (row, rows)| {
+            .try_fold(CompileStats::default(), |total, (row, rows)| {
                 Ok(total + row? * rows)
             })
     }
@@ -570,7 +559,7 @@ mod tests {
             layer,
             options.temp_budget,
         )?;
-        let per_row_model = CostModel::new(CamTechnology::default(), 1);
+        let per_row_model = CostModel::new(1);
         let mut stats = CompileStats::new();
         let mut slices = options.keep_programs.then(Vec::new);
         for tile in 0..layout.output_tiles {
@@ -578,9 +567,11 @@ mod tests {
             if range.is_empty() {
                 continue;
             }
-            let prologue_cost = codegen::tile_prologue(&layout, range.len()).cost(&per_row_model);
-            stats.total_cycles += prologue_cost.stats.compute_cycles();
-            stats.written_bits_per_row += prologue_cost.stats.written_bits;
+            for instruction in codegen::tile_prologue(&layout, range.len()).iter() {
+                let counters = per_row_model.instruction_stats(instruction);
+                stats.total_cycles += counters.compute_cycles();
+                stats.dfg += counters;
+            }
             for channel in 0..layer.cin {
                 let channel_in_group = channel % layout.channels_per_group;
                 let slice = WeightSlice::from_layer_channel(layer, channel, range.clone())?;
@@ -609,17 +600,17 @@ mod tests {
                     &per_row_model,
                     true,
                 )?;
-                let mut cost = cam::CamStats::new();
-                let mut acc_cost = cam::CamStats::new();
                 for instruction in generated.program.iter() {
                     let counters = per_row_model.instruction_stats(instruction);
-                    cost += counters;
+                    stats.total_cycles += counters.compute_cycles();
                     if instruction
                         .destinations()
                         .iter()
                         .any(|d| d.col >= layout.acc_col_start)
                     {
-                        acc_cost += counters;
+                        stats.accumulation += counters;
+                    } else {
+                        stats.dfg += counters;
                     }
                 }
                 stats.counted_adds_subs += generated.counted_ops;
@@ -627,13 +618,7 @@ mod tests {
                 stats.in_place += generated.in_place;
                 stats.out_of_place += generated.out_of_place;
                 stats.cse_signals += dfg.signals.derived() as u64;
-                stats.total_cycles += cost.compute_cycles();
-                stats.accumulation_cycles += acc_cost.compute_cycles();
-                stats.accumulation_searched_bits_per_row += acc_cost.searched_bits;
-                stats.accumulation_written_bits_per_row += acc_cost.written_bits;
-                stats.searched_bits_per_row += cost.searched_bits;
-                stats.written_bits_per_row += cost.written_bits;
-                stats.io_bits_per_row += (layout.patch_size as u64) * layout.act_bits as u64;
+                stats.dfg.io_written_bits += (layout.patch_size as u64) * layout.act_bits as u64;
                 stats.max_temp_columns = stats
                     .max_temp_columns
                     .max(generated.temp_columns_used as u64);
@@ -830,60 +815,54 @@ mod tests {
 
     /// The instruction counts and cost fields of `compiled.stats`, recomputed
     /// from its retained programs: every instruction costed by
-    /// [`CostModel::instruction_stats`] (and, when its destination is an
-    /// accumulator column, also into the accumulation split), plus the tile
-    /// prologues.
-    fn stats_from_programs(compiled: &CompiledLayer) -> [u64; 8] {
-        let model = CostModel::new(CamTechnology::default(), 1);
+    /// [`CostModel::instruction_stats`] into the accumulation half when its
+    /// destination is an accumulator column and into the DFG half otherwise,
+    /// plus the tile prologues and the staging of every slice's patch inputs.
+    fn stats_from_programs(compiled: &CompiledLayer) -> (u64, u64, u64, CamStats, CamStats) {
+        let model = CostModel::new(1);
         let layout = &compiled.layout;
-        let mut cost = cam::CamStats::new();
-        let mut acc_cost = cam::CamStats::new();
+        let mut dfg = CamStats::new();
+        let mut accumulation = CamStats::new();
         let (mut in_place, mut out_of_place) = (0, 0);
         for tile in 0..layout.output_tiles {
             let outputs = layout.tile_range(tile, compiled.cout).len();
             if outputs > 0 {
-                cost += codegen::tile_prologue(layout, outputs).cost(&model).stats;
+                dfg += codegen::tile_prologue(layout, outputs)
+                    .iter()
+                    .map(|instruction| model.instruction_stats(instruction))
+                    .sum();
             }
         }
         for slice in compiled.slices.as_ref().expect("programs retained") {
             in_place += slice.program.in_place_count() as u64;
             out_of_place += slice.program.out_of_place_count() as u64;
+            dfg.io_written_bits += (layout.patch_size * usize::from(layout.act_bits)) as u64;
             for instruction in slice.program.iter() {
                 let counters = model.instruction_stats(instruction);
-                cost += counters;
                 if instruction
                     .destinations()
                     .iter()
                     .any(|d| d.col >= layout.acc_col_start)
                 {
-                    acc_cost += counters;
+                    accumulation += counters;
+                } else {
+                    dfg += counters;
                 }
             }
         }
-        [
-            in_place,
-            out_of_place,
-            cost.compute_cycles(),
-            cost.searched_bits,
-            cost.written_bits,
-            acc_cost.compute_cycles(),
-            acc_cost.searched_bits,
-            acc_cost.written_bits,
-        ]
+        let total_cycles = dfg.compute_cycles() + accumulation.compute_cycles();
+        (in_place, out_of_place, total_cycles, dfg, accumulation)
     }
 
     /// The fields of `stats` that [`stats_from_programs`] recomputes.
-    fn program_fields(stats: &CompileStats) -> [u64; 8] {
-        [
+    fn program_fields(stats: &CompileStats) -> (u64, u64, u64, CamStats, CamStats) {
+        (
             stats.in_place,
             stats.out_of_place,
             stats.total_cycles,
-            stats.searched_bits_per_row,
-            stats.written_bits_per_row,
-            stats.accumulation_cycles,
-            stats.accumulation_searched_bits_per_row,
-            stats.accumulation_written_bits_per_row,
-        ]
+            stats.dfg,
+            stats.accumulation,
+        )
     }
 
     proptest! {

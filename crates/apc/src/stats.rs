@@ -1,3 +1,4 @@
+use cam::CamStats;
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul};
 
@@ -5,11 +6,12 @@ use std::ops::{Add, AddAssign, Mul};
 /// summed), feeding both Table II (`#Adds/Subs`, `#Arrays`) and the accelerator-level
 /// energy/latency model.
 ///
-/// Cycle and bit counters are *per slice-execution*: the total over all
-/// (channel, output-tile) slice programs of the layer. The accelerator model turns
-/// them into latency by dividing the cycle count over the channel groups that run in
-/// parallel, and into energy by multiplying the per-row bit counts with the number of
-/// active rows.
+/// The modeled cost is per slice-execution and per CAM row: the
+/// [`CamStats`] of every (channel, output-tile) slice program of the layer,
+/// costed by [`ap::CostModel`] on one row, in two disjoint halves. The
+/// accelerator model prices them over the layer's active rows with
+/// [`CamStats::priced`] and divides their cycles over the channel groups
+/// that run in parallel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompileStats {
     /// Add/sub operations that construct output values (the paper's `#Adds/Subs`).
@@ -31,21 +33,16 @@ pub struct CompileStats {
     /// exceeded the column budget.
     pub cse_fallbacks: u64,
     /// Compute cycles summed over every slice program (all channels, all output
-    /// tiles) including tile prologues.
+    /// tiles) including tile prologues: the compute cycles of
+    /// [`CompileStats::dfg`] and [`CompileStats::accumulation`] together.
     pub total_cycles: u64,
-    /// Subset of [`CompileStats::total_cycles`] spent accumulating finished values
-    /// into the persistent output columns (the local part of the accumulation phase).
-    pub accumulation_cycles: u64,
-    /// Key bits searched per CAM row by accumulation instructions.
-    pub accumulation_searched_bits_per_row: u64,
-    /// Bits written per CAM row by accumulation instructions.
-    pub accumulation_written_bits_per_row: u64,
-    /// Key bits searched per CAM row, summed over every slice program.
-    pub searched_bits_per_row: u64,
-    /// Bits written per CAM row, summed over every slice program.
-    pub written_bits_per_row: u64,
-    /// Bits of input activations staged into the array per CAM row (I/O).
-    pub io_bits_per_row: u64,
+    /// Per-row cost of the channel-wise DFG phase: every instruction that does
+    /// not write an accumulator column, the tile prologues, and the staging of
+    /// the patch inputs (`io_written_bits`).
+    pub dfg: CamStats,
+    /// Per-row cost of accumulating finished values into the persistent output
+    /// columns (the local part of the accumulation phase).
+    pub accumulation: CamStats,
     /// Largest number of temporary columns needed by any slice.
     pub max_temp_columns: u64,
     /// Number of compiled slice programs.
@@ -98,14 +95,8 @@ impl Add for CompileStats {
             nonzero_weights: self.nonzero_weights + rhs.nonzero_weights,
             cse_fallbacks: self.cse_fallbacks + rhs.cse_fallbacks,
             total_cycles: self.total_cycles + rhs.total_cycles,
-            accumulation_cycles: self.accumulation_cycles + rhs.accumulation_cycles,
-            accumulation_searched_bits_per_row: self.accumulation_searched_bits_per_row
-                + rhs.accumulation_searched_bits_per_row,
-            accumulation_written_bits_per_row: self.accumulation_written_bits_per_row
-                + rhs.accumulation_written_bits_per_row,
-            searched_bits_per_row: self.searched_bits_per_row + rhs.searched_bits_per_row,
-            written_bits_per_row: self.written_bits_per_row + rhs.written_bits_per_row,
-            io_bits_per_row: self.io_bits_per_row + rhs.io_bits_per_row,
+            dfg: self.dfg + rhs.dfg,
+            accumulation: self.accumulation + rhs.accumulation,
             max_temp_columns: self.max_temp_columns.max(rhs.max_temp_columns),
             slices: self.slices + rhs.slices,
         }
@@ -134,12 +125,8 @@ impl Mul<u64> for CompileStats {
             nonzero_weights: self.nonzero_weights * rhs,
             cse_fallbacks: self.cse_fallbacks * rhs,
             total_cycles: self.total_cycles * rhs,
-            accumulation_cycles: self.accumulation_cycles * rhs,
-            accumulation_searched_bits_per_row: self.accumulation_searched_bits_per_row * rhs,
-            accumulation_written_bits_per_row: self.accumulation_written_bits_per_row * rhs,
-            searched_bits_per_row: self.searched_bits_per_row * rhs,
-            written_bits_per_row: self.written_bits_per_row * rhs,
-            io_bits_per_row: self.io_bits_per_row * rhs,
+            dfg: self.dfg * rhs,
+            accumulation: self.accumulation * rhs,
             max_temp_columns: if rhs == 0 { 0 } else { self.max_temp_columns },
             slices: self.slices * rhs,
         }

@@ -43,14 +43,14 @@ fn bench_ap_add(c: &mut Criterion) {
 }
 
 fn bench_cost_model(c: &mut Criterion) {
-    let model = CostModel::new(CamTechnology::default(), 256);
+    let model = CostModel::new(256);
     let add = ApInstruction::AddInPlace {
         a: Operand::new(0, 0, 4, false),
         acc: Operand::new(1, 0, 12, true),
         carry: CarrySlot::new(2, 0),
     };
     c.bench_function("cost_model_in_place_add", |b| {
-        b.iter(|| black_box(model.instruction_cost(black_box(&add))))
+        b.iter(|| black_box(model.instruction_stats(black_box(&add))))
     });
 }
 

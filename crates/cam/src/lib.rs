@@ -55,7 +55,7 @@ pub use array::CamArray;
 pub use bitplane::{BitPlaneArray, PackedTags, PlaneAccess};
 pub use error::CamError;
 pub use key::SearchKey;
-pub use stats::CamStats;
+pub use stats::{CamCost, CamStats};
 pub use tag::TagVector;
 pub use technology::CamTechnology;
 

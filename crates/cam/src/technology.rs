@@ -15,9 +15,7 @@ use serde::{Deserialize, Serialize};
 /// use cam::CamTechnology;
 ///
 /// let tech = CamTechnology::default();
-/// // One masked search over 3 key bits across 256 rows:
-/// let energy_fj = tech.search_energy_fj(3, 256);
-/// assert!(energy_fj > 0.0);
+/// assert!(tech.search_energy_per_bit_fj > 0.0);
 /// assert!(tech.search_latency_ns <= 0.2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,25 +57,6 @@ impl CamTechnology {
         Self::default()
     }
 
-    /// Energy in femtojoules of one masked search with `key_bits` masked columns over
-    /// `rows` rows, including the controller overhead.
-    pub fn search_energy_fj(&self, key_bits: usize, rows: usize) -> f64 {
-        (key_bits * rows) as f64 * self.search_energy_per_bit_fj
-            + self.controller_energy_per_cycle_fj
-    }
-
-    /// Energy in femtojoules of one parallel write of `write_bits` columns into
-    /// `tagged_rows` rows, including the controller overhead.
-    pub fn write_energy_fj(&self, write_bits: usize, tagged_rows: usize) -> f64 {
-        (write_bits * tagged_rows) as f64 * self.write_energy_per_bit_fj
-            + self.controller_energy_per_cycle_fj
-    }
-
-    /// Energy in femtojoules of reading `bits` bits out of the array.
-    pub fn read_energy_fj(&self, bits: usize) -> f64 {
-        bits as f64 * self.read_energy_per_bit_fj
-    }
-
     /// Latency in nanoseconds of one search cycle followed by one write cycle
     /// (a single associative-processor *pass*).
     pub fn pass_latency_ns(&self) -> f64 {
@@ -103,11 +82,17 @@ mod tests {
     #[test]
     fn energy_scales_with_rows_and_bits() {
         let tech = CamTechnology::default();
-        let small = tech.search_energy_fj(3, 16);
-        let large = tech.search_energy_fj(3, 256);
-        assert!(large > small);
-        let wide = tech.search_energy_fj(6, 16);
-        assert!(wide > small);
+        let search = |key_bits: u64, rows: u64| {
+            let stats = crate::CamStats {
+                search_cycles: 1,
+                searched_bits: key_bits,
+                ..crate::CamStats::new()
+            };
+            stats.priced(&tech, rows).search_fj
+        };
+        let small = search(3, 16);
+        assert!(search(3, 256) > small);
+        assert!(search(6, 16) > small);
     }
 
     #[test]

@@ -61,23 +61,6 @@ impl RtmTechnology {
         Self::default()
     }
 
-    /// Total energy in femtojoules for a given access trace.
-    ///
-    /// `shifts`, `reads`, and `writes` are event counts as collected by
-    /// [`AccessStats`](crate::AccessStats).
-    pub fn energy_fj(&self, shifts: u64, reads: u64, writes: u64) -> f64 {
-        shifts as f64 * self.shift_energy_fj
-            + reads as f64 * self.read_energy_fj
-            + writes as f64 * self.write_energy_fj
-    }
-
-    /// Total latency in nanoseconds for a given serial access trace.
-    pub fn latency_ns(&self, shifts: u64, reads: u64, writes: u64) -> f64 {
-        shifts as f64 * self.shift_latency_ns
-            + reads as f64 * self.read_latency_ns
-            + writes as f64 * self.write_latency_ns
-    }
-
     /// Estimated device lifetime in years assuming `writes_per_second` uniform writes
     /// to the most-stressed location.
     ///
@@ -101,16 +84,6 @@ mod tests {
         assert_eq!(tech.domains_per_track, 64);
         assert_eq!(tech.access_ports, 1);
         assert!((tech.endurance_cycles - 1.0e16).abs() < 1.0);
-    }
-
-    #[test]
-    fn energy_and_latency_are_linear_in_counts() {
-        let tech = RtmTechnology::default();
-        let one = tech.energy_fj(1, 1, 1);
-        let ten = tech.energy_fj(10, 10, 10);
-        assert!((ten - 10.0 * one).abs() < 1e-9);
-        let l1 = tech.latency_ns(1, 0, 0);
-        assert!((l1 - tech.shift_latency_ns).abs() < 1e-12);
     }
 
     #[test]
