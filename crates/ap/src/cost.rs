@@ -1,11 +1,11 @@
-use crate::{ApInstruction, Lut, LutKind, Operand};
+use crate::{ApInstruction, LutKind, Operand};
 use cam::CamStats;
 
 /// Analytical model of the CAM event counters of AP instructions.
 ///
 /// The functional executors produce exact counters; this closed-form model is
 /// used by the compiler, where executing every bit of a full ImageNet network
-/// would be prohibitively slow. Both paths share the [`Lut`] pass counts so
+/// would be prohibitively slow. Both paths share the [`Lut`](crate::Lut) pass counts so
 /// cycle counts agree; the model estimates the data-dependent *written bits*
 /// by assuming half of the rows are rewritten per processed bit, which is the
 /// expectation for uniformly distributed operands. The counters are priced by
@@ -35,16 +35,6 @@ impl CostModel {
     /// Creates a cost model for an AP with `rows` active SIMD rows.
     pub fn new(rows: usize) -> Self {
         CostModel { rows }
-    }
-
-    /// Number of active rows assumed by the model.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Cycles per bit of the given operation kind (search + write cycles).
-    pub fn cycles_per_bit(kind: LutKind) -> u64 {
-        Lut::of(kind).cycles_per_bit()
     }
 
     /// The estimated CAM event counters of a single instruction.

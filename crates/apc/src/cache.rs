@@ -67,6 +67,31 @@ use tnn::model::{ConvLayerInfo, ModelGraph};
 pub struct LayerSignature {
     /// Layer name (propagated into the compiled result, so part of the key).
     pub name: String,
+    /// The layer's dimensions.
+    pub dims: LayerDims,
+    /// Number of weight values.
+    pub weight_len: usize,
+    /// Digest of the ternary weight values, eight per mixing step (an
+    /// in-memory cache key, not a stable format).
+    pub weight_digest: u64,
+}
+
+impl LayerSignature {
+    /// Computes the signature of `layer`.
+    pub fn of(layer: &ConvLayerInfo) -> Self {
+        LayerSignature {
+            name: layer.name.clone(),
+            dims: LayerDims::of(layer),
+            weight_len: layer.weights.len(),
+            weight_digest: digest_weights(layer.weights.as_slice()),
+        }
+    }
+}
+
+/// The dimensions of a weighted layer: all that its layout and partition
+/// plan read of it besides its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LayerDims {
     /// Input channels.
     pub cin: usize,
     /// Output channels.
@@ -81,19 +106,12 @@ pub struct LayerSignature {
     pub input_hw: (usize, usize),
     /// Output spatial size.
     pub output_hw: (usize, usize),
-    /// Number of weight values.
-    pub weight_len: usize,
-    /// Digest of the ternary weight values, eight per mixing step (an
-    /// in-memory cache key, not a stable format).
-    pub weight_digest: u64,
 }
 
-impl LayerSignature {
-    /// Computes the signature of `layer`.
+impl LayerDims {
+    /// The dimensions of `layer`.
     pub fn of(layer: &ConvLayerInfo) -> Self {
-        let digest = digest_weights(layer.weights.as_slice());
-        LayerSignature {
-            name: layer.name.clone(),
+        LayerDims {
             cin: layer.cin,
             cout: layer.cout,
             kernel: layer.kernel,
@@ -101,8 +119,6 @@ impl LayerSignature {
             padding: layer.padding,
             input_hw: layer.input_hw,
             output_hw: layer.output_hw,
-            weight_len: layer.weights.len(),
-            weight_digest: digest,
         }
     }
 }
@@ -198,37 +214,10 @@ type PlanSlot = Arc<OnceLock<Arc<PassPlan>>>;
 type SlicePlanKey = (usize, PlanGeometry);
 type SlicePlanEntry = (Arc<CompiledLayer>, Arc<[PlanSlot]>);
 /// Partition plans depend on what the layout reads of a layer — its name and
-/// dimensions, not its weights — on the options and on the tile grid. They
-/// are keyed by name first, so a hit clones nothing.
+/// dimensions, not its weights — on the options and on the tile grid. The
+/// names share a bucket per key, so a hit clones nothing.
 type PartitionKey = (LayerDims, CompilerOptions, TileGrid);
 type PartitionSlot = Arc<OnceLock<std::result::Result<Arc<PartitionPlan>, ApcError>>>;
-
-/// The dimensions of a weighted layer: its [`LayerSignature`] without the
-/// name and the weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LayerDims {
-    cin: usize,
-    cout: usize,
-    kernel: (usize, usize),
-    stride: usize,
-    padding: usize,
-    input_hw: (usize, usize),
-    output_hw: (usize, usize),
-}
-
-impl LayerDims {
-    fn of(layer: &ConvLayerInfo) -> Self {
-        LayerDims {
-            cin: layer.cin,
-            cout: layer.cout,
-            kernel: layer.kernel,
-            stride: layer.stride,
-            padding: layer.padding,
-            input_hw: layer.input_hw,
-            output_hw: layer.output_hw,
-        }
-    }
-}
 
 /// One compiled layer's pass plans for one array geometry (see
 /// [`CompileCache::slice_plans`]), indexed by slice.
@@ -273,7 +262,7 @@ pub struct CompileCache {
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     slice_plan_slots: Mutex<HashMap<SlicePlanKey, SlicePlanEntry>>,
-    partition_slots: Mutex<HashMap<String, Vec<(PartitionKey, PartitionSlot)>>>,
+    partition_slots: Mutex<HashMap<PartitionKey, Vec<(String, PartitionSlot)>>>,
     partition_hits: AtomicU64,
     partition_misses: AtomicU64,
 }
@@ -548,21 +537,19 @@ impl CompileCache {
         options: &CompilerOptions,
         grid: TileGrid,
     ) -> Result<Arc<PartitionPlan>> {
-        let key = (LayerDims::of(layer), *options, grid);
         let slot = {
             let mut slots = self
                 .partition_slots
                 .lock()
                 .expect("partition cache poisoned");
-            let named = match slots.get_mut(layer.name.as_str()) {
-                Some(named) => named,
-                None => slots.entry(layer.name.clone()).or_default(),
-            };
-            match named.iter().find(|(entry, _)| *entry == key) {
+            let named = slots
+                .entry((LayerDims::of(layer), *options, grid))
+                .or_default();
+            match named.iter().find(|(name, _)| *name == layer.name) {
                 Some((_, slot)) => Arc::clone(slot),
                 None => {
                     let slot = PartitionSlot::default();
-                    named.push((key, Arc::clone(&slot)));
+                    named.push((layer.name.clone(), Arc::clone(&slot)));
                     slot
                 }
             }

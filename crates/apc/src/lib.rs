@@ -58,7 +58,7 @@ pub mod partition;
 mod passes;
 mod stats;
 
-pub use cache::{CacheStats, CompileCache, LayerSignature, PlanSummary, SlicePlans};
+pub use cache::{CacheStats, CompileCache, LayerDims, LayerSignature, PlanSummary, SlicePlans};
 pub use error::ApcError;
 pub use partition::{
     plan_stages, PartitionCompiler, PartitionPlan, PartitionReport, PartitionUnit, StageLayer,
