@@ -34,6 +34,21 @@ fn prologue_write_cycles(compiled: &CompiledLayer, outputs: usize) -> u64 {
         .sum()
 }
 
+/// The [`CamStats`] of a trace record's delta, stored in field declaration
+/// order.
+fn stats_of(delta: [u64; 8]) -> CamStats {
+    CamStats {
+        search_cycles: delta[0],
+        searched_bits: delta[1],
+        write_cycles: delta[2],
+        written_bits: delta[3],
+        read_bits: delta[4],
+        read_ops: delta[5],
+        shifts: delta[6],
+        io_written_bits: delta[7],
+    }
+}
+
 /// Per weighted node of one traced sample: the summed instruction deltas and
 /// the write cycles of the prologues its units ran.
 fn executed_per_node(
@@ -55,19 +70,9 @@ fn executed_per_node(
                 executed.entry(frame.node_id).or_default().1 += prologue;
             }
             TraceEvent::Instruction(record) => {
-                let [search_cycles, searched_bits, write_cycles, written_bits, read_bits, read_ops, shifts, io_written_bits] =
-                    record.stats_delta;
-                let entry = executed.get_mut(&node.expect("a unit frame opens the records"));
-                entry.expect("node booked").0 += CamStats {
-                    search_cycles,
-                    searched_bits,
-                    write_cycles,
-                    written_bits,
-                    read_bits,
-                    read_ops,
-                    shifts,
-                    io_written_bits,
-                };
+                let node = node.expect("a unit frame opens the records");
+                let entry = executed.get_mut(&node).expect("node booked");
+                entry.0 += stats_of(record.stats_delta);
             }
             _ => {}
         }
