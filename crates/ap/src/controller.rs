@@ -1,16 +1,22 @@
 use crate::{ApError, ApInstruction, ApProgram, CarrySlot, Lut, LutKind, Operand, Result};
-use cam::{CamArray, CamStats, SearchKey, TagVector};
+use cam::{AssociativeArray, CamStats, SearchKey};
 
-/// A functional, bit-accurate associative-processor controller.
+/// A functional, bit-accurate associative-processor controller over either
+/// array model.
 ///
-/// The controller owns a [`CamArray`] and executes [`ApInstruction`]s against it by
-/// issuing the masked-search / parallel-write passes of the corresponding
-/// [`Lut`]. Every row of the array computes independently, so one instruction
-/// performs the operation for all SIMD lanes (output feature-map positions) at once.
+/// The controller owns an [`AssociativeArray`] and executes
+/// [`ApInstruction`]s against it by issuing the masked-search /
+/// parallel-write passes of the corresponding [`Lut`]. Every row of the array
+/// computes independently, so one instruction performs the operation for all
+/// SIMD lanes (output feature-map positions) at once.
 ///
-/// The controller is the ground truth used by tests and small-scale simulations; the
-/// accelerator-level simulator uses the matching [`CostModel`](crate::CostModel) for
-/// full networks.
+/// Over the per-cell [`cam::CamArray`] it is the structural ground truth; over
+/// the word-parallel [`cam::BitPlaneArray`] it is [`ApEngine`](crate::ApEngine),
+/// what the fast `functional` inference backend runs. The pass sequence is the
+/// same code for both, so the two arrays see the identical align, search and
+/// write calls, and the `engine_equivalence` suite pins their column reads,
+/// tag vectors and [`CamStats`] bit-identical. The matching
+/// [`CostModel`](crate::CostModel) prices the same counters in closed form.
 ///
 /// # Example
 ///
@@ -31,14 +37,21 @@ use cam::{CamArray, CamStats, SearchKey, TagVector};
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct ApController {
-    array: CamArray,
+pub struct ApController<A> {
+    pub(crate) array: A,
+    /// Union-mask buffer of compiled plan sweeps, one word per row word,
+    /// reused across [`ApEngine::run_plan`](crate::ApEngine::run_plan) calls
+    /// (empty over any other array).
+    pub(crate) sweep_union: Vec<u64>,
 }
 
-impl ApController {
+impl<A: AssociativeArray> ApController<A> {
     /// Creates a controller driving `array`.
-    pub fn new(array: CamArray) -> Self {
-        ApController { array }
+    pub fn new(array: A) -> Self {
+        ApController {
+            array,
+            sweep_union: Vec::new(),
+        }
     }
 
     /// Number of SIMD rows of the underlying array.
@@ -46,18 +59,18 @@ impl ApController {
         self.array.rows()
     }
 
-    /// Shared access to the underlying CAM array.
-    pub fn array(&self) -> &CamArray {
+    /// Shared access to the underlying array.
+    pub fn array(&self) -> &A {
         &self.array
     }
 
-    /// Mutable access to the underlying CAM array.
-    pub fn array_mut(&mut self) -> &mut CamArray {
+    /// Mutable access to the underlying array.
+    pub fn array_mut(&mut self) -> &mut A {
         &mut self.array
     }
 
     /// Consumes the controller and returns the underlying array.
-    pub fn into_inner(self) -> CamArray {
+    pub fn into_inner(self) -> A {
         self.array
     }
 
@@ -85,12 +98,15 @@ impl ApController {
                 found: values.len(),
             });
         }
-        if !operand.signed {
-            if let Some(&bad) = values.iter().find(|&&v| v < 0) {
-                return Err(ApError::InvalidOperand {
-                    reason: format!("negative value {bad} loaded into unsigned operand"),
-                });
-            }
+        // The OR of the values is negative exactly when some value is.
+        if !operand.signed && values.iter().fold(0, |any, &v| any | v) < 0 {
+            let bad = values
+                .iter()
+                .find(|&&v| v < 0)
+                .expect("some value is negative");
+            return Err(ApError::InvalidOperand {
+                reason: format!("negative value {bad} loaded into unsigned operand"),
+            });
         }
         self.array
             .write_column_values(operand.col, operand.base, operand.width, values)?;
@@ -103,20 +119,42 @@ impl ApController {
     ///
     /// Returns a wrapped CAM error when the operand is out of range.
     pub fn read_column(&mut self, operand: &Operand) -> Result<Vec<i64>> {
-        Ok(self.array.read_column_values(
+        let mut values = Vec::with_capacity(self.array.rows());
+        self.read_column_into(operand, &mut values)?;
+        Ok(values)
+    }
+
+    /// [`read_column`](Self::read_column), appending the row values to `out`
+    /// (so one buffer can collect many columns).
+    ///
+    /// # Errors
+    ///
+    /// Returns a wrapped CAM error when the operand is out of range; `out`
+    /// may then hold a prefix of the column.
+    pub fn read_column_into(&mut self, operand: &Operand, out: &mut Vec<i64>) -> Result<()> {
+        Ok(self.array.read_column_values_into(
             operand.col,
             operand.base,
             operand.width,
             operand.signed,
+            out,
         )?)
     }
 
     /// Executes a whole program in order.
     ///
+    /// When [`telemetry`] recording is on, books `ap.interpreter.runs` and
+    /// `ap.interpreter.instructions` once per program (never per
+    /// instruction); with recording off the cost is a single relaxed load.
+    ///
     /// # Errors
     ///
     /// Returns the first error encountered; earlier instructions remain applied.
     pub fn run(&mut self, program: &ApProgram) -> Result<()> {
+        if telemetry::enabled() {
+            telemetry::count("ap.interpreter.runs", 1);
+            telemetry::count("ap.interpreter.instructions", program.len() as u64);
+        }
         for instruction in program.iter() {
             self.execute(instruction)?;
         }
@@ -159,7 +197,7 @@ impl ApController {
 
     fn clear_carry(&mut self, carry: CarrySlot) -> Result<()> {
         self.array.align_column(carry.col, carry.domain)?;
-        let tags = TagVector::all_set(self.array.rows());
+        let tags = self.array.all_tags();
         self.array
             .write_tagged(&tags, &SearchKey::new().with(carry.col, false))?;
         Ok(())
@@ -186,6 +224,33 @@ impl ApController {
         }
         self.clear_carry(carry)?;
         let lut = Lut::of(kind);
+        // The search keys and write patterns of each pass are fixed for the whole
+        // instruction (only the aligned domains change per bit), so they are built
+        // once here instead of per pass inside the bit loop.
+        let keyed_passes = |with_a: bool| -> Vec<(SearchKey, SearchKey)> {
+            let passes = if with_a {
+                lut.passes().to_vec()
+            } else {
+                lut.passes_with_constant_a(false)
+            };
+            passes
+                .iter()
+                .map(|pass| {
+                    let mut key = SearchKey::new()
+                        .with(carry.col, pass.key_carry)
+                        .with(acc.col, pass.key_b);
+                    if with_a {
+                        key.set(a.col, pass.key_a);
+                    }
+                    let pattern = SearchKey::new()
+                        .with(carry.col, pass.write_carry)
+                        .with(acc.col, pass.write_result);
+                    (key, pattern)
+                })
+                .collect()
+        };
+        let with_a_passes = keyed_passes(true);
+        let constant_a_passes = keyed_passes(false);
         for bit in 0..acc.width as usize {
             self.array.align_column(acc.col, acc.base + bit)?;
             let a_domain = a.domain_for_bit(bit);
@@ -194,21 +259,12 @@ impl ApController {
             }
             self.array.align_column(carry.col, carry.domain)?;
             let passes = match a_domain {
-                Some(_) => lut.passes().to_vec(),
-                None => lut.passes_with_constant_a(false),
+                Some(_) => &with_a_passes,
+                None => &constant_a_passes,
             };
-            for pass in passes {
-                let mut key = SearchKey::new()
-                    .with(carry.col, pass.key_carry)
-                    .with(acc.col, pass.key_b);
-                if a_domain.is_some() {
-                    key.set(a.col, pass.key_a);
-                }
-                let tags = self.array.search(&key)?;
-                let pattern = SearchKey::new()
-                    .with(carry.col, pass.write_carry)
-                    .with(acc.col, pass.write_result);
-                self.array.write_tagged(&tags, &pattern)?;
+            for (key, pattern) in passes {
+                let tags = self.array.search(key)?;
+                self.array.write_tagged(&tags, pattern)?;
             }
         }
         Ok(())
@@ -257,6 +313,34 @@ impl ApController {
         }
         let lut = Lut::of(kind);
         let width = first.width as usize;
+        // The applicable passes and their key/pattern pairs depend only on
+        // whether the a/b bits are physically present (they flip once at each
+        // operand's width boundary), so all four regimes are built up front
+        // instead of per pass inside the bit loop.
+        let keyed_passes = |a_present: bool, b_present: bool| -> Vec<(SearchKey, SearchKey)> {
+            lut.passes()
+                .iter()
+                .filter(|pass| (a_present || !pass.key_a) && (b_present || !pass.key_b))
+                .map(|pass| {
+                    let mut key = SearchKey::new().with(carry.col, pass.key_carry);
+                    if b_present {
+                        key.set(b.col, pass.key_b);
+                    }
+                    if a_present {
+                        key.set(a.col, pass.key_a);
+                    }
+                    let mut pattern = SearchKey::new().with(carry.col, pass.write_carry);
+                    for dest in dests {
+                        pattern.set(dest.col, pass.write_result);
+                    }
+                    (key, pattern)
+                })
+                .collect()
+        };
+        let regimes = [
+            [keyed_passes(false, false), keyed_passes(false, true)],
+            [keyed_passes(true, false), keyed_passes(true, true)],
+        ];
         for bit in 0..width {
             let a_domain = a.domain_for_bit(bit);
             let b_domain = b.domain_for_bit(bit);
@@ -270,25 +354,10 @@ impl ApController {
             for dest in dests {
                 self.array.align_column(dest.col, dest.base + bit)?;
             }
-            for pass in lut.passes() {
-                let a_ok = a_domain.is_some() || !pass.key_a;
-                let b_ok = b_domain.is_some() || !pass.key_b;
-                if !a_ok || !b_ok {
-                    continue;
-                }
-                let mut key = SearchKey::new().with(carry.col, pass.key_carry);
-                if b_domain.is_some() {
-                    key.set(b.col, pass.key_b);
-                }
-                if a_domain.is_some() {
-                    key.set(a.col, pass.key_a);
-                }
-                let tags = self.array.search(&key)?;
-                let mut pattern = SearchKey::new().with(carry.col, pass.write_carry);
-                for dest in dests {
-                    pattern.set(dest.col, pass.write_result);
-                }
-                self.array.write_tagged(&tags, &pattern)?;
+            let passes = &regimes[usize::from(a_domain.is_some())][usize::from(b_domain.is_some())];
+            for (key, pattern) in passes {
+                let tags = self.array.search(key)?;
+                self.array.write_tagged(&tags, pattern)?;
             }
         }
         Ok(())
@@ -313,6 +382,20 @@ impl ApController {
             }
         }
         let width = first.width as usize;
+        // Keys and patterns are fixed for the whole instruction.
+        let pattern_for = |bit_value: bool| {
+            let mut pattern = SearchKey::new();
+            for dest in dests {
+                pattern.set(dest.col, bit_value);
+            }
+            pattern
+        };
+        let keyed = [false, true].map(|bit_value| {
+            (
+                SearchKey::new().with(src.col, bit_value),
+                pattern_for(bit_value),
+            )
+        });
         for bit in 0..width {
             for dest in dests {
                 self.array.align_column(dest.col, dest.base + bit)?;
@@ -320,24 +403,14 @@ impl ApController {
             match src.domain_for_bit(bit) {
                 Some(domain) => {
                     self.array.align_column(src.col, domain)?;
-                    for bit_value in [false, true] {
-                        let tags = self
-                            .array
-                            .search(&SearchKey::new().with(src.col, bit_value))?;
-                        let mut pattern = SearchKey::new();
-                        for dest in dests {
-                            pattern.set(dest.col, bit_value);
-                        }
-                        self.array.write_tagged(&tags, &pattern)?;
+                    for (key, pattern) in &keyed {
+                        let tags = self.array.search(key)?;
+                        self.array.write_tagged(&tags, pattern)?;
                     }
                 }
                 None => {
-                    let tags = TagVector::all_set(self.array.rows());
-                    let mut pattern = SearchKey::new();
-                    for dest in dests {
-                        pattern.set(dest.col, false);
-                    }
-                    self.array.write_tagged(&tags, &pattern)?;
+                    let tags = self.array.all_tags();
+                    self.array.write_tagged(&tags, &keyed[0].1)?;
                 }
             }
         }
@@ -348,7 +421,7 @@ impl ApController {
         Self::validate_operand(dst)?;
         for bit in 0..dst.width as usize {
             self.array.align_column(dst.col, dst.base + bit)?;
-            let tags = TagVector::all_set(self.array.rows());
+            let tags = self.array.all_tags();
             self.array
                 .write_tagged(&tags, &SearchKey::new().with(dst.col, false))?;
         }
@@ -359,205 +432,319 @@ impl ApController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cam::CamTechnology;
+    use crate::ApEngine;
+    use cam::{BitPlaneArray, CamArray, CamTechnology};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    fn controller(rows: usize, cols: usize, domains: usize) -> ApController {
+    // Each case is a function generic over the array, run once on a
+    // controller over each model of the same geometry.
+
+    fn scalar(rows: usize, cols: usize, domains: usize) -> ApController<CamArray> {
         ApController::new(
             CamArray::new(rows, cols, domains, CamTechnology::default()).expect("geometry"),
         )
     }
 
+    fn packed(rows: usize, cols: usize, domains: usize) -> ApEngine {
+        ApEngine::new(
+            BitPlaneArray::new(rows, cols, domains, CamTechnology::default()).expect("geometry"),
+        )
+    }
+
     #[test]
     fn add_in_place_matches_integer_addition() {
-        let mut ap = controller(4, 4, 16);
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            let a = Operand::new(0, 0, 4, false);
+            let acc = Operand::new(1, 0, 8, true);
+            ap.load_column(&a, &[1, 7, 15, 0]).expect("load");
+            ap.load_column(&acc, &[5, -3, 100, -128]).expect("load");
+            ap.execute(&ApInstruction::AddInPlace {
+                a,
+                acc,
+                carry: CarrySlot::new(2, 0),
+            })
+            .expect("exec");
+            assert_eq!(ap.read_column(&acc).expect("read"), vec![6, 4, 115, -128]);
+        }
+        case(scalar(4, 4, 16));
+        case(packed(4, 4, 16));
+    }
+
+    #[test]
+    fn word_parallel_add_covers_rows_beyond_one_word() {
+        // 130 rows exercise two full tag words plus a partial one.
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            let rows = ap.rows() as i64;
+            let a = Operand::new(0, 0, 5, false);
+            let acc = Operand::new(1, 0, 9, true);
+            let a_vals: Vec<i64> = (0..rows).map(|i| i % 32).collect();
+            let acc_vals: Vec<i64> = (0..rows).map(|i| (i * 3) % 100 - 50).collect();
+            ap.load_column(&a, &a_vals).expect("load");
+            ap.load_column(&acc, &acc_vals).expect("load");
+            ap.execute(&ApInstruction::AddInPlace {
+                a,
+                acc,
+                carry: CarrySlot::new(2, 0),
+            })
+            .expect("exec");
+            let expected: Vec<i64> = a_vals.iter().zip(&acc_vals).map(|(x, y)| x + y).collect();
+            assert_eq!(ap.read_column(&acc).expect("read"), expected);
+        }
+        case(scalar(130, 4, 16));
+        case(packed(130, 4, 16));
+    }
+
+    #[test]
+    fn sub_in_place_matches_integer_subtraction() {
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            let a = Operand::new(0, 0, 5, true);
+            let acc = Operand::new(1, 0, 8, true);
+            ap.load_column(&a, &[3, -7, 15]).expect("load");
+            ap.load_column(&acc, &[10, 10, -20]).expect("load");
+            ap.execute(&ApInstruction::SubInPlace {
+                a,
+                acc,
+                carry: CarrySlot::new(2, 0),
+            })
+            .expect("exec");
+            assert_eq!(ap.read_column(&acc).expect("read"), vec![7, 17, -35]);
+        }
+        case(scalar(3, 4, 16));
+        case(packed(3, 4, 16));
+    }
+
+    #[test]
+    fn add_out_of_place_preserves_sources_and_fills_all_destinations() {
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            let a = Operand::new(0, 0, 4, false);
+            let b = Operand::new(1, 0, 4, false);
+            let d0 = Operand::new(2, 0, 6, true);
+            let d1 = Operand::new(3, 0, 6, true);
+            ap.load_column(&a, &[9, 2]).expect("load");
+            ap.load_column(&b, &[4, 11]).expect("load");
+            // Destinations hold garbage that must be cleared by the instruction.
+            ap.load_column(&d0, &[31, 17]).expect("load");
+            ap.execute(&ApInstruction::AddOutOfPlace {
+                a,
+                b,
+                dests: vec![d0, d1],
+                carry: CarrySlot::new(5, 0),
+            })
+            .expect("exec");
+            assert_eq!(ap.read_column(&d0).expect("read"), vec![13, 13]);
+            assert_eq!(ap.read_column(&d1).expect("read"), vec![13, 13]);
+            assert_eq!(ap.read_column(&a).expect("read"), vec![9, 2]);
+            assert_eq!(ap.read_column(&b).expect("read"), vec![4, 11]);
+        }
+        case(scalar(2, 6, 16));
+        case(packed(2, 6, 16));
+    }
+
+    #[test]
+    fn sub_out_of_place_computes_b_minus_a() {
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            let a = Operand::new(0, 0, 4, false);
+            let b = Operand::new(1, 0, 4, false);
+            let d = Operand::new(2, 0, 6, true);
+            let c = Operand::new(3, 0, 6, true);
+            ap.load_column(&a, &[5, 0, 15]).expect("load");
+            ap.load_column(&b, &[3, 9, 15]).expect("load");
+            ap.execute(&ApInstruction::SubOutOfPlace {
+                a,
+                b,
+                dests: vec![d],
+                carry: CarrySlot::new(4, 0),
+            })
+            .expect("exec");
+            assert_eq!(ap.read_column(&d).expect("read"), vec![-2, 9, 0]);
+            // The difference copies and clears like any other column.
+            ap.execute(&ApInstruction::Copy {
+                src: d,
+                dests: vec![c],
+            })
+            .expect("exec");
+            assert_eq!(ap.read_column(&c).expect("read"), vec![-2, 9, 0]);
+            ap.execute(&ApInstruction::Clear { dst: c }).expect("exec");
+            assert_eq!(ap.read_column(&c).expect("read"), vec![0, 0, 0]);
+        }
+        case(scalar(3, 5, 16));
+        case(packed(3, 5, 16));
+    }
+
+    #[test]
+    fn copy_replicates_the_source() {
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            let src = Operand::new(0, 0, 5, true);
+            let d0 = Operand::new(1, 0, 5, true);
+            let d1 = Operand::new(2, 4, 5, true);
+            ap.load_column(&src, &[-7, 3, 15]).expect("load");
+            ap.execute(&ApInstruction::Copy {
+                src,
+                dests: vec![d0, d1],
+            })
+            .expect("exec");
+            assert_eq!(ap.read_column(&d0).expect("read"), vec![-7, 3, 15]);
+            assert_eq!(ap.read_column(&d1).expect("read"), vec![-7, 3, 15]);
+        }
+        case(scalar(3, 4, 16));
+        case(packed(3, 4, 16));
+    }
+
+    #[test]
+    fn clear_zeroes_every_row() {
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            let dst = Operand::new(0, 0, 6, true);
+            ap.load_column(&dst, &[19, -11]).expect("load");
+            ap.execute(&ApInstruction::Clear { dst }).expect("exec");
+            assert_eq!(ap.read_column(&dst).expect("read"), vec![0, 0]);
+        }
+        case(scalar(2, 2, 8));
+        case(packed(2, 2, 8));
+    }
+
+    #[test]
+    fn operand_conflicts_are_rejected() {
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            let err = ap
+                .execute(&ApInstruction::AddInPlace {
+                    a: Operand::new(0, 0, 4, false),
+                    acc: Operand::new(0, 4, 4, true),
+                    carry: CarrySlot::new(1, 0),
+                })
+                .expect_err("same column must be rejected");
+            assert!(matches!(err, ApError::OperandConflict { .. }));
+
+            let err = ap
+                .execute(&ApInstruction::AddInPlace {
+                    a: Operand::new(0, 0, 4, false),
+                    acc: Operand::new(1, 0, 4, true),
+                    carry: CarrySlot::new(1, 7),
+                })
+                .expect_err("carry sharing the accumulator column must be rejected");
+            assert!(matches!(err, ApError::OperandConflict { .. }));
+        }
+        case(scalar(2, 4, 8));
+        case(packed(2, 4, 8));
+    }
+
+    #[test]
+    fn wrong_value_count_is_rejected() {
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            let a = Operand::new(0, 0, 4, false);
+            assert!(matches!(
+                ap.load_column(&a, &[1, 2]),
+                Err(ApError::WrongValueCount {
+                    expected: 4,
+                    found: 2
+                })
+            ));
+        }
+        case(scalar(4, 2, 8));
+        case(packed(4, 2, 8));
+    }
+
+    #[test]
+    fn unsigned_operand_rejects_negative_values() {
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            // The first negative value is named, and nothing is staged.
+            let a = Operand::new(0, 0, 4, false);
+            let err = ap.load_column(&a, &[3, -2, 5, -7]).expect_err("negative");
+            assert_eq!(
+                err,
+                ApError::InvalidOperand {
+                    reason: "negative value -2 loaded into unsigned operand".to_string()
+                }
+            );
+            assert_eq!(ap.stats(), CamStats::new());
+            let signed = Operand::new(0, 0, 4, true);
+            ap.load_column(&signed, &[3, -2, 5, -7]).expect("signed");
+        }
+        case(scalar(4, 2, 8));
+        case(packed(4, 2, 8));
+    }
+
+    #[test]
+    fn accumulation_chain_matches_reference() {
+        // Emulates the accumulation phase: acc starts at 0 and sums four columns.
+        fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+            let mut rng = ChaCha8Rng::seed_from_u64(7);
+            let mut reference = vec![0i64; 8];
+            let acc = Operand::new(6, 0, 12, true);
+            ap.execute(&ApInstruction::Clear { dst: acc })
+                .expect("clear");
+            for col in 0..4 {
+                let values: Vec<i64> = (0..8).map(|_| rng.gen_range(0..256)).collect();
+                let op = Operand::new(col, 0, 8, false);
+                ap.load_column(&op, &values).expect("load");
+                for (r, v) in reference.iter_mut().zip(&values) {
+                    *r += v;
+                }
+                ap.execute(&ApInstruction::AddInPlace {
+                    a: op,
+                    acc,
+                    carry: CarrySlot::new(7, 0),
+                })
+                .expect("exec");
+            }
+            assert_eq!(ap.read_column(&acc).expect("read"), reference);
+        }
+        case(scalar(8, 8, 24));
+        case(packed(8, 8, 24));
+    }
+
+    /// `acc + a` over the given rows, as the controller computes it.
+    fn add_in_place<A: AssociativeArray>(
+        mut ap: ApController<A>,
+        a_vals: &[i64],
+        acc_vals: &[i64],
+    ) -> Vec<i64> {
         let a = Operand::new(0, 0, 4, false);
-        let acc = Operand::new(1, 0, 8, true);
-        ap.load_column(&a, &[1, 7, 15, 0]).expect("load");
-        ap.load_column(&acc, &[5, -3, 100, -128]).expect("load");
+        let acc = Operand::new(1, 0, 9, true);
+        ap.load_column(&a, a_vals).expect("load");
+        ap.load_column(&acc, acc_vals).expect("load");
         ap.execute(&ApInstruction::AddInPlace {
             a,
             acc,
             carry: CarrySlot::new(2, 0),
         })
         .expect("exec");
-        assert_eq!(ap.read_column(&acc).expect("read"), vec![6, 4, 115, -128]);
+        ap.read_column(&acc).expect("read")
     }
 
-    #[test]
-    fn sub_in_place_matches_integer_subtraction() {
-        let mut ap = controller(3, 4, 16);
-        let a = Operand::new(0, 0, 5, true);
-        let acc = Operand::new(1, 0, 8, true);
-        ap.load_column(&a, &[3, -7, 15]).expect("load");
-        ap.load_column(&acc, &[10, 10, -20]).expect("load");
-        ap.execute(&ApInstruction::SubInPlace {
-            a,
-            acc,
-            carry: CarrySlot::new(2, 0),
-        })
-        .expect("exec");
-        assert_eq!(ap.read_column(&acc).expect("read"), vec![7, 17, -35]);
-    }
-
-    #[test]
-    fn add_out_of_place_preserves_sources_and_fills_all_destinations() {
-        let mut ap = controller(2, 6, 16);
-        let a = Operand::new(0, 0, 4, false);
-        let b = Operand::new(1, 0, 4, false);
-        let d0 = Operand::new(2, 0, 6, true);
-        let d1 = Operand::new(3, 0, 6, true);
-        ap.load_column(&a, &[9, 2]).expect("load");
-        ap.load_column(&b, &[4, 11]).expect("load");
-        // Destinations hold garbage that must be cleared by the instruction.
-        ap.load_column(&d0, &[31, 17]).expect("load");
-        ap.execute(&ApInstruction::AddOutOfPlace {
-            a,
-            b,
-            dests: vec![d0, d1],
-            carry: CarrySlot::new(5, 0),
-        })
-        .expect("exec");
-        assert_eq!(ap.read_column(&d0).expect("read"), vec![13, 13]);
-        assert_eq!(ap.read_column(&d1).expect("read"), vec![13, 13]);
-        assert_eq!(ap.read_column(&a).expect("read"), vec![9, 2]);
-        assert_eq!(ap.read_column(&b).expect("read"), vec![4, 11]);
-    }
-
-    #[test]
-    fn sub_out_of_place_computes_b_minus_a() {
-        let mut ap = controller(3, 5, 16);
-        let a = Operand::new(0, 0, 4, false);
-        let b = Operand::new(1, 0, 4, false);
-        let d = Operand::new(2, 0, 6, true);
-        ap.load_column(&a, &[5, 0, 15]).expect("load");
-        ap.load_column(&b, &[3, 9, 15]).expect("load");
+    /// `b - a` into a fresh column, as the controller computes it.
+    fn sub_out_of_place<A: AssociativeArray>(
+        mut ap: ApController<A>,
+        a_vals: &[i64],
+        b_vals: &[i64],
+    ) -> Vec<i64> {
+        let a = Operand::new(0, 0, 7, false);
+        let b = Operand::new(1, 0, 7, false);
+        let d = Operand::new(2, 0, 9, true);
+        ap.load_column(&a, a_vals).expect("load");
+        ap.load_column(&b, b_vals).expect("load");
         ap.execute(&ApInstruction::SubOutOfPlace {
             a,
             b,
             dests: vec![d],
-            carry: CarrySlot::new(4, 0),
+            carry: CarrySlot::new(5, 0),
         })
         .expect("exec");
-        assert_eq!(ap.read_column(&d).expect("read"), vec![-2, 9, 0]);
-    }
-
-    #[test]
-    fn copy_replicates_the_source() {
-        let mut ap = controller(3, 4, 16);
-        let src = Operand::new(0, 0, 5, true);
-        let d0 = Operand::new(1, 0, 5, true);
-        let d1 = Operand::new(2, 4, 5, true);
-        ap.load_column(&src, &[-7, 3, 15]).expect("load");
-        ap.execute(&ApInstruction::Copy {
-            src,
-            dests: vec![d0, d1],
-        })
-        .expect("exec");
-        assert_eq!(ap.read_column(&d0).expect("read"), vec![-7, 3, 15]);
-        assert_eq!(ap.read_column(&d1).expect("read"), vec![-7, 3, 15]);
-    }
-
-    #[test]
-    fn clear_zeroes_every_row() {
-        let mut ap = controller(2, 2, 8);
-        let dst = Operand::new(0, 0, 6, true);
-        ap.load_column(&dst, &[19, -11]).expect("load");
-        ap.execute(&ApInstruction::Clear { dst }).expect("exec");
-        assert_eq!(ap.read_column(&dst).expect("read"), vec![0, 0]);
-    }
-
-    #[test]
-    fn operand_conflicts_are_rejected() {
-        let mut ap = controller(2, 4, 8);
-        let a = Operand::new(0, 0, 4, false);
-        let acc = Operand::new(0, 4, 4, true);
-        let err = ap
-            .execute(&ApInstruction::AddInPlace {
-                a,
-                acc,
-                carry: CarrySlot::new(1, 0),
-            })
-            .expect_err("same column must be rejected");
-        assert!(matches!(err, ApError::OperandConflict { .. }));
-
-        let err = ap
-            .execute(&ApInstruction::AddInPlace {
-                a: Operand::new(0, 0, 4, false),
-                acc: Operand::new(1, 0, 4, true),
-                carry: CarrySlot::new(1, 7),
-            })
-            .expect_err("carry sharing the accumulator column must be rejected");
-        assert!(matches!(err, ApError::OperandConflict { .. }));
-    }
-
-    #[test]
-    fn wrong_value_count_is_rejected() {
-        let mut ap = controller(4, 2, 8);
-        let a = Operand::new(0, 0, 4, false);
-        assert!(matches!(
-            ap.load_column(&a, &[1, 2]),
-            Err(ApError::WrongValueCount {
-                expected: 4,
-                found: 2
-            })
-        ));
-    }
-
-    #[test]
-    fn unsigned_operand_rejects_negative_values() {
-        let mut ap = controller(2, 2, 8);
-        let a = Operand::new(0, 0, 4, false);
-        assert!(matches!(
-            ap.load_column(&a, &[1, -1]),
-            Err(ApError::InvalidOperand { .. })
-        ));
-    }
-
-    #[test]
-    fn accumulation_chain_matches_reference() {
-        // Emulates the accumulation phase: acc starts at 0 and sums four columns.
-        let mut ap = controller(8, 8, 24);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mut reference = vec![0i64; 8];
-        let acc = Operand::new(6, 0, 12, true);
-        ap.execute(&ApInstruction::Clear { dst: acc })
-            .expect("clear");
-        for col in 0..4 {
-            let values: Vec<i64> = (0..8).map(|_| rng.gen_range(0..256)).collect();
-            let op = Operand::new(col, 0, 8, false);
-            ap.load_column(&op, &values).expect("load");
-            for (r, v) in reference.iter_mut().zip(&values) {
-                *r += v;
-            }
-            ap.execute(&ApInstruction::AddInPlace {
-                a: op,
-                acc,
-                carry: CarrySlot::new(7, 0),
-            })
-            .expect("exec");
-        }
-        assert_eq!(ap.read_column(&acc).expect("read"), reference);
+        ap.read_column(&d).expect("read")
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
+        // Row counts on both sides of the 64-row tag word.
         #[test]
-        fn prop_add_in_place_matches_i64(
-            a_vals in proptest::collection::vec(0i64..16, 4),
-            acc_vals in proptest::collection::vec(-100i64..100, 4),
-        ) {
-            let mut ap = controller(4, 4, 16);
-            let a = Operand::new(0, 0, 4, false);
-            let acc = Operand::new(1, 0, 9, true);
-            ap.load_column(&a, &a_vals).expect("load");
-            ap.load_column(&acc, &acc_vals).expect("load");
-            ap.execute(&ApInstruction::AddInPlace { a, acc, carry: CarrySlot::new(2, 0) }).expect("exec");
+        fn prop_add_in_place_matches_i64(rows in 1usize..131, seed in 0i64..1000) {
+            let a_vals: Vec<i64> = (0..rows as i64).map(|i| (i * 7 + seed) % 16).collect();
+            let acc_vals: Vec<i64> = (0..rows as i64).map(|i| (i * 13 + seed) % 200 - 100).collect();
             let expected: Vec<i64> = a_vals.iter().zip(&acc_vals).map(|(x, y)| x + y).collect();
-            prop_assert_eq!(ap.read_column(&acc).expect("read"), expected);
+            prop_assert_eq!(add_in_place(scalar(rows, 4, 16), &a_vals, &acc_vals), expected.clone());
+            prop_assert_eq!(add_in_place(packed(rows, 4, 16), &a_vals, &acc_vals), expected);
         }
 
         #[test]
@@ -565,16 +752,9 @@ mod tests {
             a_vals in proptest::collection::vec(0i64..128, 4),
             b_vals in proptest::collection::vec(0i64..128, 4),
         ) {
-            let mut ap = controller(4, 6, 16);
-            let a = Operand::new(0, 0, 7, false);
-            let b = Operand::new(1, 0, 7, false);
-            let d = Operand::new(2, 0, 9, true);
-            ap.load_column(&a, &a_vals).expect("load");
-            ap.load_column(&b, &b_vals).expect("load");
-            ap.execute(&ApInstruction::SubOutOfPlace { a, b, dests: vec![d], carry: CarrySlot::new(5, 0) })
-                .expect("exec");
             let expected: Vec<i64> = a_vals.iter().zip(&b_vals).map(|(x, y)| y - x).collect();
-            prop_assert_eq!(ap.read_column(&d).expect("read"), expected);
+            prop_assert_eq!(sub_out_of_place(scalar(4, 6, 16), &a_vals, &b_vals), expected.clone());
+            prop_assert_eq!(sub_out_of_place(packed(4, 6, 16), &a_vals, &b_vals), expected);
         }
     }
 }

@@ -11,11 +11,13 @@
 //! * [`Lut`] — the Table I lookup tables of the paper: in-place (8 cycles/bit) and
 //!   out-of-place (10 cycles/bit) 1-bit addition and subtraction,
 //! * [`ApInstruction`] / [`ApProgram`] — the instruction set the compiler targets,
-//! * [`ApController`] — a functional, bit-accurate executor over a [`cam::CamArray`]
-//!   (the scalar ground truth),
-//! * [`ApEngine`] — the word-parallel executor over a [`cam::BitPlaneArray`]:
-//!   the same instruction surface and the same [`cam::CamStats`] accounting, but
-//!   each LUT pass runs as bitwise operations over 64 rows per word,
+//! * [`ApController`] — the functional, bit-accurate executor, generic over the
+//!   [`cam::AssociativeArray`] it drives: over the per-cell [`cam::CamArray`] it
+//!   is the structural ground truth,
+//! * [`ApEngine`] — the controller over a [`cam::BitPlaneArray`]: the same
+//!   pass sequence and the same [`cam::CamStats`] accounting, but each LUT pass
+//!   runs as bitwise operations over 64 rows per word, and programs lower into
+//!   compiled [`PassPlan`]s,
 //! * [`CostModel`] — the closed-form model of the same counters, used when
 //!   compiling full networks where bit-level execution would be prohibitively slow.
 //!

@@ -1,6 +1,6 @@
-//! Criterion benchmark: scalar [`ApController`] vs word-parallel [`ApEngine`]
-//! vs compiled [`ap::PassPlan`]s executing the compiled slice programs of a
-//! convolution layer.
+//! Criterion benchmark: the [`ApController`] over the scalar [`CamArray`] vs
+//! the word-parallel [`ApEngine`] vs compiled [`ap::PassPlan`]s executing the
+//! compiled slice programs of a convolution layer.
 //!
 //! Two acceptance figures share this work list. The bit-plane rewrite: on a
 //! full-height (256-row) array the interpreting engine must run the same
@@ -14,7 +14,7 @@
 
 use ap::{ApController, ApEngine, Operand, PassPlan, PlanGeometry};
 use apc::{CompileCache, CompiledLayer, CompilerOptions, LayerCompiler};
-use cam::{BitPlaneArray, CamArray, CamTechnology};
+use cam::{AssociativeArray, BitPlaneArray, CamArray, CamTechnology};
 use camdnn_bench::{
     append_bench_record, bench_smoke, median_and_range, utc_date_string, EngineBenchRecord,
 };
@@ -46,15 +46,22 @@ fn compiled_conv_layer() -> (ConvLayerInfo, CompiledLayer) {
     (layer, compiled)
 }
 
-/// Stages deterministic activations into an executor through the given loader.
-fn stage<F: FnMut(&Operand, &[i64])>(compiled: &CompiledLayer, rows: usize, mut load: F) {
+/// A controller over the array `new` builds, staged with deterministic
+/// activations.
+fn staged<A: AssociativeArray>(
+    compiled: &CompiledLayer,
+    new: fn(usize, usize, usize, CamTechnology) -> cam::Result<A>,
+) -> ApController<A> {
     let layout = &compiled.layout;
+    let g = layout.geometry;
+    let mut ap =
+        ApController::new(new(g.rows, g.cols, g.domains, CamTechnology::default()).expect("array"));
     for slice in compiled.slices.as_ref().expect("programs").iter() {
         if slice.tile != 0 {
             continue;
         }
         for k in 0..layout.patch_size {
-            let values: Vec<i64> = (0..rows)
+            let values: Vec<i64> = (0..g.rows)
                 .map(|row| (row as i64 * 7 + k as i64) % (1 << layout.act_bits))
                 .collect();
             let operand = Operand::new(
@@ -63,31 +70,10 @@ fn stage<F: FnMut(&Operand, &[i64])>(compiled: &CompiledLayer, rows: usize, mut 
                 layout.act_bits,
                 false,
             );
-            load(&operand, &values);
+            ap.load_column(&operand, &values).expect("load");
         }
     }
-}
-
-fn scalar_controller(compiled: &CompiledLayer) -> ApController {
-    let g = compiled.layout.geometry;
-    let mut controller = ApController::new(
-        CamArray::new(g.rows, g.cols, g.domains, CamTechnology::default()).expect("array"),
-    );
-    stage(compiled, g.rows, |operand, values| {
-        controller.load_column(operand, values).expect("load")
-    });
-    controller
-}
-
-fn bitplane_engine(compiled: &CompiledLayer) -> ApEngine {
-    let g = compiled.layout.geometry;
-    let mut engine = ApEngine::new(
-        BitPlaneArray::new(g.rows, g.cols, g.domains, CamTechnology::default()).expect("array"),
-    );
-    stage(compiled, g.rows, |operand, values| {
-        engine.load_column(operand, values).expect("load")
-    });
-    engine
+    ap
 }
 
 /// One execution unit: the tile-0 prologue plus every tile-0 slice program.
@@ -122,7 +108,7 @@ fn compiled_plans(
 fn bench_scalar_controller(c: &mut Criterion) {
     let (layer, compiled) = compiled_conv_layer();
     let programs = tile0_work(&compiled, layer.cout);
-    let mut controller = scalar_controller(&compiled);
+    let mut controller = staged(&compiled, CamArray::new);
     let mut group = c.benchmark_group("conv_layer_tile0_256_rows");
     group.sample_size(10);
     group.bench_function("scalar_controller", |b| {
@@ -138,7 +124,7 @@ fn bench_scalar_controller(c: &mut Criterion) {
 fn bench_bitplane_engine(c: &mut Criterion) {
     let (layer, compiled) = compiled_conv_layer();
     let programs = tile0_work(&compiled, layer.cout);
-    let mut engine = bitplane_engine(&compiled);
+    let mut engine = staged(&compiled, BitPlaneArray::new);
     let mut group = c.benchmark_group("conv_layer_tile0_256_rows");
     group.sample_size(10);
     group.bench_function("bitplane_engine", |b| {
@@ -154,7 +140,7 @@ fn bench_bitplane_engine(c: &mut Criterion) {
 fn bench_plan_engine(c: &mut Criterion) {
     let (layer, compiled) = compiled_conv_layer();
     let programs = tile0_work(&compiled, layer.cout);
-    let mut engine = bitplane_engine(&compiled);
+    let mut engine = staged(&compiled, BitPlaneArray::new);
     let cache = CompileCache::new();
     let plans = compiled_plans(&cache, &engine, &programs);
     let mut group = c.benchmark_group("conv_layer_tile0_256_rows");
@@ -181,8 +167,8 @@ fn engine_speedup(_c: &mut Criterion) {
     let smoke = bench_smoke();
     let (layer, compiled) = compiled_conv_layer();
     let programs = tile0_work(&compiled, layer.cout);
-    let mut controller = scalar_controller(&compiled);
-    let mut engine = bitplane_engine(&compiled);
+    let mut controller = staged(&compiled, CamArray::new);
+    let mut engine = staged(&compiled, BitPlaneArray::new);
     let cache = CompileCache::new();
     let plans = compiled_plans(&cache, &engine, &programs);
     assert_eq!(

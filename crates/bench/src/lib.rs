@@ -133,8 +133,9 @@ pub struct EngineBenchRecord {
     pub date: String,
     /// Record discriminator, always `"engine"`.
     pub bench: String,
-    /// Scalar `ApController` wall-clock per work-list iteration, ms (median
-    /// over `rounds`, as are the four fields below).
+    /// `ApController` over the scalar `cam::CamArray`: wall-clock per
+    /// work-list iteration, ms (median over `rounds`, as are the four fields
+    /// below).
     pub scalar_ms_per_iter: f64,
     /// Interpreter `ApEngine::run` wall-clock per iteration, ms.
     pub interpreter_ms_per_iter: f64,

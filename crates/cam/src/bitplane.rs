@@ -172,7 +172,8 @@ impl PackedTags {
 /// Raw word-level view of every bit-plane, for compiled pass-plan kernels.
 ///
 /// A plan compiler (see `ap`'s `PassPlan`) pre-resolves each (column, domain)
-/// pair to an absolute plane base index via [`BitPlaneArray::plane_base`]; the
+/// pair to the absolute base index `(col * domains + domain) * words` of its
+/// plane, with the stride from [`BitPlaneArray::words_for_rows`]; the
 /// monomorphized kernels then read and write whole planes through this view
 /// with zero per-pass address arithmetic or bounds branching beyond the word
 /// loop. The view carries no event accounting — callers book the identical
@@ -684,24 +685,12 @@ impl BitPlaneArray {
         Some(tagged)
     }
 
-    /// Packed words per plane for an array of `rows` rows — the plane stride
-    /// behind [`plane_base`](Self::plane_base), exposed so plan compilers can
-    /// resolve absolute plane addresses without an array instance.
+    /// Packed words per plane for an array of `rows` rows — the stride of
+    /// the [`plane_access`](Self::plane_access) view, exposed so plan
+    /// compilers can resolve absolute plane addresses without an array
+    /// instance.
     pub fn words_for_rows(rows: usize) -> usize {
         words_for(rows)
-    }
-
-    /// Base index of the bit-plane of (`col`, `domain`) inside
-    /// [`plane_access`](Self::plane_access): the plane occupies
-    /// `base..base + words` of the word view.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `col` or `domain` is out of range.
-    pub fn plane_base(&self, col: usize, domain: usize) -> Result<usize> {
-        self.check_col(col)?;
-        self.check_domain(domain)?;
-        Ok(self.plane_index(col, domain))
     }
 
     /// Word-level view of all bit-planes for compiled kernels. Mutating

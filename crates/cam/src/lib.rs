@@ -21,6 +21,8 @@
 //! (column, domain) bit of all rows into `u64` bit-planes so a search/write
 //! pass covers 64 rows per word operation — the execution substrate of the
 //! fast functional simulation path, pinned bit-identical to the scalar model.
+//! Both implement [`AssociativeArray`], the primitives an associative-processor
+//! controller drives.
 //!
 //! # Example
 //!
@@ -44,6 +46,7 @@
 #![warn(missing_debug_implementations)]
 
 mod array;
+mod associative;
 mod bitplane;
 mod error;
 mod key;
@@ -52,6 +55,7 @@ mod tag;
 mod technology;
 
 pub use array::CamArray;
+pub use associative::AssociativeArray;
 pub use bitplane::{BitPlaneArray, PackedTags, PlaneAccess};
 pub use error::CamError;
 pub use key::SearchKey;

@@ -1,5 +1,4 @@
 use serde::{Deserialize, Serialize};
-use std::ops::{BitAnd, BitOr, Not};
 
 /// The tag register of an associative processor: one bit per CAM row recording
 /// whether that row matched the most recent search.
@@ -84,46 +83,6 @@ impl TagVector {
     }
 }
 
-impl BitAnd for &TagVector {
-    type Output = TagVector;
-
-    fn bitand(self, rhs: &TagVector) -> TagVector {
-        TagVector {
-            bits: self
-                .bits
-                .iter()
-                .zip(rhs.bits.iter().chain(std::iter::repeat(&false)))
-                .map(|(&a, &b)| a && b)
-                .collect(),
-        }
-    }
-}
-
-impl BitOr for &TagVector {
-    type Output = TagVector;
-
-    fn bitor(self, rhs: &TagVector) -> TagVector {
-        TagVector {
-            bits: self
-                .bits
-                .iter()
-                .zip(rhs.bits.iter().chain(std::iter::repeat(&false)))
-                .map(|(&a, &b)| a || b)
-                .collect(),
-        }
-    }
-}
-
-impl Not for &TagVector {
-    type Output = TagVector;
-
-    fn not(self) -> TagVector {
-        TagVector {
-            bits: self.bits.iter().map(|&b| !b).collect(),
-        }
-    }
-}
-
 impl FromIterator<bool> for TagVector {
     fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
         TagVector {
@@ -151,15 +110,6 @@ mod tests {
         tags.set(100, true); // ignored
         assert_eq!(tags.count(), 1);
         assert_eq!(tags.iter_set().collect::<Vec<_>>(), vec![2]);
-    }
-
-    #[test]
-    fn boolean_combinators() {
-        let a = TagVector::from_bits(vec![true, true, false, false]);
-        let b = TagVector::from_bits(vec![true, false, true, false]);
-        assert_eq!((&a & &b).as_bits(), &[true, false, false, false]);
-        assert_eq!((&a | &b).as_bits(), &[true, true, true, false]);
-        assert_eq!((!&a).as_bits(), &[false, false, true, true]);
     }
 
     #[test]

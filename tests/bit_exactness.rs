@@ -4,9 +4,9 @@
 //! counters survive the bit-plane rewrite (stats parity with the scalar array,
 //! including the `reset_stats`/`take_stats` semantics).
 
-use ap::{ApController, ApEngine, Operand};
+use ap::{ApController, Operand};
 use apc::{CompilerOptions, LayerCompiler};
-use cam::{BitPlaneArray, CamArray, CamTechnology};
+use cam::{AssociativeArray, BitPlaneArray, CamArray, CamTechnology};
 use camdnn::verify::verify_random_layer;
 use tnn::model::ConvLayerInfo;
 use tnn::TernaryTensor;
@@ -44,9 +44,12 @@ fn dense_ternary_layer_is_bit_exact() {
     assert!(report.is_bit_exact(), "{report:?}");
 }
 
-/// Runs the compiled slice programs of a small layer on both the scalar
-/// controller and the bit-plane engine, staged with identical inputs.
-fn run_layer_on_both(seed: u64) -> (ApController, ApEngine) {
+/// Runs the compiled slice programs of a small layer on a controller over
+/// the array `new` builds, staged with inputs that depend only on `seed`.
+fn run_layer<A: AssociativeArray>(
+    new: fn(usize, usize, usize, CamTechnology) -> cam::Result<A>,
+    seed: u64,
+) -> ApController<A> {
     let layer = ConvLayerInfo {
         node_id: 0,
         name: "stats-parity".to_string(),
@@ -65,25 +68,14 @@ fn run_layer_on_both(seed: u64) -> (ApController, ApEngine) {
         .expect("compile");
     let layout = &compiled.layout;
     let slices = compiled.slices.as_ref().expect("retained programs");
-    let rows = layout.geometry.rows;
-    let mut controller = ApController::new(
-        CamArray::new(rows, layout.geometry.cols, layout.geometry.domains, {
-            CamTechnology::default()
-        })
-        .expect("scalar array"),
-    );
-    let mut engine = ApEngine::new(
-        BitPlaneArray::new(rows, layout.geometry.cols, layout.geometry.domains, {
-            CamTechnology::default()
-        })
-        .expect("packed array"),
-    );
+    let g = layout.geometry;
+    let mut ap =
+        ApController::new(new(g.rows, g.cols, g.domains, CamTechnology::default()).expect("array"));
     let prologue = apc::codegen::tile_prologue(layout, layout.tile_range(0, layer.cout).len());
-    controller.run(&prologue).expect("scalar prologue");
-    engine.run(&prologue).expect("packed prologue");
+    ap.run(&prologue).expect("prologue");
     for slice in slices.iter().filter(|s| s.tile == 0) {
         for k in 0..layout.patch_size {
-            let values: Vec<i64> = (0..rows)
+            let values: Vec<i64> = (0..g.rows)
                 .map(|row| ((row as i64 * 5 + k as i64 * 3 + seed as i64) % 16).abs())
                 .collect();
             let operand = Operand::new(
@@ -92,20 +84,17 @@ fn run_layer_on_both(seed: u64) -> (ApController, ApEngine) {
                 layout.act_bits,
                 false,
             );
-            controller
-                .load_column(&operand, &values)
-                .expect("scalar load");
-            engine.load_column(&operand, &values).expect("packed load");
+            ap.load_column(&operand, &values).expect("load");
         }
-        controller.run(&slice.program).expect("scalar run");
-        engine.run(&slice.program).expect("packed run");
+        ap.run(&slice.program).expect("run");
     }
-    (controller, engine)
+    ap
 }
 
 #[test]
 fn engine_stats_are_identical_to_the_scalar_array_after_layer_runs() {
-    let (controller, engine) = run_layer_on_both(31);
+    let controller = run_layer(CamArray::new, 31);
+    let engine = run_layer(BitPlaneArray::new, 31);
     let scalar = controller.stats();
     let packed = engine.stats();
     assert!(!scalar.is_empty(), "the run must have recorded events");
@@ -132,7 +121,8 @@ fn take_stats_and_reset_stats_agree_between_the_two_arrays() {
     // already-cleared state. This pins the semantics the bit-plane rewrite has
     // to preserve (the scalar array also clears its per-column cluster
     // counters on reset).
-    let (mut controller, mut engine) = run_layer_on_both(37);
+    let mut controller = run_layer(CamArray::new, 37);
+    let mut engine = run_layer(BitPlaneArray::new, 37);
     let scalar_taken = controller.array_mut().take_stats();
     let packed_taken = engine.array_mut().take_stats();
     assert_eq!(packed_taken, scalar_taken);

@@ -12,8 +12,11 @@
 //! * write cycles: the slice programs once per row group, plus one tile
 //!   prologue per executed unit instead of one per tile.
 //!
-//! The other fields are expectations (written bits assume half the rows
-//! rewritten) or are not yet reconciled (shifts), so they are not compared.
+//! Two other fields are not yet reconciled: written bits (`CostModel` books
+//! an expectation, "about half the rows rewritten") and shifts. For those the
+//! micro_cnn test pins each layer's predicted count (per-row shifts × row
+//! groups, per-row written bits × output positions) and executed count to
+//! literals, so a change on either side fails until the gap is mended.
 
 use accel::ArchConfig;
 use ap::CostModel;
@@ -80,8 +83,10 @@ fn executed_per_node(
     executed
 }
 
-/// Asserts the three exact equalities on every weighted layer of `model`.
-fn assert_exact_fields_reconcile(model: &ModelGraph) {
+/// Asserts the three exact equalities on every weighted layer of `model`, and
+/// returns each layer's name with its `[predicted, executed]` shifts and
+/// written bits.
+fn assert_exact_fields_reconcile(model: &ModelGraph) -> Vec<(String, [u64; 2], [u64; 2])> {
     let compiler = LayerCompiler::new(CompilerOptions::default());
     let compiled: BTreeMap<usize, CompiledLayer> = model
         .conv_like_layers()
@@ -94,6 +99,7 @@ fn assert_exact_fields_reconcile(model: &ModelGraph) {
         compiled.keys().collect::<Vec<_>>(),
         "every weighted layer executes"
     );
+    let mut deltas = Vec::new();
     for (node, layer) in &compiled {
         let (executed, unit_prologues) = executed[node];
         let stats = &layer.stats;
@@ -120,12 +126,32 @@ fn assert_exact_fields_reconcile(model: &ModelGraph) {
             (per_row.write_cycles - tile_prologues) * row_groups + unit_prologues,
             "{name} write cycles"
         );
+        deltas.push((
+            name.clone(),
+            [per_row.shifts * row_groups, executed.shifts],
+            [
+                per_row.written_bits * layer.output_positions as u64,
+                executed.written_bits,
+            ],
+        ));
     }
+    deltas
 }
 
 #[test]
 fn micro_cnn_exact_fields_reconcile() {
-    assert_exact_fields_reconcile(&micro_cnn("micro", 8, 0.8, 1));
+    let deltas = assert_exact_fields_reconcile(&micro_cnn("micro", 8, 0.8, 1));
+    // `CostModel`'s prediction beside what the engine executes. The gaps are
+    // known and not yet mended; the literals make drift on either side fail.
+    let pinned = [
+        ("conv1", [734, 724], [23_040, 18_734]),
+        ("conv2", [3_072, 3_377], [92_864, 49_116]),
+        ("fc", [7_380, 6_020], [2_790, 1_482]),
+    ];
+    assert_eq!(
+        deltas,
+        pinned.map(|(name, shifts, written_bits)| (name.to_string(), shifts, written_bits))
+    );
 }
 
 #[test]

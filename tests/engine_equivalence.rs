@@ -1,9 +1,12 @@
-//! Differential test suite: the word-parallel [`ap::ApEngine`] must be
-//! bit-identical to the scalar [`ap::ApController`] ground truth.
+//! Differential test suite: the one [`ap::ApController`] must compute
+//! bit-identically over both array models — the per-cell [`cam::CamArray`]
+//! ground truth and the word-parallel [`cam::BitPlaneArray`]
+//! ([`ap::ApEngine`]) — and compiled pass plans bit-identically to the
+//! interpreter.
 //!
 //! Proptest-generated [`ApProgram`]s — random operands, carry slots, LUT kinds
 //! and row counts including non-multiples of 64 — are executed on both
-//! implementations over the same staged data, then the suite asserts that
+//! arrays over the same staged data, then the suite asserts that
 //!
 //! * every column read (full-depth dumps of every column) is identical,
 //! * the tag vectors of masked searches are identical, and
@@ -11,7 +14,7 @@
 //!   bits, I/O bits, read-outs and lockstep shifts) is identical.
 
 use ap::{ApController, ApEngine, ApInstruction, ApProgram, CarrySlot, Operand};
-use cam::{BitPlaneArray, CamArray, CamTechnology, SearchKey};
+use cam::{AssociativeArray, BitPlaneArray, CamArray, CamTechnology, SearchKey};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -19,18 +22,17 @@ use rand_chacha::ChaCha8Rng;
 const COLS: usize = 10;
 const DOMAINS: usize = 24;
 
-/// Both implementations over the same geometry.
-fn pair(rows: usize) -> (ApController, ApEngine) {
+/// Controllers over both arrays of the same geometry.
+fn pair(rows: usize) -> (ApController<CamArray>, ApEngine) {
     let scalar = CamArray::new(rows, COLS, DOMAINS, CamTechnology::default()).expect("scalar");
     let packed = BitPlaneArray::new(rows, COLS, DOMAINS, CamTechnology::default()).expect("packed");
     (ApController::new(scalar), ApEngine::new(packed))
 }
 
-/// One operand per column, staged identically into both implementations.
-fn stage_operands(
-    controller: &mut ApController,
-    engine: &mut ApEngine,
-    rows: usize,
+/// Stages one random operand per column. Staging two controllers from clones
+/// of one generator stages identical data into both.
+fn stage_operands<A: AssociativeArray>(
+    ap: &mut ApController<A>,
     rng: &mut ChaCha8Rng,
 ) -> Vec<Operand> {
     let mut operands = Vec::with_capacity(COLS);
@@ -39,7 +41,7 @@ fn stage_operands(
         let base = rng.gen_range(0..(DOMAINS - width as usize).min(4) + 1);
         let signed = rng.gen_bool(0.5);
         let operand = Operand::new(col, base, width, signed);
-        let values: Vec<i64> = (0..rows)
+        let values: Vec<i64> = (0..ap.rows())
             .map(|_| {
                 if signed {
                     rng.gen_range(-(1i64 << (width - 1))..(1i64 << (width - 1)))
@@ -48,10 +50,7 @@ fn stage_operands(
                 }
             })
             .collect();
-        controller
-            .load_column(&operand, &values)
-            .expect("scalar load");
-        engine.load_column(&operand, &values).expect("packed load");
+        ap.load_column(&operand, &values).expect("load");
         operands.push(operand);
     }
     operands
@@ -104,19 +103,20 @@ fn random_instruction(operands: &[Operand], rng: &mut ChaCha8Rng) -> ApInstructi
     }
 }
 
-/// Full-depth dump of every column of both arrays (bit-for-bit comparison that
-/// does not depend on any operand interpretation).
-fn assert_identical_dumps(controller: &mut ApController, engine: &mut ApEngine, rows: usize) {
+/// Full-depth dump of every column of two controllers (bit-for-bit
+/// comparison that does not depend on any operand interpretation).
+fn assert_identical_dumps<A: AssociativeArray, B: AssociativeArray>(
+    expected: &mut ApController<A>,
+    actual: &mut ApController<B>,
+    rows: usize,
+) {
     for col in 0..COLS {
-        let scalar = controller
-            .array_mut()
-            .read_column_values(col, 0, DOMAINS as u8, false)
-            .expect("scalar dump");
-        let packed = engine
-            .array_mut()
-            .read_column_values(col, 0, DOMAINS as u8, false)
-            .expect("packed dump");
-        assert_eq!(packed, scalar, "column {col} dump diverged ({rows} rows)");
+        let dump = Operand::new(col, 0, DOMAINS as u8, false);
+        assert_eq!(
+            actual.read_column(&dump).expect("dump"),
+            expected.read_column(&dump).expect("dump"),
+            "column {col} dump diverged ({rows} rows)"
+        );
     }
 }
 
@@ -131,7 +131,8 @@ proptest! {
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (mut controller, mut engine) = pair(rows);
-        let operands = stage_operands(&mut controller, &mut engine, rows, &mut rng);
+        stage_operands(&mut controller, &mut rng.clone());
+        let operands = stage_operands(&mut engine, &mut rng);
         prop_assert_eq!(engine.stats(), controller.stats(), "staging counters diverged");
 
         let program: ApProgram = (0..instructions)
@@ -250,45 +251,6 @@ fn random_program_with_fusion_runs(
     program
 }
 
-/// Stages one operand per column into `engine` (the plan-path counterpart of
-/// [`stage_operands`], no scalar controller involved).
-fn stage_engine_operands(engine: &mut ApEngine, rows: usize, rng: &mut ChaCha8Rng) -> Vec<Operand> {
-    let mut operands = Vec::with_capacity(COLS);
-    for col in 0..COLS {
-        let width = rng.gen_range(1..7u8);
-        let base = rng.gen_range(0..(DOMAINS - width as usize).min(4) + 1);
-        let signed = rng.gen_bool(0.5);
-        let operand = Operand::new(col, base, width, signed);
-        let values: Vec<i64> = (0..rows)
-            .map(|_| {
-                if signed {
-                    rng.gen_range(-(1i64 << (width - 1))..(1i64 << (width - 1)))
-                } else {
-                    rng.gen_range(0..(1i64 << width))
-                }
-            })
-            .collect();
-        engine.load_column(&operand, &values).expect("load");
-        operands.push(operand);
-    }
-    operands
-}
-
-/// Full-depth dump comparison between two engines.
-fn assert_identical_engine_dumps(reference: &mut ApEngine, planned: &mut ApEngine, rows: usize) {
-    for col in 0..COLS {
-        let expected = reference
-            .array_mut()
-            .read_column_values(col, 0, DOMAINS as u8, false)
-            .expect("reference dump");
-        let actual = planned
-            .array_mut()
-            .read_column_values(col, 0, DOMAINS as u8, false)
-            .expect("planned dump");
-        assert_eq!(actual, expected, "column {col} dump diverged ({rows} rows)");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -305,7 +267,7 @@ proptest! {
         let array =
             BitPlaneArray::new(rows, COLS, DOMAINS, CamTechnology::default()).expect("packed");
         let mut reference = ApEngine::new(array);
-        let operands = stage_engine_operands(&mut reference, rows, &mut rng);
+        let operands = stage_operands(&mut reference, &mut rng);
         let mut planned = reference.clone();
 
         let program = random_program_with_fusion_runs(&operands, instructions, &mut rng);
@@ -343,7 +305,7 @@ proptest! {
                 "column {} read diverged", operand.col
             );
         }
-        assert_identical_engine_dumps(&mut reference, &mut planned, rows);
+        assert_identical_dumps(&mut reference, &mut planned, rows);
         prop_assert_eq!(planned.stats(), reference.stats(), "read-out counters diverged");
     }
 
@@ -370,7 +332,7 @@ proptest! {
             let array =
                 BitPlaneArray::new(rows, COLS, DOMAINS, CamTechnology::default()).expect("packed");
             let mut reference = ApEngine::new(array);
-            let operands = stage_engine_operands(&mut reference, rows, &mut rng);
+            let operands = stage_operands(&mut reference, &mut rng);
             let mut planned = reference.clone();
             reference.array_mut().track_segments(segment_rows).expect("segments");
             planned.array_mut().track_segments(segment_rows).expect("segments");
@@ -430,7 +392,7 @@ proptest! {
             let actual = planned.run_plan(&plan).expect_err("plan must reject");
             prop_assert_eq!(format!("{actual}"), format!("{expected}"));
             prop_assert_eq!(planned.stats(), reference.stats());
-            assert_identical_engine_dumps(&mut reference, &mut planned, rows);
+            assert_identical_dumps(&mut reference, &mut planned, rows);
         }
     }
 }
@@ -441,7 +403,8 @@ fn word_boundary_row_counts_are_bit_identical() {
     for rows in [1usize, 63, 64, 65, 127, 128, 129] {
         let mut rng = ChaCha8Rng::seed_from_u64(rows as u64);
         let (mut controller, mut engine) = pair(rows);
-        let operands = stage_operands(&mut controller, &mut engine, rows, &mut rng);
+        stage_operands(&mut controller, &mut rng.clone());
+        let operands = stage_operands(&mut engine, &mut rng);
         let program: ApProgram = (0..6)
             .map(|_| random_instruction(&operands, &mut rng))
             .collect();

@@ -1,25 +1,40 @@
 //! Golden-vector regression tests for the AP execution engines.
 //!
 //! Small fixed programs with *checked-in* expected column dumps and event
-//! counters, asserted against **both** the scalar [`ap::ApController`] and the
-//! word-parallel [`ap::ApEngine`]. A packing or accounting bug cannot hide
-//! behind "both implementations drifted together": the expectations here are
-//! literals, independently derivable by hand (the counter arithmetic is spelled
-//! out in comments). Case 1 is the fully literal anchor; case 2's raw written
-//! state is pinned through a checked-in execution-trace digest instead, tying
-//! this suite to the same trace encoding the corpus goldens use.
+//! counters, asserted against the one [`ap::ApController`] over **both** array
+//! models: the per-cell [`cam::CamArray`] and the word-parallel
+//! [`cam::BitPlaneArray`] ([`ap::ApEngine`]). A packing, accounting or pass
+//! sequencing bug cannot hide behind "both arrays drifted together": the
+//! expectations here are literals, independently derivable by hand (the
+//! counter arithmetic is spelled out in comments). Case 1 is the fully
+//! literal anchor; case 2's raw written state is pinned through a checked-in
+//! execution-trace digest instead, tying this suite to the same trace
+//! encoding the corpus goldens use.
 
 use ap::{ApController, ApEngine, ApInstruction, ApProgram, CarrySlot, Operand};
 use apc::CompileCache;
-use cam::{BitPlaneArray, CamArray, CamStats, CamTechnology};
+use cam::{AssociativeArray, BitPlaneArray, CamArray, CamStats, CamTechnology};
 use camdnn::corpus::digest_hex;
 use camdnn::trace::{self, ExecutionTrace, TraceHeader, TraceRecorder};
 use camdnn::EngineMode;
 
-fn pair(rows: usize, cols: usize, domains: usize) -> (ApController, ApEngine) {
+fn pair(rows: usize, cols: usize, domains: usize) -> (ApController<CamArray>, ApEngine) {
     let scalar = CamArray::new(rows, cols, domains, CamTechnology::default()).expect("scalar");
     let packed = BitPlaneArray::new(rows, cols, domains, CamTechnology::default()).expect("packed");
     (ApController::new(scalar), ApEngine::new(packed))
+}
+
+fn load<A: AssociativeArray>(ap: &mut ApController<A>, operand: &Operand, values: &[i64]) {
+    ap.load_column(operand, values).expect("load");
+}
+
+fn read<A: AssociativeArray>(ap: &mut ApController<A>, operand: &Operand) -> Vec<i64> {
+    ap.read_column(operand).expect("read")
+}
+
+/// Raw unsigned dump of `width` domains of `col`, one value per row.
+fn dump<A: AssociativeArray>(ap: &mut ApController<A>, col: usize, width: u8) -> Vec<i64> {
+    read(ap, &Operand::new(col, 0, width, false))
 }
 
 /// Golden case 1: 4-row in-place addition `acc ← acc + a`.
@@ -32,23 +47,24 @@ fn pair(rows: usize, cols: usize, domains: usize) -> (ApController, ApEngine) {
 ///                                -1 is 0b11111 in the low five domains)
 #[test]
 fn golden_add_in_place_column_dumps() {
-    let a = Operand::new(0, 0, 3, false);
-    let acc = Operand::new(1, 0, 5, true);
-    let add = ApInstruction::AddInPlace {
-        a,
-        acc,
-        carry: CarrySlot::new(2, 0),
-    };
-    // Scalar ground truth.
-    let (mut controller, mut engine) = pair(4, 4, 8);
-    for ap_load in [&mut controller as &mut dyn GoldenAp, &mut engine] {
-        ap_load.load(&a, &[1, 2, 3, 7]);
-        ap_load.load(&acc, &[0, -1, 5, -8]);
-        ap_load.exec(&add);
-        assert_eq!(ap_load.read(&acc), vec![1, 1, 8, -1]);
-        assert_eq!(ap_load.dump(2, 1), vec![0, 1, 0, 0], "carry column");
-        assert_eq!(ap_load.dump(1, 8), vec![1, 1, 8, 31], "raw acc dump");
+    fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+        let a = Operand::new(0, 0, 3, false);
+        let acc = Operand::new(1, 0, 5, true);
+        load(&mut ap, &a, &[1, 2, 3, 7]);
+        load(&mut ap, &acc, &[0, -1, 5, -8]);
+        ap.execute(&ApInstruction::AddInPlace {
+            a,
+            acc,
+            carry: CarrySlot::new(2, 0),
+        })
+        .expect("execute");
+        assert_eq!(read(&mut ap, &acc), vec![1, 1, 8, -1]);
+        assert_eq!(dump(&mut ap, 2, 1), vec![0, 1, 0, 0], "carry column");
+        assert_eq!(dump(&mut ap, 1, 8), vec![1, 1, 8, 31], "raw acc dump");
     }
+    let (controller, engine) = pair(4, 4, 8);
+    case(controller);
+    case(engine);
 }
 
 /// Golden case 1 counters, asserted as a full literal on both implementations.
@@ -66,30 +82,32 @@ fn golden_add_in_place_column_dumps() {
 /// * I/O: 4 rows × (3 + 5) staged bits = 32.
 #[test]
 fn golden_add_in_place_stats() {
-    let expected = CamStats {
-        search_cycles: 16,
-        searched_bits: 176,
-        write_cycles: 17,
-        written_bits: 26,
-        read_bits: 0,
-        read_ops: 0,
-        shifts: 54,
-        io_written_bits: 32,
-    };
-    let a = Operand::new(0, 0, 3, false);
-    let acc = Operand::new(1, 0, 5, true);
-    let add = ApInstruction::AddInPlace {
-        a,
-        acc,
-        carry: CarrySlot::new(2, 0),
-    };
-    let (mut controller, mut engine) = pair(4, 4, 8);
-    for ap in [&mut controller as &mut dyn GoldenAp, &mut engine] {
-        ap.load(&a, &[1, 2, 3, 7]);
-        ap.load(&acc, &[0, -1, 5, -8]);
-        ap.exec(&add);
+    fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+        let expected = CamStats {
+            search_cycles: 16,
+            searched_bits: 176,
+            write_cycles: 17,
+            written_bits: 26,
+            read_bits: 0,
+            read_ops: 0,
+            shifts: 54,
+            io_written_bits: 32,
+        };
+        let a = Operand::new(0, 0, 3, false);
+        let acc = Operand::new(1, 0, 5, true);
+        load(&mut ap, &a, &[1, 2, 3, 7]);
+        load(&mut ap, &acc, &[0, -1, 5, -8]);
+        ap.execute(&ApInstruction::AddInPlace {
+            a,
+            acc,
+            carry: CarrySlot::new(2, 0),
+        })
+        .expect("execute");
         assert_eq!(ap.stats(), expected);
     }
+    let (controller, engine) = pair(4, 4, 8);
+    case(controller);
+    case(engine);
 }
 
 /// Golden case 2: out-of-place subtraction `d ← b − a` leaves the sources
@@ -99,28 +117,38 @@ fn golden_add_in_place_stats() {
 /// raw 5-domain dump of d = [30, 6, 0] (-2 is 0b11110 two's complement).
 #[test]
 fn golden_sub_out_of_place_column_dumps() {
-    let a = Operand::new(0, 0, 3, false);
-    let b = Operand::new(1, 0, 3, false);
-    let d = Operand::new(2, 0, 5, true);
-    let sub = ApInstruction::SubOutOfPlace {
-        a,
-        b,
-        dests: vec![d],
-        carry: CarrySlot::new(3, 0),
-    };
-    let (mut controller, mut engine) = pair(3, 5, 8);
-    for ap in [&mut controller as &mut dyn GoldenAp, &mut engine] {
-        ap.load(&a, &[5, 0, 7]);
-        ap.load(&b, &[3, 6, 7]);
+    fn case<A: AssociativeArray>(mut ap: ApController<A>) {
+        let a = Operand::new(0, 0, 3, false);
+        let b = Operand::new(1, 0, 3, false);
+        let d = Operand::new(2, 0, 5, true);
+        load(&mut ap, &a, &[5, 0, 7]);
+        load(&mut ap, &b, &[3, 6, 7]);
         // Garbage in the destination must be cleared by the instruction.
-        ap.load(&d, &[11, -9, 3]);
-        ap.exec(&sub);
-        assert_eq!(ap.read(&d), vec![-2, 6, 0]);
-        assert_eq!(ap.read(&a), vec![5, 0, 7], "source a must be preserved");
-        assert_eq!(ap.read(&b), vec![3, 6, 7], "source b must be preserved");
+        load(&mut ap, &d, &[11, -9, 3]);
+        ap.execute(&ApInstruction::SubOutOfPlace {
+            a,
+            b,
+            dests: vec![d],
+            carry: CarrySlot::new(3, 0),
+        })
+        .expect("execute");
+        assert_eq!(read(&mut ap, &d), vec![-2, 6, 0]);
+        assert_eq!(
+            read(&mut ap, &a),
+            vec![5, 0, 7],
+            "source a must be preserved"
+        );
+        assert_eq!(
+            read(&mut ap, &b),
+            vec![3, 6, 7],
+            "source b must be preserved"
+        );
         // The raw destination bit pattern ([30, 6, 0] over five domains) is
         // pinned by the execution-trace digest below, not a second literal.
     }
+    let (controller, engine) = pair(3, 5, 8);
+    case(controller);
+    case(engine);
 }
 
 /// Golden case 2 as an execution trace: the recorded stream — tag
@@ -172,105 +200,57 @@ fn golden_sub_out_of_place_trace_digest() {
 /// implementations), with literal spot checks around rows 63–65.
 #[test]
 fn golden_word_boundary_accumulation() {
-    let rows = 66;
-    let a = Operand::new(0, 0, 4, false);
-    let b = Operand::new(1, 0, 4, false);
-    let sum = Operand::new(2, 0, 6, true);
-    let acc = Operand::new(3, 0, 8, true);
-    let a_vals: Vec<i64> = (0..rows as i64).map(|i| (3 * i + 1) % 16).collect();
-    let b_vals: Vec<i64> = (0..rows as i64).map(|i| (7 * i) % 16).collect();
-    let program = ApProgram::from_instructions(vec![
-        ApInstruction::Clear { dst: acc },
-        ApInstruction::AddOutOfPlace {
-            a,
-            b,
-            dests: vec![sum],
-            carry: CarrySlot::new(4, 0),
-        },
-        ApInstruction::AddInPlace {
-            a: sum,
-            acc,
-            carry: CarrySlot::new(4, 0),
-        },
-        ApInstruction::SubInPlace {
-            a,
-            acc,
-            carry: CarrySlot::new(4, 0),
-        },
-    ]);
-    // acc = 0 + (a + b) - a, so the closed-form expectation is b itself.
-    let expected = b_vals.clone();
-    // Literal spot checks at the word boundary: b[63] = 441 % 16 = 9,
-    // b[64] = 448 % 16 = 0, b[65] = 455 % 16 = 7.
-    assert_eq!(&expected[63..66], &[9, 0, 7]);
-    let (mut controller, mut engine) = pair(rows, 6, 16);
-    for ap in [&mut controller as &mut dyn GoldenAp, &mut engine] {
-        ap.load(&a, &a_vals);
-        ap.load(&b, &b_vals);
+    /// Runs the program, checks the closed-form expectations and returns
+    /// the counters.
+    fn case<A: AssociativeArray>(mut ap: ApController<A>) -> CamStats {
+        let rows = ap.rows() as i64;
+        let a = Operand::new(0, 0, 4, false);
+        let b = Operand::new(1, 0, 4, false);
+        let sum = Operand::new(2, 0, 6, true);
+        let acc = Operand::new(3, 0, 8, true);
+        let a_vals: Vec<i64> = (0..rows).map(|i| (3 * i + 1) % 16).collect();
+        let b_vals: Vec<i64> = (0..rows).map(|i| (7 * i) % 16).collect();
+        let program = ApProgram::from_instructions(vec![
+            ApInstruction::Clear { dst: acc },
+            ApInstruction::AddOutOfPlace {
+                a,
+                b,
+                dests: vec![sum],
+                carry: CarrySlot::new(4, 0),
+            },
+            ApInstruction::AddInPlace {
+                a: sum,
+                acc,
+                carry: CarrySlot::new(4, 0),
+            },
+            ApInstruction::SubInPlace {
+                a,
+                acc,
+                carry: CarrySlot::new(4, 0),
+            },
+        ]);
+        // acc = 0 + (a + b) - a, so the closed-form expectation is b itself.
+        let expected = b_vals.clone();
+        // Literal spot checks at the word boundary: b[63] = 441 % 16 = 9,
+        // b[64] = 448 % 16 = 0, b[65] = 455 % 16 = 7.
+        assert_eq!(&expected[63..66], &[9, 0, 7]);
+        load(&mut ap, &a, &a_vals);
+        load(&mut ap, &b, &b_vals);
         for instruction in program.iter() {
-            ap.exec(instruction);
+            ap.execute(instruction).expect("execute");
         }
-        assert_eq!(ap.read(&acc), expected);
+        assert_eq!(read(&mut ap, &acc), expected);
         assert_eq!(
-            ap.read(&sum),
+            read(&mut ap, &sum),
             a_vals
                 .iter()
                 .zip(&b_vals)
                 .map(|(x, y)| x + y)
                 .collect::<Vec<_>>()
         );
+        ap.stats()
     }
-    // And the two implementations agree on every counter for this program.
-    assert_eq!(engine.stats(), controller.stats());
-}
-
-/// The minimal shared driver so every golden case runs unchanged on both
-/// implementations (the point of the regression suite).
-trait GoldenAp {
-    fn load(&mut self, operand: &Operand, values: &[i64]);
-    fn exec(&mut self, instruction: &ApInstruction);
-    fn read(&mut self, operand: &Operand) -> Vec<i64>;
-    /// Raw unsigned dump of `width` domains of `col`, one value per row.
-    fn dump(&mut self, col: usize, width: u8) -> Vec<i64>;
-    fn stats(&self) -> CamStats;
-}
-
-impl GoldenAp for ApController {
-    fn load(&mut self, operand: &Operand, values: &[i64]) {
-        ApController::load_column(self, operand, values).expect("scalar load");
-    }
-    fn exec(&mut self, instruction: &ApInstruction) {
-        ApController::execute(self, instruction).expect("scalar execute");
-    }
-    fn read(&mut self, operand: &Operand) -> Vec<i64> {
-        ApController::read_column(self, operand).expect("scalar read")
-    }
-    fn dump(&mut self, col: usize, width: u8) -> Vec<i64> {
-        self.array_mut()
-            .read_column_values(col, 0, width, false)
-            .expect("scalar dump")
-    }
-    fn stats(&self) -> CamStats {
-        ApController::stats(self)
-    }
-}
-
-impl GoldenAp for ApEngine {
-    fn load(&mut self, operand: &Operand, values: &[i64]) {
-        ApEngine::load_column(self, operand, values).expect("packed load");
-    }
-    fn exec(&mut self, instruction: &ApInstruction) {
-        ApEngine::execute(self, instruction).expect("packed execute");
-    }
-    fn read(&mut self, operand: &Operand) -> Vec<i64> {
-        ApEngine::read_column(self, operand).expect("packed read")
-    }
-    fn dump(&mut self, col: usize, width: u8) -> Vec<i64> {
-        self.array_mut()
-            .read_column_values(col, 0, width, false)
-            .expect("packed dump")
-    }
-    fn stats(&self) -> CamStats {
-        ApEngine::stats(self)
-    }
+    let (controller, engine) = pair(66, 6, 16);
+    // And the two arrays agree on every counter for this program.
+    assert_eq!(case(engine), case(controller));
 }
