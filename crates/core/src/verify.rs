@@ -3,16 +3,15 @@
 //!
 //! The associative processor computes exact integer arithmetic, so the accelerator's
 //! outputs must be *identical* to the reference quantized inference. This module
-//! compiles a layer with retained instruction streams, executes them on the
-//! functional (bit-level) AP model, and compares every partial sum against the
+//! runs one layer through the production functional path
+//! ([`FunctionalBackend::run_batch`]) and compares every output value against the
 //! reference integer convolution.
 
-use ap::{ApController, Operand};
-use apc::{CompilerOptions, LayerCompiler};
-use cam::CamArray;
-use tnn::im2col::{im2col_channel, Im2colSpec};
-use tnn::layer::Conv2d;
-use tnn::model::ConvLayerInfo;
+use crate::functional::FunctionalBackend;
+use accel::ArchConfig;
+use apc::{CompileCache, CompilerOptions};
+use tnn::layer::{Conv2d, LayerOp};
+use tnn::model::{ConvLayerInfo, ModelGraph};
 use tnn::{Tensor, TernaryTensor};
 
 /// Outcome of a functional verification run.
@@ -33,12 +32,13 @@ impl VerificationReport {
     }
 }
 
-/// Compiles `layer`, executes its slice programs on the functional AP and compares
-/// the accumulated outputs against the reference integer convolution of `input`.
+/// Executes `layer` on `input` through [`FunctionalBackend::run_batch`] — the
+/// same per-unit execution and channel-group merge that serve requests — and
+/// compares every output value against the reference integer convolution.
 ///
-/// Only the first output tile and the first row group (up to the CAM height) are
-/// executed — enough to establish bit-exactness without simulating millions of rows
-/// at bit level.
+/// Every output tile, row group and channel group of the layer is executed on
+/// the default architecture's arrays (1×1 tile grid), so the report covers all
+/// `output_positions() × cout` values.
 ///
 /// # Errors
 ///
@@ -77,84 +77,27 @@ pub fn verify_layer(
     input: &Tensor<i64>,
     act_bits: u8,
 ) -> Result<VerificationReport, Box<dyn std::error::Error>> {
-    let options = CompilerOptions::default()
-        .with_act_bits(act_bits)
-        .with_programs();
-    let compiled = LayerCompiler::new(options).compile(layer)?;
-    let layout = &compiled.layout;
-    let slices = compiled
-        .slices
-        .as_ref()
-        .ok_or("compiler did not retain programs")?;
-
-    // Reference: the integer convolution of the full layer.
     let conv = Conv2d::new(
         layer.name.clone(),
         layer.weights.clone(),
         layer.stride,
         layer.padding,
     )?;
-    let reference = tnn::infer::conv2d(input, &conv)?;
-
-    // Functional AP: first row group only.
-    let positions = layer.output_positions().min(layout.geometry.rows);
-    let spec = Im2colSpec {
-        fh: layer.kernel.0,
-        fw: layer.kernel.1,
-        stride: layer.stride,
-        padding: layer.padding,
-    };
-    let array = CamArray::new(
-        layout.geometry.rows,
-        layout.geometry.cols,
-        layout.geometry.domains,
-        cam::CamTechnology::default(),
-    )?;
-    let mut controller = ApController::new(array);
-
-    // Clear the accumulators of tile 0.
-    let tile_outputs = layout.tile_range(0, layer.cout).len();
-    controller.run(&apc::codegen::tile_prologue(layout, tile_outputs))?;
-
-    // Process every input channel: stage its im2col columns at the channel's domain
-    // offset, then run its slice program for tile 0.
-    for slice in slices.iter().filter(|s| s.tile == 0) {
-        let patches = im2col_channel(input, slice.channel, spec)?;
-        for k in 0..layout.patch_size {
-            let mut column = vec![0i64; layout.geometry.rows];
-            for (position, value) in column.iter_mut().enumerate().take(positions) {
-                *value = *patches.get(&[k, position])?;
-            }
-            let operand = Operand::new(
-                k,
-                layout.channel_domain_base(slice.channel_in_group),
-                act_bits,
-                false,
-            );
-            controller.load_column(&operand, &column)?;
-        }
-        controller.run(&slice.program)?;
-    }
-
-    // Compare the accumulators against the reference partial sums.
-    let mut mismatches = 0usize;
-    let (hout, wout) = layer.output_hw;
-    for output in 0..tile_outputs {
-        let acc = Operand::new(layout.acc_col_start + output, 0, layout.acc_bits, true);
-        let values = controller.read_column(&acc)?;
-        for (position, &value) in values.iter().enumerate().take(positions) {
-            let expected =
-                *reference.get(&[output, position / wout.max(1), position % wout.max(1)])?;
-            if value != expected {
-                mismatches += 1;
-            }
-        }
-    }
-    let _ = hout;
+    let mut model = ModelGraph::new(
+        layer.name.clone(),
+        (layer.cin, layer.input_hw.0, layer.input_hw.1),
+    );
+    model.chain(LayerOp::Conv2d(conv), None)?;
+    let backend = FunctionalBackend::new(
+        ArchConfig::default(),
+        CompilerOptions::default().with_act_bits(act_bits),
+    );
+    let batch = backend.run_batch(&model, std::slice::from_ref(input), &CompileCache::new())?;
+    let sample = &batch.samples[0];
     Ok(VerificationReport {
-        positions_checked: positions,
-        outputs_checked: tile_outputs,
-        mismatches,
+        positions_checked: sample.checked_values as usize / layer.cout.max(1),
+        outputs_checked: layer.cout,
+        mismatches: sample.mismatched_values as usize,
     })
 }
 
@@ -172,8 +115,26 @@ pub fn verify_random_layer(
     sparsity: f64,
     seed: u64,
 ) -> Result<VerificationReport, Box<dyn std::error::Error>> {
-    let weights = TernaryTensor::random(vec![cout, cin, kernel, kernel], sparsity, seed);
-    let layer = ConvLayerInfo {
+    let layer = random_layer(cin, cout, kernel, hw, sparsity, seed);
+    let max_activation = (1i64 << act_bits) - 1;
+    let data: Vec<i64> = (0..cin * hw * hw)
+        .map(|i| (i as i64 * 7 + seed as i64) % (max_activation + 1))
+        .collect();
+    let input = Tensor::from_vec(vec![cin, hw, hw], data)?;
+    verify_layer(&layer, &input, act_bits)
+}
+
+/// A stride-1, same-padded `cin → cout` layer of random ternary weights over
+/// a `hw × hw` input.
+fn random_layer(
+    cin: usize,
+    cout: usize,
+    kernel: usize,
+    hw: usize,
+    sparsity: f64,
+    seed: u64,
+) -> ConvLayerInfo {
+    ConvLayerInfo {
         node_id: 0,
         name: format!("random_{cin}x{cout}x{kernel}"),
         cin,
@@ -183,14 +144,8 @@ pub fn verify_random_layer(
         padding: kernel / 2,
         input_hw: (hw, hw),
         output_hw: (hw, hw),
-        weights,
-    };
-    let max_activation = (1i64 << act_bits) - 1;
-    let data: Vec<i64> = (0..cin * hw * hw)
-        .map(|i| (i as i64 * 7 + seed as i64) % (max_activation + 1))
-        .collect();
-    let input = Tensor::from_vec(vec![cin, hw, hw], data)?;
-    verify_layer(&layer, &input, act_bits)
+        weights: TernaryTensor::random(vec![cout, cin, kernel, kernel], sparsity, seed),
+    }
 }
 
 #[cfg(test)]
@@ -215,5 +170,55 @@ mod tests {
     fn eight_bit_activations_are_bit_exact() {
         let report = verify_random_layer(2, 4, 3, 4, 8, 0.6, 9).expect("verify");
         assert!(report.is_bit_exact(), "{report:?}");
+    }
+
+    fn layout_of(layer: &ConvLayerInfo) -> apc::layout::LayerLayout {
+        apc::LayerCompiler::new(CompilerOptions::default())
+            .compile(layer)
+            .expect("compile")
+            .layout
+    }
+
+    #[test]
+    fn every_row_group_output_tile_and_channel_group_is_checked() {
+        let tall = layout_of(&random_layer(32, 16, 3, 20, 0.8, 5));
+        assert!(tall.row_groups >= 2 && tall.channel_groups >= 2, "{tall:?}");
+        let wide = layout_of(&random_layer(64, 300, 3, 4, 0.8, 5));
+        assert!(
+            wide.output_tiles >= 2 && wide.channel_groups >= 2,
+            "{wide:?}"
+        );
+        for (cin, cout, hw) in [(32, 16, 20), (64, 300, 4)] {
+            let report = verify_random_layer(cin, cout, 3, hw, 4, 0.8, 5).expect("verify");
+            assert!(report.is_bit_exact(), "{cin}->{cout}: {report:?}");
+            assert_eq!(report.positions_checked, hw * hw);
+            assert_eq!(report.outputs_checked, cout);
+        }
+    }
+
+    /// A one-layer reproduction of the README "Known defects" wrap: every
+    /// channel group of a unit accumulates into one column sized for a single
+    /// group (`acc_bits` 9 here, against `final_acc_bits` 14), so a large
+    /// enough output-0 sum wraps at 2^9. The input drives 15 into every
+    /// channel whose output-0 tap is +1, and 0 elsewhere.
+    ///
+    /// ROADMAP item 1's fix (accumulators wide enough for the whole fan-in)
+    /// flips this assertion to `is_bit_exact()`.
+    #[test]
+    fn nine_bit_accumulator_wraps_across_channel_groups() {
+        let (cin, hw) = (512, 2);
+        let layer = random_layer(cin, 64, 1, hw, 0.8, 7);
+        let layout = layout_of(&layer);
+        assert_eq!(layout.channel_groups, 32);
+        assert_eq!((layout.acc_bits, layout.final_acc_bits), (9, 14));
+        let data: Vec<i64> = (0..cin)
+            .flat_map(|c| {
+                let tap = layer.weights.get(&[0, c, 0, 0]).expect("weight");
+                std::iter::repeat_n(if tap == 1 { 15 } else { 0 }, hw * hw)
+            })
+            .collect();
+        let input = Tensor::from_vec(vec![cin, hw, hw], data).expect("shape");
+        let report = verify_layer(&layer, &input, 4).expect("verify");
+        assert_eq!(report.mismatches, 4, "{report:?}");
     }
 }

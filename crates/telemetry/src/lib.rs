@@ -11,9 +11,8 @@
 //!   enter/exit scopes with thread-safe parenting and wall-clock timing,
 //!   aggregated per collapsed-stack path and exportable as flamegraph text
 //!   ([`flamegraph`]);
-//! * two **exposition formats** over one [`MetricsSnapshot`]: canonical JSON
-//!   (schema `metrics_snapshot_v1`, see `BENCH_schema.md`) and
-//!   Prometheus-style text ([`MetricsSnapshot::prometheus`]).
+//! * one **exposition format** over [`MetricsSnapshot`]: canonical JSON
+//!   (schema `metrics_snapshot_v1`, see `BENCH_schema.md`).
 //!
 //! # Determinism contract
 //!

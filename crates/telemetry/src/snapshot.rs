@@ -1,6 +1,5 @@
-//! Serializable snapshots of the registry and span collector, in the two
-//! exposition formats: canonical JSON (schema: `BENCH_schema.md`,
-//! `metrics_snapshot_v1`) and Prometheus-style text.
+//! Serializable snapshots of the registry and span collector as canonical
+//! JSON (schema: `BENCH_schema.md`, `metrics_snapshot_v1`).
 //!
 //! A snapshot is split into two sections:
 //!
@@ -129,73 +128,6 @@ impl MetricsSnapshot {
     pub fn from_json(json: &str) -> Result<Self, String> {
         serde_json::from_str(json).map_err(|e| e.to_string())
     }
-
-    /// Prometheus-style exposition text: `# TYPE` lines plus one sample per
-    /// metric, names sanitised to `[a-zA-Z0-9_]` under a `camdnn_` prefix,
-    /// histograms in cumulative `_bucket{le=...}` / `_sum` / `_count` form
-    /// and spans as labelled `camdnn_span_*` counters.
-    pub fn prometheus(&self) -> String {
-        let mut out = String::new();
-        for counter in &self.deterministic.counters {
-            let name = sanitize(&counter.name);
-            out.push_str(&format!(
-                "# TYPE camdnn_{name} counter\ncamdnn_{name} {}\n",
-                counter.value
-            ));
-        }
-        for gauge in &self.deterministic.gauges {
-            let name = sanitize(&gauge.name);
-            out.push_str(&format!(
-                "# TYPE camdnn_{name} gauge\ncamdnn_{name} {}\n",
-                gauge.value
-            ));
-        }
-        for histogram in self
-            .deterministic
-            .histograms
-            .iter()
-            .chain(&self.timing.histograms)
-        {
-            let name = sanitize(&histogram.name);
-            out.push_str(&format!("# TYPE camdnn_{name} histogram\n"));
-            let mut cumulative = 0u64;
-            for bucket in &histogram.buckets {
-                cumulative += bucket.count;
-                out.push_str(&format!(
-                    "camdnn_{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                    bucket.bound_ns
-                ));
-            }
-            out.push_str(&format!(
-                "camdnn_{name}_bucket{{le=\"+Inf\"}} {}\n",
-                histogram.count
-            ));
-            out.push_str(&format!("camdnn_{name}_sum {}\n", histogram.sum_ns));
-            out.push_str(&format!("camdnn_{name}_count {}\n", histogram.count));
-        }
-        if !self.timing.spans.is_empty() {
-            out.push_str("# TYPE camdnn_span_total_ns counter\n");
-            out.push_str("# TYPE camdnn_span_count counter\n");
-            for span in &self.timing.spans {
-                out.push_str(&format!(
-                    "camdnn_span_total_ns{{path=\"{}\"}} {}\n",
-                    span.path, span.total_ns
-                ));
-                out.push_str(&format!(
-                    "camdnn_span_count{{path=\"{}\"}} {}\n",
-                    span.path, span.count
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Maps a dotted metric name onto the Prometheus name charset.
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
 }
 
 #[cfg(test)]
@@ -261,18 +193,6 @@ mod tests {
         assert!(json.contains("\"metrics_snapshot_v1\""));
         assert!(snapshot.deterministic_json().contains("apc.compile.misses"));
         assert!(!snapshot.deterministic_json().contains("compile;lower"));
-    }
-
-    #[test]
-    fn prometheus_text_has_types_samples_and_cumulative_buckets() {
-        let text = sample().prometheus();
-        assert!(text.contains("# TYPE camdnn_apc_compile_misses counter"));
-        assert!(text.contains("camdnn_apc_compile_misses 4"));
-        assert!(text.contains("# TYPE camdnn_serve_replicas gauge"));
-        assert!(text.contains("camdnn_serve_sim_latency_bucket{le=\"20\"} 2"));
-        assert!(text.contains("camdnn_serve_sim_latency_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("camdnn_serve_sim_latency_sum 60"));
-        assert!(text.contains("camdnn_span_total_ns{path=\"compile;lower\"} 500"));
     }
 
     #[test]

@@ -184,33 +184,6 @@ pub fn im2col_channel(
     Ok(out)
 }
 
-/// Extracts the full im2col matrix across all channels, shaped
-/// `[cin * fh * fw, hout * wout]` with the channel index varying slowest.
-///
-/// # Errors
-///
-/// Returns [`TnnError::IncompatibleShapes`] if `input` is not a 3-D `(C, H, W)` tensor.
-pub fn im2col(input: &Tensor<i64>, spec: Im2colSpec) -> Result<Tensor<i64>> {
-    if input.ndim() != 3 {
-        return Err(TnnError::IncompatibleShapes {
-            reason: format!("im2col expects a (C, H, W) tensor, got {:?}", input.shape()),
-        });
-    }
-    let channels = input.shape()[0];
-    let (hout, wout) = spec.output_hw((input.shape()[1], input.shape()[2]));
-    let patch = spec.fh * spec.fw;
-    let mut out = Tensor::zeros(vec![channels * patch, hout * wout]);
-    for channel in 0..channels {
-        let single = im2col_channel(input, channel, spec)?;
-        for k in 0..patch {
-            for p in 0..hout * wout {
-                *out.get_mut(&[channel * patch + k, p])? = *single.get(&[k, p])?;
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,21 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_channel_layout_stacks_channels() {
-        let input = ramp(2, 3, 3);
-        let spec = Im2colSpec {
-            fh: 2,
-            fw: 2,
-            stride: 1,
-            padding: 0,
-        };
-        let cols = im2col(&input, spec).expect("im2col");
-        assert_eq!(cols.shape(), &[2 * 4, 4]);
-        // Channel 1 starts at row 4 and its first element is input[1][0][0] = 9.
-        assert_eq!(*cols.get(&[4, 0]).expect("get"), 9);
-    }
-
-    #[test]
     fn invalid_inputs_are_rejected() {
         let flat = Tensor::from_vec(vec![4], vec![0i64; 4]).expect("shape");
         let spec = Im2colSpec {
@@ -290,7 +248,7 @@ mod tests {
             stride: 1,
             padding: 0,
         };
-        assert!(im2col(&flat, spec).is_err());
+        assert!(im2col_channel(&flat, 0, spec).is_err());
         let input = ramp(1, 3, 3);
         assert!(im2col_channel(&input, 2, spec).is_err());
     }
