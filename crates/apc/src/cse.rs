@@ -14,18 +14,24 @@
 //! the new signal. Per-signal membership bitsets, one bit per output and one set per
 //! sign, give exactly the expressions a substitution rewrites: those that hold `a`
 //! and `b` with the pattern's relative sign. The counts live in a dense table
-//! indexed by the pair's signal ids, and a max-heap of `(count, pattern)` entries,
-//! checked lazily against the table, yields the best pattern without scanning every
-//! live one. One greedy step costs work proportional to the terms of the rewritten
-//! expressions, plus a logarithmic heap operation per changed count.
+//! indexed by the pair's signal ids.
+//!
+//! The best pattern comes from a bucket queue: one list of patterns per count,
+//! scanned from the highest count down. It rests on one invariant: during a run
+//! the highest live count never rises. A substitution only lowers counts, except
+//! for the pairs of the new signal, and each of those occurs at most once per
+//! rewritten expression, so at most the selected count times. An entry therefore
+//! stays in the bucket of the count it was pushed with while its live count falls;
+//! when the scan meets a stale entry it moves it down to its live count's bucket
+//! (or drops it), and the smallest live pattern of the top bucket wins. One greedy
+//! step costs work proportional to the terms of the rewritten expressions plus one
+//! scan of the top bucket.
 //!
 //! A `Workspace` holds all of that state. The compiler's slice walk keeps one
 //! across slices, so after the first few slices a CSE run allocates nothing.
 
 use crate::expr::{LinearExpr, SignalId, SignalTable};
 use crate::{ApcError, Result};
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Statistics of one CSE run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,8 +89,8 @@ fn pair_key((x, sx): (SignalId, i8), (y, sy): (SignalId, i8)) -> PatternKey {
 }
 
 /// The buffers of one CSE run, kept between runs: the dense pair counts, the
-/// selection heap and the signal membership bitsets. Every run leaves the counts
-/// zeroed and the heap empty, and keeps the capacity of all of them.
+/// count buckets and the signal membership bitsets. Every run leaves the counts
+/// zeroed and the buckets empty, and keeps the capacity of all of them.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     /// Live count of each pattern, by [`slot`]; zero outside a run.
@@ -92,10 +98,12 @@ pub(crate) struct Workspace {
     /// Every pattern whose count has left zero during the current run, so the
     /// run can zero them again without clearing the whole table.
     touched: Vec<PatternKey>,
-    /// `(count, pattern)` entries. Every pattern that occurs at least twice has
-    /// an entry whose count is at least its live count; an entry whose count is
-    /// no longer live is stale and is dropped (or refreshed) when it surfaces.
-    heap: BinaryHeap<(u32, Reverse<PatternKey>)>,
+    /// Patterns by count. Every pattern that occurs at least twice has one
+    /// entry, in a bucket at or above its live count and at most `top`; an
+    /// entry above its live count is stale and moves down when a scan meets it.
+    buckets: Vec<Vec<PatternKey>>,
+    /// The highest bucket that may hold an entry.
+    top: usize,
     /// Words of one membership bitset: one bit per output.
     words: usize,
     /// Per signal, two bitsets of `words` words: the outputs that hold the signal
@@ -115,7 +123,9 @@ impl Workspace {
             self.counts[slot(key)] = 0;
         }
         self.touched.clear();
-        self.heap.clear();
+        // A run that ends normally has emptied every bucket; one that fails may not.
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.top = 0;
         outcome
     }
 
@@ -148,7 +158,13 @@ impl Workspace {
         self.push_repeated(0);
 
         let mut outcome = CseOutcome::default();
-        while let Some(key) = self.best() {
+        let mut previous = usize::MAX;
+        while let Some((key, count)) = self.best() {
+            debug_assert!(
+                count <= previous,
+                "selected count {count} exceeds the previous selection's {previous}"
+            );
+            previous = count;
             let (a, b, relative_sign) = unpack(key);
             let new_signal = table.push_combine(a, false, b, relative_sign < 0)?;
             outcome.new_signals += 1;
@@ -189,7 +205,8 @@ impl Workspace {
                     ),
                 });
             }
-            // The patterns of the new signal are the only ones whose counts grew.
+            // The patterns of the new signal are the only ones whose counts grew,
+            // each to at most the selected count.
             self.push_repeated(fresh);
         }
         Ok(outcome)
@@ -221,36 +238,53 @@ impl Workspace {
         *count = count.saturating_sub(1);
     }
 
-    /// Pushes a heap entry for every pattern touched since `touched[from]` that
-    /// occurs at least twice.
+    /// Files every pattern touched since `touched[from]` that occurs at least
+    /// twice in the bucket of its count.
     fn push_repeated(&mut self, from: usize) {
         for &key in &self.touched[from..] {
-            let count = self.counts[slot(key)];
+            let count = self.counts[slot(key)] as usize;
             if count >= 2 {
-                self.heap.push((count, Reverse(key)));
+                if self.buckets.len() <= count {
+                    self.buckets.resize_with(count + 1, Vec::new);
+                }
+                self.buckets[count].push(key);
+                self.top = self.top.max(count);
             }
         }
     }
 
-    /// The pattern with the highest count, ties broken towards the smallest pattern
-    /// so compilation is stable; `None` once no pattern occurs twice.
+    /// The pattern with the highest count, and that count, ties broken towards
+    /// the smallest pattern so compilation is stable; `None` once no pattern
+    /// occurs twice.
     ///
-    /// The top entry is live exactly when its count is the pattern's live count;
-    /// no other pattern can then beat it, because every pattern's live count is
-    /// bounded by one of its entries. A stale top entry is refreshed with the live
-    /// count (if still repeated) and the search goes on.
-    fn best(&mut self) -> Option<PatternKey> {
-        while let Some(mut top) = self.heap.peek_mut() {
-            let (count, Reverse(key)) = *top;
-            let live = self.counts[slot(key)];
-            if live == count {
-                return Some(key);
+    /// No bucket above `top` holds an entry, so the live patterns of count `top`
+    /// are exactly the entries of bucket `top` whose live count is `top`. The
+    /// scan keeps those and moves every other entry down to its live count's
+    /// bucket, or drops it below two; an empty top bucket lowers `top`. The
+    /// selected entry stays in its bucket: its substitution retires every
+    /// occurrence, so the next scan drops it.
+    fn best(&mut self) -> Option<(PatternKey, usize)> {
+        while self.top >= 2 {
+            let count = self.top;
+            let mut bucket = std::mem::take(&mut self.buckets[count]);
+            let mut best: Option<PatternKey> = None;
+            bucket.retain(|&key| {
+                let live = self.counts[slot(key)] as usize;
+                debug_assert!(live <= count, "pattern {:?} above its bucket", unpack(key));
+                if live == count {
+                    best = Some(best.map_or(key, |best| best.min(key)));
+                    return true;
+                }
+                if live >= 2 {
+                    self.buckets[live].push(key);
+                }
+                false
+            });
+            self.buckets[count] = bucket;
+            if let Some(key) = best {
+                return Some((key, count));
             }
-            if live >= 2 {
-                *top = (live, Reverse(key));
-            } else {
-                PeekMut::pop(top);
-            }
+            self.top -= 1;
         }
         None
     }
@@ -312,6 +346,7 @@ pub fn eliminate(table: &mut SignalTable, outputs: &mut [LinearExpr]) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::SignalDef;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -587,6 +622,32 @@ mod tests {
                 .expect("slice");
             assert_matches_reference(slice.rows());
         }
+    }
+
+    #[test]
+    fn a_new_signals_pair_wins_a_tie_at_the_top_count_by_its_smaller_key() {
+        // `x1 + x2` occurs four times and is selected first, as signal 6. Three of
+        // the rows it rewrites also hold `x0`, so the new pair `(0, 6)` reaches
+        // count 3 and ties `(3, 5)`, counted at the start; the smaller key wins.
+        let mut rows = vec![vec![1, 1, 1, 0, 0, 0]; 3];
+        rows.push(vec![0, 1, 1, 0, 0, 0]);
+        rows.extend(vec![vec![0, 0, 0, 1, 0, 1]; 3]);
+        assert_matches_reference(&rows);
+        let mut table = SignalTable::with_inputs(6);
+        let mut outputs: Vec<LinearExpr> = rows
+            .iter()
+            .map(|r| LinearExpr::from_weight_row(r))
+            .collect();
+        eliminate(&mut table, &mut outputs).expect("cse");
+        let combine = |lhs, rhs| SignalDef::Combine {
+            lhs,
+            lhs_negated: false,
+            rhs,
+            rhs_negated: false,
+        };
+        assert_eq!(table.def(6), Some(&combine(1, 2)));
+        assert_eq!(table.def(7), Some(&combine(0, 6)));
+        assert_eq!(table.def(8), Some(&combine(3, 5)));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! inputs; CSE then extracts shared subexpressions.
 
 use crate::cse::{self, CseOutcome};
-use crate::expr::{LinearExpr, SignalTable};
+use crate::expr::{LinearExpr, SignalId, SignalTable};
 use crate::{ApcError, Result};
 use tnn::model::ConvLayerInfo;
 
@@ -191,7 +191,7 @@ impl OpCount {
 /// assert!(dfg.op_count().total() <= before);
 /// assert_eq!(dfg.evaluate(&[10, 3, 1]).expect("eval"), vec![7, 8]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Dfg {
     /// All signals: patch inputs followed by CSE-derived subexpressions.
     pub signals: SignalTable,
@@ -199,7 +199,19 @@ pub struct Dfg {
     pub outputs: Vec<LinearExpr>,
     /// Patch size of the slice the DFG was built from.
     pub patch_size: usize,
+    /// Expressions a refill left over, kept for their storage.
+    spare: Vec<LinearExpr>,
 }
+
+/// Two DFGs are equal when their signals, outputs and patch size are.
+impl PartialEq for Dfg {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.signals, &self.outputs, self.patch_size)
+            == (&other.signals, &other.outputs, other.patch_size)
+    }
+}
+
+impl Eq for Dfg {}
 
 impl Dfg {
     /// Builds the DFG of a weight slice by constant folding (multiplications by
@@ -225,18 +237,36 @@ impl Dfg {
         patch_size: usize,
         rows: impl IntoIterator<Item = &'a [i8]>,
     ) {
+        self.refill_where(patch_size, rows, |_, _| true);
+    }
+
+    /// [`Dfg::refill`] with only the rows for which `keep` holds, in order:
+    /// `keep` sees every row's folded terms and its weights. Expressions
+    /// beyond the kept rows are set aside, not dropped, so refills that keep
+    /// a varying number of rows allocate nothing either.
+    pub(crate) fn refill_where<'a>(
+        &mut self,
+        patch_size: usize,
+        rows: impl IntoIterator<Item = &'a [i8]>,
+        mut keep: impl FnMut(&[(SignalId, i8)], &'a [i8]) -> bool,
+    ) {
         self.signals.reset(patch_size);
         self.patch_size = patch_size;
         let mut outputs = 0;
         for row in rows {
             if outputs == self.outputs.len() {
                 // An expression never holds more terms than the patch has inputs.
-                self.outputs.push(LinearExpr::with_capacity(patch_size));
+                let expr = self.spare.pop();
+                self.outputs
+                    .push(expr.unwrap_or_else(|| LinearExpr::with_capacity(patch_size)));
             }
-            self.outputs[outputs].refill_from_weight_row(row);
-            outputs += 1;
+            let output = &mut self.outputs[outputs];
+            output.refill_from_weight_row(row);
+            if keep(output.terms(), row) {
+                outputs += 1;
+            }
         }
-        self.outputs.truncate(outputs);
+        self.spare.extend(self.outputs.drain(outputs..));
     }
 
     /// Builds the DFG of the matrix-vector example of Eq. 1 in the paper (used by

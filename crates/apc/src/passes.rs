@@ -181,7 +181,10 @@ impl LayerCompiler {
     /// an `unroll` slice is one independent chain per output row, whose
     /// costs depend only on the signs of its terms, so the walk lowers one
     /// row of each distinct sign sequence once per layer and counts the
-    /// rows of each. A CSE fallback then lowers its slice on demand.
+    /// rows of each. The same table books the rows of `unroll+CSE` that CSE
+    /// cannot rewrite, those with at most one term, so only the other rows
+    /// enter the slice DFG. A CSE fallback then lowers just those rows
+    /// un-CSE'd, on demand.
     pub fn compile_both(&self, layer: &ConvLayerInfo) -> [Result<CompiledLayer>; 2] {
         self.walk(layer, [false, true])
     }
@@ -229,11 +232,18 @@ impl LayerCompiler {
                 .zip(variants)
                 .any(|(&setting, variant)| setting == cse && variant.is_ok())
         };
-        // The analytic `unroll` variant is booked by row shape, not per slice.
-        let unroll = cse_settings.iter().position(|&cse| !cse);
-        let mut shapes = unroll
-            .filter(|_| !options.keep_programs)
-            .map(|_| RowShapes::new());
+        // Without retained programs, rows are booked by shape rather than per
+        // slice: every row of `unroll`, and the rows CSE cannot rewrite, those
+        // of at most one term. Only the rest enter the slice DFG: a row enters
+        // it when it has at least `min_terms` terms.
+        let mut shapes = (!options.keep_programs).then(RowShapes::new);
+        let mut shape_rows: [Vec<u64>; N] = cse_settings.map(|_| Vec::new());
+        let walks_unroll = cse_settings.contains(&false);
+        let min_terms = match (options.keep_programs, cse_settings.contains(&true)) {
+            (true, _) => 0,
+            (false, true) => 2,
+            (false, false) => usize::MAX,
+        };
 
         for tile in 0..layout.output_tiles {
             let range = layout.tile_range(tile, layer.cout);
@@ -253,23 +263,33 @@ impl LayerCompiler {
             for channel in 0..layer.cin {
                 let channel_in_group = channel % layout.channels_per_group;
                 let rows = weights.slice_rows(channel, range.clone());
-                buffers.dfg.refill(weights.patch_size(), rows.clone());
-                // One pass over the outputs: their non-zeros, the `unroll` op
-                // count (`terms − 1` per non-empty output) and, when booking
-                // by shape, each output's shape, lowered on its first sight.
+                // One pass over the rows: their non-zeros, the `unroll` op
+                // count (`terms − 1` per non-empty row) and, when booking by
+                // shape, each booked row's shape, lowered on its first sight.
                 let (mut nonzeros, mut baseline_ops) = (0, 0);
-                for (output, row) in buffers.dfg.outputs.iter().zip(rows.clone()) {
-                    let terms = output.terms();
-                    nonzeros += terms.len() as u64;
-                    baseline_ops += terms.len().saturating_sub(1) as u64;
-                    if let Some(shapes) = &mut shapes {
-                        shapes.count(terms, |buffers| {
-                            buffers.dfg.refill(weights.patch_size(), [row]);
-                            buffers.allocate();
-                            lowering.lower(buffers, channel_in_group)
-                        });
-                    }
-                }
+                buffers
+                    .dfg
+                    .refill_where(weights.patch_size(), rows.clone(), |terms, row| {
+                        nonzeros += terms.len() as u64;
+                        baseline_ops += terms.len().saturating_sub(1) as u64;
+                        let inert = terms.len() < 2;
+                        if let Some(shapes) = shapes.as_mut().filter(|_| walks_unroll || inert) {
+                            let shape = shapes.shape(terms, |buffers| {
+                                buffers.dfg.refill(weights.patch_size(), [row]);
+                                buffers.allocate();
+                                lowering.lower(buffers, channel_in_group)
+                            });
+                            for (booked, &cse) in shape_rows.iter_mut().zip(&cse_settings) {
+                                if !cse || inert {
+                                    if booked.len() <= shape {
+                                        booked.resize(shape + 1, 0);
+                                    }
+                                    booked[shape] += 1;
+                                }
+                            }
+                        }
+                        terms.len() >= min_terms
+                    });
                 for variant in variants.iter_mut().flatten() {
                     variant.stats.nonzero_weights += nonzeros;
                     variant.stats.baseline_adds_subs += baseline_ops;
@@ -280,7 +300,9 @@ impl LayerCompiler {
                     buffers.allocate();
                     lowering.lower(&mut buffers, channel_in_group)
                 });
-                let mut cse = wants(&variants, true).then(|| {
+                // A slice whose rows are all booked by shape has nothing to lower.
+                let cse_lowers = wants(&variants, true) && !buffers.dfg.outputs.is_empty();
+                let mut cse = cse_lowers.then(|| {
                     buffers.dfg.apply_cse_with(&mut buffers.cse)?;
                     if buffers.allocate() <= layout.temp_budget {
                         return lowering.lower(&mut buffers, channel_in_group);
@@ -289,7 +311,11 @@ impl LayerCompiler {
                     let mut fallback = match &unroll {
                         Some(lowered) => lowered.clone(),
                         None => {
-                            buffers.dfg.refill(weights.patch_size(), rows);
+                            buffers
+                                .dfg
+                                .refill_where(weights.patch_size(), rows, |terms, _| {
+                                    terms.len() >= min_terms
+                                });
                             buffers.allocate();
                             lowering.lower(&mut buffers, channel_in_group)
                         }
@@ -323,12 +349,13 @@ impl LayerCompiler {
             }
         }
 
-        if let (Some(shapes), Some(unroll)) = (shapes, unroll) {
-            let variant = &mut variants[unroll];
-            if let Ok(accumulated) = variant {
-                match shapes.total() {
-                    Ok(stats) => accumulated.stats += stats,
-                    Err(error) => *variant = Err(error),
+        if let Some(shapes) = &shapes {
+            for (variant, booked) in variants.iter_mut().zip(&shape_rows) {
+                if let Ok(accumulated) = variant {
+                    match shapes.total(booked) {
+                        Ok(stats) => accumulated.stats += stats,
+                        Err(error) => *variant = Err(error),
+                    }
                 }
             }
         }
@@ -465,22 +492,31 @@ impl Lowering<'_> {
     }
 }
 
-/// The `unroll` statistics of a layer's slices, booked by row shape.
+/// The statistics of rows booked by shape rather than per slice.
 ///
 /// An `unroll` DFG has no derived signals, so each output row is an
 /// independent chain of `act_bits`-wide unsigned patch inputs, and what
 /// [`Lowering::lower`] books for it depends only on the sign sequence of its
 /// terms: no cost formula reads an operand's column. The table lowers one
 /// row of each sign sequence, through that same lowering, the first time the
-/// sequence appears, and counts the rows of each; a slice's statistics are
-/// the sum of its rows' (the walk books [`Lowering::slice_stats`] per slice).
+/// sequence appears; a variant counts the rows it books per sequence, and a
+/// slice's statistics are the sum of its rows' (the walk books
+/// [`Lowering::slice_stats`] per slice).
+///
+/// `unroll` books every row here. `unroll+CSE` books its CSE-inert rows
+/// here, those of at most one term: such a row shares no pair with any other,
+/// so CSE never rewrites it, and it lowers to at most one accumulation that
+/// defines and uses no temporary. Leaving it out of its slice's DFG keeps the
+/// order of every definition and last use in the schedule, so the slice
+/// colours to the same temporaries, and its lowering is the sum of the
+/// other rows' and the inert rows' own.
 struct RowShapes {
     /// A binary trie over sign sequences, node 0 being the empty one: each
     /// node's children by the sign of the next term (positive, negative), 0
-    /// where absent, and the index in `booked` of the sequence ending there.
+    /// where absent, and the index in `lowered` of the sequence ending there.
     nodes: Vec<([usize; 2], Option<usize>)>,
-    /// Per distinct sign sequence: one row's lowering and the rows counted.
-    booked: Vec<(Result<CompileStats>, u64)>,
+    /// Per distinct sign sequence: one row's lowering.
+    lowered: Vec<Result<CompileStats>>,
     /// The buffers of the one-row lowerings.
     buffers: SliceBuffers,
 }
@@ -489,18 +525,18 @@ impl RowShapes {
     fn new() -> Self {
         RowShapes {
             nodes: vec![([0; 2], None)],
-            booked: Vec::new(),
+            lowered: Vec::new(),
             buffers: SliceBuffers::default(),
         }
     }
 
-    /// Counts a row of `terms`; if its sign sequence is new, `lower` lowers
-    /// the row in the buffers it is given.
-    fn count(
+    /// The index of the sign sequence of `terms`; if it is new, `lower`
+    /// lowers the row in the buffers it is given.
+    fn shape(
         &mut self,
         terms: &[(SignalId, i8)],
         lower: impl FnOnce(&mut SliceBuffers) -> Result<LoweredSlice>,
-    ) {
+    ) -> usize {
         let mut node = 0;
         for &(_, sign) in terms {
             let sign = usize::from(sign < 0);
@@ -514,20 +550,22 @@ impl RowShapes {
                 child => child,
             };
         }
-        let index = *self.nodes[node].1.get_or_insert_with(|| {
+        *self.nodes[node].1.get_or_insert_with(|| {
             let row_stats = lower(&mut self.buffers).map(|lowered| lowered.stats);
-            self.booked.push((row_stats, 0));
-            self.booked.len() - 1
-        });
-        self.booked[index].1 += 1;
+            self.lowered.push(row_stats);
+            self.lowered.len() - 1
+        })
     }
 
-    /// Every counted row's statistics, or the first error met lowering a row.
-    fn total(self) -> Result<CompileStats> {
-        self.booked
-            .into_iter()
-            .try_fold(CompileStats::default(), |total, (row, rows)| {
-                Ok(total + row? * rows)
+    /// The statistics of `rows[shape]` rows of each shape, or the first error
+    /// met lowering a counted one.
+    fn total(&self, rows: &[u64]) -> Result<CompileStats> {
+        self.lowered
+            .iter()
+            .zip(rows)
+            .filter(|&(_, &rows)| rows > 0)
+            .try_fold(CompileStats::default(), |total, (row, &rows)| {
+                Ok(total + row.clone()? * rows)
             })
     }
 }
@@ -701,11 +739,76 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "compiles ResNet-18 three times over; run in release"]
+    #[ignore = "compiles ResNet-18 three times over per setting; run in release"]
     fn walk_matches_the_per_variant_oracle_on_resnet18() {
+        // 8-bit activations, and a budget of two temporaries, which forces CSE
+        // fallbacks on slices that also hold inert rows.
+        let tight = CompilerOptions {
+            temp_budget: 2,
+            ..CompilerOptions::default()
+        };
         for model in [resnet18(0.8, 7), resnet18(0.5, 3)] {
-            assert_walk_matches_oracle(&model.conv_like_layers(), CompilerOptions::default());
+            let layers = model.conv_like_layers();
+            assert_walk_matches_oracle(&layers, CompilerOptions::default());
+            assert_walk_matches_oracle(&layers, CompilerOptions::default().with_act_bits(8));
+            assert!(assert_walk_matches_oracle(&layers, tight) > 0);
         }
+    }
+
+    #[test]
+    fn prop_inert_rows_and_fallbacks_match_the_oracle() {
+        // The cases `proptest!` would draw, run here so that the census of
+        // what they covered can be asserted once they all have run.
+        let strategy = (
+            any::<u64>(),
+            (1usize..=48, 1usize..=3, any::<bool>()),
+            0.5f64..0.97,
+            (1usize..=3, any::<bool>()),
+        );
+        let (mut all_inert, mut fallback_with_inert) = (0, 0);
+        for case in 0..48 {
+            let mut rng = TestRng::deterministic("prop_inert_rows_and_fallbacks", case);
+            let (seed, (cout, cin, square), sparsity, (temp_budget, eight_bit)) =
+                strategy.sample(&mut rng);
+            let kernel = if square { 3 } else { 1 };
+            let mut layer = square_layer("random", [cout, cin, kernel, 1, 8], sparsity);
+            layer.weights = TernaryTensor::random(vec![cout, cin, kernel, kernel], sparsity, seed);
+            let options = CompilerOptions {
+                act_bits: if eight_bit { 8 } else { 4 },
+                temp_budget,
+                ..CompilerOptions::default()
+            };
+            for enable_cse in [false, true] {
+                let options = CompilerOptions {
+                    enable_cse,
+                    ..options
+                };
+                assert_walk_matches_oracle(std::slice::from_ref(&layer), options);
+            }
+            // Census: slices of inert rows only, and fallback slices with some.
+            let layout =
+                LayerLayout::for_layer(options.geometry, options.act_bits, &layer, temp_budget)
+                    .expect("layout");
+            for tile in 0..layout.output_tiles {
+                for channel in 0..cin {
+                    let range = layout.tile_range(tile, cout);
+                    let slice =
+                        WeightSlice::from_layer_channel(&layer, channel, range).expect("slice");
+                    let inert = slice
+                        .rows()
+                        .iter()
+                        .filter(|row| row.iter().filter(|&&w| w != 0).count() < 2)
+                        .count();
+                    let mut dfg = Dfg::from_slice(&slice);
+                    dfg.apply_cse().expect("cse");
+                    let falls_back = allocate(&dfg).temp_columns_used > temp_budget;
+                    all_inert += u32::from(inert == slice.outputs());
+                    fallback_with_inert += u32::from(falls_back && inert > 0);
+                }
+            }
+        }
+        assert!(all_inert > 0, "no slice of inert rows only");
+        assert!(fallback_with_inert > 0, "no fallback slice with inert rows");
     }
 
     /// A square-kernel layer of random ternary weights, `sparsity` of them

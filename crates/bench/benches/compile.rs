@@ -4,7 +4,8 @@
 //!
 //! `cse_64_output_slice` is a small VGG-9 slice; `cse_resnet18_layer4_1_conv2_tile0`
 //! is the first output-tile slice of the ResNet-18 layer class that dominates a
-//! cold Table II compile.
+//! cold Table II compile, and `layer_compile_resnet18_layer4_1_conv2/both`
+//! compiles that whole layer under both CSE settings in one slice walk.
 
 use accel::{AcceleratorModel, ArchConfig};
 use apc::dfg::{Dfg, WeightSlice};
@@ -50,6 +51,21 @@ fn bench_cse(c: &mut Criterion) {
             black_box(dfg.op_count().total())
         })
     });
+
+    // The layer4 layers are about 72 % of a cold ResNet-18 compile.
+    let mut group = c.benchmark_group("layer_compile_resnet18_layer4_1_conv2");
+    group.sample_size(10);
+    group.bench_function("both", |b| {
+        let compiler = LayerCompiler::new(options);
+        b.iter(|| {
+            black_box(
+                compiler
+                    .compile_both(black_box(&layer))
+                    .map(|c| c.map(|c| c.stats)),
+            )
+        })
+    });
+    group.finish();
 }
 
 fn bench_layer_compile(c: &mut Criterion) {
